@@ -165,11 +165,13 @@ func main() {
 		}
 		coll.SetScope(id)
 		start := time.Now()
+		_, groups0 := experiment.IntervalStats()
 		table, err := fn(opts)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", id, err))
 		}
-		if note := experiment.PhaseNote(opts); note != "" {
+		_, groups1 := experiment.IntervalStats()
+		if note := experiment.PhaseNote(opts, groups1-groups0); note != "" {
 			table.Notes = append(table.Notes, note)
 		}
 		fmt.Fprintln(out, table.Render())

@@ -276,8 +276,10 @@ func main() {
 			*wl, *scale, *seed, *pageSeed, *frames, *checkpoint, *checkpointDir,
 			*resultCacheDir, *simServers, *simKernel))
 	}
+	_, groups0 := experiment.IntervalStats()
 	outs, err := sched.Run(*parallel, jobs, nil)
 	check(err)
+	_, groups1 := experiment.IntervalStats()
 	// Commit in submission order so the metrics report and trace stream
 	// are deterministic at any -parallel value.
 	for _, tel := range tels {
@@ -308,7 +310,7 @@ func main() {
 		fmt.Printf("slowdown:   %.2fx over uninstrumented run\n",
 			tapeworm.Slowdown(snap, normal))
 	}
-	if note := experiment.PhaseNote(phaseOpts); note != "" {
+	if note := experiment.PhaseNote(phaseOpts, groups1-groups0); note != "" {
 		fmt.Printf("note:       %s\n", note)
 	}
 

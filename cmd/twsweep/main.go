@@ -80,9 +80,11 @@ func main() {
 	check(sc.Validate())
 
 	start := time.Now()
+	_, groups0 := experiment.IntervalStats()
 	table, err := experiment.Sweep(opts, sc)
 	check(err)
-	if note := experiment.PhaseNote(opts); note != "" {
+	_, groups1 := experiment.IntervalStats()
+	if note := experiment.PhaseNote(opts, groups1-groups0); note != "" {
 		table.Notes = append(table.Notes, note)
 	}
 

@@ -201,13 +201,19 @@ type Tapeworm struct {
 	// members must never dilate the shared clock — the Figure 4 leak);
 	// intent is the member's own armed-word bitset (cache modes), the
 	// member-local view of the union trap set; tlbInvalid is the set of
-	// (task, page) mappings this member currently holds invalid (TLB mode).
+	// (task, page) mappings this member currently holds invalid (TLB mode);
+	// attrs holds the member's own tw_attributes bits per task, of which
+	// the kernel's task structures carry only the union.
 	gang       *Gang
 	gangIdx    int // member index; bit position in the gang's demux masks
 	ledger     uint64
 	intent     []uint64
 	tlbInvalid map[vkey]bool
+	attrs      map[mem.TaskID]taskAttr
 }
+
+// taskAttr is one gang member's tw_attributes bits for one task.
+type taskAttr struct{ simulate, inherit bool }
 
 // charge accounts overhead cycles: a solo simulator dilates the machine
 // clock (time dilation is real and deliberate, Figure 4); a gang member
@@ -404,9 +410,17 @@ func (tw *Tapeworm) MechanismName() string {
 
 // Attributes implements tw_attributes(tid, simulate, inherit). A tid of
 // zero signifies the kernel: enabling simulation for it registers every
-// kernel page immediately (kernel pages never demand-fault).
+// kernel page immediately (kernel pages never demand-fault). A gang
+// member's bits are its own: they steer only its own registrations, and
+// the kernel's task structure carries the union over live members.
 func (tw *Tapeworm) Attributes(tid mem.TaskID, simulate, inherit bool) error {
-	if err := tw.k.SetAttributes(tid, simulate, inherit); err != nil {
+	var err error
+	if tw.gang != nil {
+		err = tw.gang.setAttributes(tw, tid, simulate, inherit)
+	} else {
+		err = tw.k.SetAttributes(tid, simulate, inherit)
+	}
+	if err != nil {
 		return err
 	}
 	if tid == mem.KernelTask && simulate && !tw.kernelReg {
@@ -619,10 +633,40 @@ func (tw *Tapeworm) PageRemoved(t mem.TaskID, pa mem.PAddr, va mem.VAddr) {
 	}
 }
 
-// TaskForked implements the attribute-inheritance bookkeeping; the
-// attribute copy itself happens in the kernel's fork path, so Tapeworm has
-// nothing to do but observe.
-func (tw *Tapeworm) TaskForked(parent, child *kernel.Task) {}
+// TaskForked implements the attribute-inheritance bookkeeping. A solo
+// simulator has nothing to do: the kernel's fork path copies the bits. A
+// gang member records its own view of the child — the caller's attributes
+// for a spawned task, its own inherit bit of the parent for a forked one.
+func (tw *Tapeworm) TaskForked(parent, child *kernel.Task) {
+	if tw.gang == nil {
+		return
+	}
+	if parent == nil {
+		tw.attrs[child.ID] = taskAttr{child.Simulate, child.Inherit}
+		return
+	}
+	tw.attr(child.ID)
+}
+
+// attr returns a gang member's own tw_attributes bits for task tid. Tasks
+// alive at attach and spawned tasks are recorded up front. A forked child
+// is resolved through its parent on first use, because kernel.fork
+// registers the shared text pages before TaskForked fires:
+//
+//	child.simulate <- parent.inherit
+//	child.inherit  <- parent.inherit
+func (tw *Tapeworm) attr(tid mem.TaskID) taskAttr {
+	if a, ok := tw.attrs[tid]; ok {
+		return a
+	}
+	var a taskAttr
+	if t := tw.k.Task(tid); t != nil && t.Parent != tid {
+		inherit := tw.attr(t.Parent).inherit
+		a = taskAttr{inherit, inherit}
+	}
+	tw.attrs[tid] = a
+	return a
+}
 
 // TaskExited observes task teardown (page removals arrive separately).
 func (tw *Tapeworm) TaskExited(t mem.TaskID) {}

@@ -26,6 +26,14 @@ package core
 //     invalid — consults the member's intent, never the union state, so a
 //     member cannot observe how many other members share a trap.
 //
+//  3. Member-local attributes. Each member keeps its own tw_attributes
+//     bits per task, inherited through fork from its own bits. The
+//     kernel's task structures carry the union over live members, so the
+//     VM system reports every page some member simulates, and the gang
+//     hands each registration only to the members that simulate the task.
+//     Members that simulate different components (Table 6's user, server,
+//     kernel and all-activity caches) therefore share one execution.
+//
 // Solo runs of gang-eligible experiments use a gang of one, making the
 // equivalence exact rather than argued.
 
@@ -177,11 +185,40 @@ func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 		if !g.wide {
 			g.liveMask |= 1 << uint(i)
 		}
+		// Every member starts from the kernel's current bits.
+		tw.attrs = make(map[mem.TaskID]taskAttr)
+		for _, t := range k.Tasks() {
+			tw.attrs[t.ID] = taskAttr{t.Simulate, t.Inherit}
+		}
 		g.members = append(g.members, tw)
 		g.live = append(g.live, true)
 	}
 	k.SetHooks(g)
 	return g, nil
+}
+
+// setAttributes records tw_attributes for one member and stores the union
+// over live members in the kernel's task structure.
+func (g *Gang) setAttributes(tw *Tapeworm, tid mem.TaskID, simulate, inherit bool) error {
+	if g.k.Task(tid) == nil {
+		return g.k.SetAttributes(tid, simulate, inherit) // reports the unknown task
+	}
+	tw.attrs[tid] = taskAttr{simulate, inherit}
+	return g.syncAttributes(tid)
+}
+
+// syncAttributes stores the union of the live members' bits for tid in
+// the kernel's task structure, which is what the VM system consults.
+func (g *Gang) syncAttributes(tid mem.TaskID) error {
+	var u taskAttr
+	for i, tw := range g.members {
+		if g.live[i] {
+			a := tw.attr(tid)
+			u.simulate = u.simulate || a.simulate
+			u.inherit = u.inherit || a.inherit
+		}
+	}
+	return g.k.SetAttributes(tid, u.simulate, u.inherit)
 }
 
 // MustAttachGang is AttachGang but panics on error.
@@ -251,6 +288,12 @@ func (g *Gang) Detach(tw *Tapeworm) error {
 	for _, key := range keys {
 		va := mem.VAddr(key.vpn) << g.pageBits
 		if err := g.memberSetPageValid(tw, key.t, va, true); err != nil {
+			return err
+		}
+	}
+	// The union attributes no longer include the detached member's.
+	for _, t := range g.k.Tasks() {
+		if err := g.syncAttributes(t.ID); err != nil {
 			return err
 		}
 	}
@@ -411,25 +454,35 @@ func (gm *gangMech) Name() string { return gm.inner.Name() }
 
 // --- kernel.MemSimHooks implementation: fan-out and demultiplexing ---
 
-// PageRegistered fans tw_register_page out to every live member.
+// PageRegistered delivers tw_register_page to every live member that
+// simulates task t. The kernel registers a page only for a simulated task,
+// and it consults the union bit; each member's solo kernel would have
+// consulted the member's own bit.
 func (g *Gang) PageRegistered(t mem.TaskID, pa mem.PAddr, va mem.VAddr, kind mem.RefKind) {
 	for i, tw := range g.members {
-		if g.live[i] {
+		if g.live[i] && tw.attr(t).simulate {
 			tw.PageRegistered(t, pa, va, kind)
 		}
 	}
 }
 
-// PageRemoved fans tw_remove_page out to every live member.
+// PageRemoved delivers tw_remove_page. A real unmapping (exit, page-out)
+// goes to every live member, as the kernel reports it whatever the simulate
+// bit: a member that cleared its bit after registering must still see it.
+// The predictable-DMA bracket's unregistration is taken only for a
+// simulated task, so it goes only to the members that simulate t; the
+// others keep their traps through the transfer, exactly as solo.
 func (g *Gang) PageRemoved(t mem.TaskID, pa mem.PAddr, va mem.VAddr) {
+	bracket := g.k.InDMABracket()
 	for i, tw := range g.members {
-		if g.live[i] {
+		if g.live[i] && (!bracket || tw.attr(t).simulate) {
 			tw.PageRemoved(t, pa, va)
 		}
 	}
 }
 
-// TaskForked fans task creation out to every live member.
+// TaskForked fans task creation out to every live member, each of which
+// records its own attributes for the child.
 func (g *Gang) TaskForked(parent, child *kernel.Task) {
 	for i, tw := range g.members {
 		if g.live[i] {

@@ -99,16 +99,25 @@ func parseCell(s string) (float64, bool) {
 	return v, true
 }
 
-// PhaseNote describes the option set's sampling mode for table footers:
-// a reminder that interval-sampled numbers carry an error bound instead
-// of byte-exactness. Empty when interval replay is off.
+// PhaseNote describes how the option set's gang-eligible entries were
+// produced, for table footers: a reminder that interval-sampled numbers
+// carry an error bound instead of byte-exactness. replayed is the
+// IntervalStats groups delta over the run the footer describes; when it
+// is zero, no group was extrapolated — every one fell back to exhaustive
+// replay (a stream beyond the compile budget cannot be checkpointed) or
+// came from the result cache — and the note says so instead. Empty when
+// interval replay is off.
 //
 //twvet:allow gate — pure formatter over already-validated options; no
 // error channel and nothing here can panic on bad values.
-func PhaseNote(o Options) string {
+func PhaseNote(o Options, replayed uint64) string {
 	if o.PhaseIntervals <= 0 {
 		return ""
 	}
-	return fmt.Sprintf("representative-interval sampling: %d intervals, %d phases, %d-instruction warm-up; gang-eligible entries are extrapolated (error-bound-gated, not exact)",
+	geom := fmt.Sprintf("%d intervals, %d phases, %d-instruction warm-up",
 		o.PhaseIntervals, o.PhaseK, o.PhaseWarmup)
+	if replayed == 0 {
+		return fmt.Sprintf("representative-interval sampling requested (%s) but no group was extrapolated: simulated entries fell back to exhaustive replay and are exact", geom)
+	}
+	return fmt.Sprintf("representative-interval sampling: %s; gang-eligible entries are extrapolated (error-bound-gated, not exact)", geom)
 }

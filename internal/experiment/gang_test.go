@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"tapeworm/internal/telemetry"
+	"tapeworm/internal/workload"
 )
 
 // TestGangDeterminism is the in-process version of the `make verify-gang`
 // gate: gang-eligible experiments must render byte-identical tables with
 // grouping on and off, serial and parallel. figure3 gangs an entire sweep
-// into one execution; table8 gangs per trial; table6 exercises the
-// gang-of-one path (its jobs differ in component flags, so nothing
-// groups).
+// into one execution; table8 gangs per trial; table6 gangs members with
+// different component attributes (user, servers, kernel, all activity)
+// into one execution per workload, next to its solo trace-driven run.
 func TestGangDeterminism(t *testing.T) {
 	for _, id := range []string{"figure3", "table8", "table6"} {
 		id := id
@@ -125,5 +126,35 @@ func TestGangTelemetryKeepsTablesIdentical(t *testing.T) {
 		if want := fmt.Sprintf("run%d", i); r.Name != want {
 			t.Errorf("run %d named %q, want %q", i, r.Name, want)
 		}
+	}
+}
+
+// TestTable6SharesExecutions: Table 6's four component configurations of
+// a workload share one gang execution (each execution forks the boot
+// checkpoint once; single-task workloads add their trace-driven run), and
+// a repeated render reuses every cached compiled stream.
+func TestTable6SharesExecutions(t *testing.T) {
+	o := parallelOptions(1)
+	o.Checkpoint = true
+	want := uint64(0)
+	for _, spec := range workload.Specs(o.Scale) {
+		want++
+		if spec.Tasks == 1 {
+			want++
+		}
+	}
+	_, forks0, _ := CheckpointStats()
+	if _, err := Table6(o); err != nil {
+		t.Fatal(err)
+	}
+	if _, forks, _ := CheckpointStats(); forks-forks0 != want {
+		t.Errorf("Table6 ran %d executions, want %d", forks-forks0, want)
+	}
+	_, compiles0 := workload.ImageCacheStats()
+	if _, err := Table6(o); err != nil {
+		t.Fatal(err)
+	}
+	if _, compiles := workload.ImageCacheStats(); compiles != compiles0 {
+		t.Errorf("second Table6 compiled %d streams, want 0", compiles-compiles0)
 	}
 }

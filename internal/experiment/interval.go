@@ -131,12 +131,14 @@ var (
 	profileGen   uint64
 
 	profileRuns  uint64 // profiling passes executed (under profileMu)
-	profileForks uint64 // interval groups served from a cached profile
+	profileForks uint64 // gang groups replayed from a profile (under profileMu)
 )
 
 // IntervalStats reports process-wide interval-profiling activity:
-// profiling passes executed and gang groups served from them (bench
-// JSON's interval_sampling section).
+// profiling passes executed and gang groups replayed from them (bench
+// JSON's interval_sampling section). A group that fell back to exhaustive
+// replay counts in neither, so a zero groups delta over a run means
+// nothing in it was extrapolated.
 func IntervalStats() (profiles, groups uint64) {
 	profileMu.Lock()
 	defer profileMu.Unlock()
@@ -226,10 +228,14 @@ func cachedIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interv
 	}
 	profileGen++
 	e.gen = profileGen
-	profileForks++
 	profileMu.Unlock()
 
 	e.once.Do(func() { e.p, e.err = buildIntervalProfile(o, rc, kcfg) })
+	if e.err == nil {
+		profileMu.Lock()
+		profileForks++
+		profileMu.Unlock()
+	}
 	return e.p, e.err
 }
 
@@ -499,31 +505,21 @@ func replayRep(o Options, rcs []runConfig, rc0 runConfig, kcfg kernel.Config,
 	}
 	g.SetLinearDemux(rc0.linearDemux)
 
-	// The profiling pass spawned the workload unsimulated; flip the live
-	// user tasks to the group's attributes before sweeping resident
-	// pages (the sweep consults Task.Simulate).
-	for _, t := range fk.Tasks() {
-		if t.ID == mem.KernelTask || t.Server || t.State == kernel.Exited {
-			continue
-		}
-		if err := fk.SetAttributes(t.ID, rc0.simUser, rc0.simUser); err != nil {
-			return err
-		}
-	}
-	for _, tw := range g.Members() {
-		if rc0.simServers {
-			for _, kind := range []kernel.ServerKind{kernel.BSDServer, kernel.XServer} {
-				if st := fk.Server(kind); st != nil {
-					if err := tw.Attributes(st.ID, true, false); err != nil {
-						return err
-					}
-				}
+	// The profiling pass spawned the workload unsimulated; each member
+	// flips the live user tasks to its own attributes before the resident
+	// pages are swept (the sweep consults the union Task.Simulate, and the
+	// gang hands each page only to the members simulating its task).
+	for i, tw := range g.Members() {
+		for _, t := range fk.Tasks() {
+			if t.ID == mem.KernelTask || t.Server || t.State == kernel.Exited {
+				continue
 			}
-		}
-		if rc0.simKernel {
-			if err := tw.Attributes(mem.KernelTask, true, false); err != nil {
+			if err := tw.Attributes(t.ID, rcs[i].simUser, rcs[i].simUser); err != nil {
 				return err
 			}
+		}
+		if err := simulateSystem(fk, tw, rcs[i]); err != nil {
+			return err
 		}
 	}
 	fk.RegisterResidentPages()

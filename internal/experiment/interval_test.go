@@ -248,12 +248,16 @@ func TestTableError(t *testing.T) {
 }
 
 func TestPhaseNote(t *testing.T) {
-	if n := PhaseNote(QuickOptions()); n != "" {
+	if n := PhaseNote(QuickOptions(), 1); n != "" {
 		t.Fatalf("phase-off note = %q", n)
 	}
 	o := phaseOptions(1, 1)
-	if n := PhaseNote(o); !strings.Contains(n, "8 intervals") || !strings.Contains(n, "2 phases") {
+	if n := PhaseNote(o, 1); !strings.Contains(n, "8 intervals") || !strings.Contains(n, "2 phases") ||
+		!strings.Contains(n, "extrapolated (error-bound-gated") {
 		t.Fatalf("phase note = %q", n)
+	}
+	if n := PhaseNote(o, 0); !strings.Contains(n, "8 intervals") || !strings.Contains(n, "fell back to exhaustive replay") {
+		t.Fatalf("fallback phase note = %q", n)
 	}
 }
 
@@ -274,5 +278,14 @@ func TestIntervalStreamTooLargeFallback(t *testing.T) {
 	_, err = buildIntervalProfile(o, rc, kcfg)
 	if !errors.Is(err, errIntervalFallback) {
 		t.Fatalf("oversized stream err = %v, want errIntervalFallback", err)
+	}
+	// A group that falls back is not counted as replayed, which is what
+	// PhaseNote's fallback footer keys on.
+	profiles0, groups0 := IntervalStats()
+	if _, err := cachedIntervalProfile(o, rc, kcfg); !errors.Is(err, errIntervalFallback) {
+		t.Fatalf("cached oversized stream err = %v, want errIntervalFallback", err)
+	}
+	if profiles, groups := IntervalStats(); profiles != profiles0 || groups != groups0 {
+		t.Fatalf("fallback group counted: %d -> %d passes, %d -> %d groups", profiles0, profiles, groups0, groups)
 	}
 }

@@ -113,19 +113,8 @@ func run(rc runConfig) (runResult, error) {
 	task := k.Spawn(rc.spec.Name, prog, rc.simUser, rc.simUser)
 
 	if tw != nil {
-		if rc.simServers {
-			for _, kind := range []kernel.ServerKind{kernel.BSDServer, kernel.XServer} {
-				if st := k.Server(kind); st != nil {
-					if err := tw.Attributes(st.ID, true, false); err != nil {
-						return res, err
-					}
-				}
-			}
-		}
-		if rc.simKernel {
-			if err := tw.Attributes(mem.KernelTask, true, false); err != nil {
-				return res, err
-			}
+		if err := simulateSystem(k, tw, rc); err != nil {
+			return res, err
 		}
 	}
 
@@ -211,11 +200,12 @@ func bootKernel(rc runConfig, kcfg kernel.Config) (*kernel.Kernel, func(), error
 
 // runGang executes a group of runs that share one workload execution: one
 // booted machine in ledgered-trap mode, one core.Gang of simulators, one
-// pass over the reference stream. Every rcs[i] must agree on everything
-// but tw (the grouping key runAll builds). Each member's statistics are
-// identical to what a group of one would produce; the per-member snapshot
-// adds the member's private overhead ledger to the shared (undilated)
-// machine clock, which is exactly the clock its solo ledgered run shows.
+// pass over the reference stream. Every rcs[i] must agree on the gangKey
+// runAll groups by; tw and the component flags are per member. Each
+// member's statistics are identical to what a group of one would
+// produce; the per-member snapshot adds the member's private overhead
+// ledger to the shared (undilated) machine clock, which is exactly the
+// clock its solo ledgered run shows.
 func runGang(rcs []runConfig) ([]runResult, error) {
 	rc0 := rcs[0]
 	if rc0.frames <= 0 {
@@ -250,29 +240,22 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 		return nil, err
 	}
 	g.SetLinearDemux(rc0.linearDemux)
-	for i, tw := range g.Members() {
-		tw.SetTelemetry(rcs[i].tel)
-		if rc0.simServers {
-			for _, kind := range []kernel.ServerKind{kernel.BSDServer, kernel.XServer} {
-				if st := k.Server(kind); st != nil {
-					if err := tw.Attributes(st.ID, true, false); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		if rc0.simKernel {
-			if err := tw.Attributes(mem.KernelTask, true, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	prog, err := newWorkloadProgram(rc0)
 	if err != nil {
 		return nil, err
 	}
-	k.Spawn(rc0.spec.Name, prog, rc0.simUser, rc0.simUser)
+	// Every member applies its own component flags: the workload task is
+	// spawned unsimulated and each member sets its own bits on it.
+	task := k.Spawn(rc0.spec.Name, prog, false, false)
+	for i, tw := range g.Members() {
+		tw.SetTelemetry(rcs[i].tel)
+		if err := tw.Attributes(task.ID, rcs[i].simUser, rcs[i].simUser); err != nil {
+			return nil, err
+		}
+		if err := simulateSystem(k, tw, rcs[i]); err != nil {
+			return nil, err
+		}
+	}
 
 	if err := k.Run(0); err != nil {
 		return nil, err
@@ -316,6 +299,24 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	return out, nil
 }
 
+// simulateSystem applies rc's server and kernel component flags to tw
+// through tw_attributes.
+func simulateSystem(k *kernel.Kernel, tw *core.Tapeworm, rc runConfig) error {
+	if rc.simServers {
+		for _, kind := range []kernel.ServerKind{kernel.BSDServer, kernel.XServer} {
+			if st := k.Server(kind); st != nil {
+				if err := tw.Attributes(st.ID, true, false); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if rc.simKernel {
+		return tw.Attributes(mem.KernelTask, true, false)
+	}
+	return nil
+}
+
 // newWorkloadProgram builds the run's workload program: the compiled
 // replay by default (cached across the trials, gang members and
 // fast/baseline pairs that share a (spec, seed) stream), or the
@@ -350,13 +351,13 @@ type runJob struct {
 
 // gangKey is the grouping key for ganged execution: jobs agreeing on all
 // of it observe the same reference stream and can share one machine run.
+// The component flags are not part of it: tw_attributes bits are
+// member-local inside a gang (core.Gang), so members simulating different
+// components share one execution.
 type gangKey struct {
 	spec           string
 	seed, pageSeed uint64
 	frames         int
-	simUser        bool
-	simServers     bool
-	simKernel      bool
 }
 
 // runAll executes the jobs' machine runs on a sched worker pool bounded by
@@ -382,8 +383,7 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 			groups = append(groups, []int{i})
 			continue
 		}
-		key := gangKey{rc.spec.Name, rc.seed, rc.pageSeed, rc.frames,
-			rc.simUser, rc.simServers, rc.simKernel}
+		key := gangKey{rc.spec.Name, rc.seed, rc.pageSeed, rc.frames}
 		if o.NoGang {
 			groups = append(groups, []int{i})
 			continue

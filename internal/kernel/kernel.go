@@ -77,6 +77,7 @@ type Kernel struct {
 	resched bool
 	ticks   uint64
 	inClock bool
+	inDMA   bool // delivering deviceDMA's bracketing PageRemoved
 
 	fa       *frameAllocator
 	resident residentQueue
@@ -370,6 +371,12 @@ func (k *Kernel) SetAttributes(id mem.TaskID, simulate, inherit bool) error {
 	return nil
 }
 
+// InDMABracket reports whether the PageRemoved hook now running is the
+// predictable-DMA bracket's temporary unregistration, which the kernel
+// takes only for a simulated task, rather than a real unmapping, which it
+// reports whatever the simulate bit.
+func (k *Kernel) InDMABracket() bool { return k.inDMA }
+
 // UserTasksAlive reports the number of live workload tasks.
 func (k *Kernel) UserTasksAlive() int { return len(k.runq) }
 
@@ -660,7 +667,9 @@ func (k *Kernel) deviceDMA(t *Task, svc ServiceID) {
 	// batched run through the generation counter.
 	bracket := k.cfg.Machine.PredictableDMA && t.Simulate && k.hooks != nil
 	if bracket {
+		k.inDMA = true
 		k.hooks.PageRemoved(t.ID, pa, va)
+		k.inDMA = false
 	}
 	if svc == SvcRead {
 		k.m.DMAWrite(pa, xfer)

@@ -19,6 +19,8 @@ package workload
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mem"
@@ -199,10 +201,15 @@ func Compile(spec Spec, seed uint64) (*Compiled, error) {
 
 // --- Process-wide image cache ---
 
-// maxCachedImages bounds the compile cache. Each entry is one workload's
-// full op stream (tens of MB at bench scales); sweeps revisit the same
-// few (spec, seed) pairs thousands of times.
-const maxCachedImages = 4
+// opBytes is the in-memory size of one compiled op.
+const opBytes = int64(unsafe.Sizeof(kernel.CompiledOp{}))
+
+// maxCachedImageBytes bounds the compile cache by image bytes: room for
+// four streams at the compile budget, the worst case of the entry-count
+// bound it replaces, and for the whole paper workload set at bench scales
+// (Table 6 alone revisits all eight streams). Sweeps revisit the same few
+// (spec, seed) pairs thousands of times.
+const maxCachedImageBytes = 4 * maxCompiledOps * opBytes
 
 type cacheKey struct {
 	spec Spec
@@ -210,22 +217,36 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	once sync.Once
-	img  *image
-	err  error
-	gen  uint64 // LRU clock, updated under cacheMu
+	once  sync.Once
+	img   *image
+	err   error
+	bytes int64  // image size, set under cacheMu once compiled
+	gen   uint64 // LRU clock, updated under cacheMu
 }
 
 var (
 	cacheMu    sync.Mutex
 	imageCache = map[cacheKey]*cacheEntry{}
 	cacheGen   uint64
+	cacheBytes int64 // sum of the entries' bytes
+
+	imageHits     atomic.Uint64 // requests served by an existing entry
+	imageCompiles atomic.Uint64 // compilations run, refused ones included
 )
+
+// ImageCacheStats reports process-wide compiled-image cache activity:
+// hits is the number of requests served by an existing entry (including
+// one still compiling, and a refusal remembered for a stream beyond the
+// budget), compiles the number of compilations run.
+func ImageCacheStats() (hits, compiles uint64) {
+	return imageHits.Load(), imageCompiles.Load()
+}
 
 // cachedImage memoizes Compile by (spec, seed). Concurrent requests for
 // the same key compile once and share the immutable result; distinct keys
-// compile in parallel. Least-recently-used images are evicted beyond
-// maxCachedImages.
+// compile in parallel. Least-recently-used images are evicted while the
+// cached images exceed maxCachedImageBytes. A stream refused for the
+// compile budget costs no bytes and is remembered, never recompiled.
 func cachedImage(spec Spec, seed uint64) (*image, error) {
 	key := cacheKey{spec: spec, seed: seed}
 	cacheMu.Lock()
@@ -233,33 +254,59 @@ func cachedImage(spec Spec, seed uint64) (*image, error) {
 	if e == nil {
 		e = &cacheEntry{}
 		imageCache[key] = e
-		if len(imageCache) > maxCachedImages {
-			var victimKey cacheKey
-			var victim *cacheEntry
-			// Generation numbers are unique, so the minimum is the same
-			// victim at any iteration order; eviction never changes
-			// simulation results either way (images are pure).
-			//twvet:allow maporder — unique-minimum selection is order-insensitive
-			for k, v := range imageCache {
-				if v != e && (victim == nil || v.gen < victim.gen) {
-					victimKey, victim = k, v
-				}
-			}
-			delete(imageCache, victimKey)
-		}
+	} else {
+		imageHits.Add(1)
 	}
 	cacheGen++
 	e.gen = cacheGen
 	cacheMu.Unlock()
 	e.once.Do(func() {
+		imageCompiles.Add(1)
 		c, err := Compile(spec, seed)
 		if err != nil {
 			e.err = err
 			return
 		}
 		e.img = c.img
+		cacheMu.Lock()
+		e.bytes = c.img.bytes()
+		cacheBytes += e.bytes
+		evictImages(e)
+		cacheMu.Unlock()
 	})
 	return e.img, e.err
+}
+
+// evictImages drops least-recently-used images, never keep, until the
+// cache fits its byte budget; called under cacheMu. Generation numbers
+// are unique, so the minimum is the same victim at any iteration order;
+// eviction never changes simulation results either way (images are
+// pure). Entries still compiling or refused hold no bytes and stay.
+func evictImages(keep *cacheEntry) {
+	for cacheBytes > maxCachedImageBytes {
+		var victimKey cacheKey
+		var victim *cacheEntry
+		//twvet:allow maporder — unique-minimum selection is order-insensitive
+		for k, v := range imageCache {
+			if v != keep && v.bytes > 0 && (victim == nil || v.gen < victim.gen) {
+				victimKey, victim = k, v
+			}
+		}
+		if victim == nil {
+			return
+		}
+		delete(imageCache, victimKey)
+		cacheBytes -= victim.bytes
+	}
+}
+
+// bytes is the in-memory size of the image's ops, children included.
+func (img *image) bytes() int64 {
+	n := int64(len(img.ops)) * opBytes
+	for _, c := range img.children {
+		n += c.bytes()
+	}
+	return n
 }
 
 // NewPlanned returns the fastest available Program for (spec, seed): a

@@ -212,6 +212,36 @@ func TestNewPlannedCacheSharesImages(t *testing.T) {
 	}
 }
 
+// TestRefusedStreamNotRecompiled: a stream beyond the compile budget is
+// refused once and remembered, at no cost to the cache's byte budget;
+// later requests fall back to the interpreter without compiling again.
+func TestRefusedStreamNotRecompiled(t *testing.T) {
+	spec, err := ByName("espresso", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		hits0, compiles0 := ImageCacheStats()
+		prog, err := NewPlanned(spec, 43)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := prog.(*Compiled); ok {
+			t.Fatal("oversized stream compiled")
+		}
+		hits, compiles := ImageCacheStats()
+		if want := uint64(1 - i); compiles-compiles0 != want || hits-hits0 != uint64(i) {
+			t.Fatalf("request %d: %d compiles, %d hits; want %d compiles", i, compiles-compiles0, hits-hits0, want)
+		}
+	}
+	cacheMu.Lock()
+	e, bytes := imageCache[cacheKey{spec, 43}], cacheBytes
+	cacheMu.Unlock()
+	if e == nil || e.bytes != 0 || bytes > maxCachedImageBytes {
+		t.Fatalf("refused entry %+v, cache %d bytes", e, bytes)
+	}
+}
+
 // TestOpPosAlignment checks OpPos reports misalignment while a run op is
 // partially consumed and realigns at the boundary.
 func TestOpPosAlignment(t *testing.T) {
