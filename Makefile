@@ -13,7 +13,7 @@ test:
 ## over every package through the real `go vet -vettool` protocol. The
 ## passes mechanize the simulation invariants: deterministic iteration in
 ## result packages, nil-guarded telemetry on hot paths, balanced
-## trap/breakpoint/pool pairing, digest completeness, lock discipline,
+## trap/breakpoint/claim pairing, digest completeness, lock discipline,
 ## and Options.Validate at experiment boundaries. See DESIGN.md §9 and
 ## §14 for the invariant catalog and the modular-facts model.
 ##

@@ -39,11 +39,9 @@ func TestNewSystemCheckpointDirCorruption(t *testing.T) {
 
 	// Boot one real identity so a genuine checkpoint file exists to
 	// truncate and to rename over other identities' slots.
-	sys, err := bootCheckpointed(dir, 7301, 7401)
-	if err != nil {
+	if _, err := bootCheckpointed(dir, 7301, 7401); err != nil {
 		t.Fatal(err)
 	}
-	sys.Kernel().ReleaseBuffers()
 	good, err := os.ReadFile(ckptName(dir, 7301, 7401))
 	if err != nil {
 		t.Fatalf("checkpoint file not persisted where expected: %v", err)
@@ -83,11 +81,9 @@ func TestNewSystemCheckpointDirCorruption(t *testing.T) {
 		// Failures are confined to the identity with the bad file: a
 		// fresh identity pointed at the same directory still captures,
 		// persists and forks normally.
-		sys, err := bootCheckpointed(dir, 7305, 7405)
-		if err != nil {
+		if _, err := bootCheckpointed(dir, 7305, 7405); err != nil {
 			t.Fatal(err)
 		}
-		sys.Kernel().ReleaseBuffers()
 		if _, err := os.Stat(ckptName(dir, 7305, 7405)); err != nil {
 			t.Fatalf("fresh identity did not persist its checkpoint: %v", err)
 		}

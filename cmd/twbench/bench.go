@@ -14,7 +14,6 @@ import (
 	"tapeworm/internal/core"
 	"tapeworm/internal/experiment"
 	"tapeworm/internal/kernel"
-	"tapeworm/internal/mem"
 	"tapeworm/internal/workload"
 )
 
@@ -35,7 +34,10 @@ import (
 // Version 6 adds the interval_sampling section: the same multi-trial
 // gang sweep run exhaustively and through representative-interval
 // replay, with the worst extrapolation error alongside the speedup.
-const benchVersion = 6
+// Version 7 drops every pool field (experiments[].pool_gets/pool_reuses,
+// gang.experiments[].ganged_mallocs_no_pool/pool_gets/pool_reuses) along
+// with the backing-array pools they described.
+const benchVersion = 7
 
 // benchReport is the machine-readable perf trajectory emitted by
 // -bench-json: wall-clock per experiment with the fast path on and off,
@@ -100,16 +102,12 @@ type benchBootAmortization struct {
 
 // benchExperiment times one experiment's full regeneration. Baseline is
 // the per-reference path (NoFastPath); the outputs are byte-identical, so
-// the ratio is pure execution overhead. PoolGets/PoolReuses count the
-// backing-array pool traffic of the fast run; with pre-warming, reuses
-// should track gets from the first boot on.
+// the ratio is pure execution overhead.
 type benchExperiment struct {
 	ID              string  `json:"id"`
 	FastSeconds     float64 `json:"fast_seconds"`
 	BaselineSeconds float64 `json:"baseline_seconds"`
 	Speedup         float64 `json:"speedup"`
-	PoolGets        uint64  `json:"pool_gets"`
-	PoolReuses      uint64  `json:"pool_reuses"`
 }
 
 // gangSuiteIDs is the ganged accuracy-sweep suite: the experiments whose
@@ -131,20 +129,14 @@ type benchGangSuite struct {
 }
 
 // benchGang times one accuracy-sweep experiment ganged and solo, and
-// records allocator traffic: Mallocs deltas for the solo run, the ganged
-// run, and the ganged run with the backing-array pools disabled (the
-// before/after view of per-run allocation pooling), plus how many
-// backing-array requests the pooled ganged run served by reuse.
+// records the allocator's Mallocs delta for each run.
 type benchGang struct {
-	ID                  string  `json:"id"`
-	SoloSeconds         float64 `json:"solo_seconds"`
-	GangedSeconds       float64 `json:"ganged_seconds"`
-	Speedup             float64 `json:"speedup"`
-	SoloMallocs         uint64  `json:"solo_mallocs"`
-	GangedMallocs       uint64  `json:"ganged_mallocs"`
-	GangedMallocsNoPool uint64  `json:"ganged_mallocs_no_pool"`
-	PoolGets            uint64  `json:"pool_gets"`
-	PoolReuses          uint64  `json:"pool_reuses"`
+	ID            string  `json:"id"`
+	SoloSeconds   float64 `json:"solo_seconds"`
+	GangedSeconds float64 `json:"ganged_seconds"`
+	Speedup       float64 `json:"speedup"`
+	SoloMallocs   uint64  `json:"solo_mallocs"`
+	GangedMallocs uint64  `json:"ganged_mallocs"`
 }
 
 // benchGangScaling is the gang speedup as a function of member count:
@@ -193,42 +185,37 @@ func writeBenchJSON(label string, ids []string, opts experiment.Options) error {
 		Parallelism: opts.Parallelism,
 	}
 
-	timeOne := func(id string, noFast bool) (seconds float64, gets, reuses uint64, err error) {
+	timeOne := func(id string, noFast bool) (float64, error) {
 		fn, err := experiment.ByID(id)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
 		o := opts
 		o.Progress = nil
 		o.Telemetry = nil
 		o.NoFastPath = noFast
-		var tally mem.PoolTally // per-run attribution: exact at any -parallel
-		o.PoolTally = &tally
 		start := time.Now()
 		if _, err := fn(o); err != nil {
-			return 0, 0, 0, fmt.Errorf("%s: %w", id, err)
+			return 0, fmt.Errorf("%s: %w", id, err)
 		}
-		seconds = time.Since(start).Seconds()
-		gets, reuses = tally.Counts()
-		return seconds, gets, reuses, nil
+		return time.Since(start).Seconds(), nil
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		fast, gets, reuses, err := timeOne(id, false)
+		fast, err := timeOne(id, false)
 		if err != nil {
 			return err
 		}
-		base, _, _, err := timeOne(id, true)
+		base, err := timeOne(id, true)
 		if err != nil {
 			return err
 		}
 		rep.Experiments = append(rep.Experiments, benchExperiment{
 			ID: id, FastSeconds: fast, BaselineSeconds: base,
-			Speedup:  base / fast,
-			PoolGets: gets, PoolReuses: reuses,
+			Speedup: base / fast,
 		})
-		fmt.Fprintf(os.Stderr, "  bench %-9s fast %6.2fs  baseline %6.2fs  speedup %.2fx  (%d/%d pool reuses)\n",
-			id, fast, base, base/fast, reuses, gets)
+		fmt.Fprintf(os.Stderr, "  bench %-9s fast %6.2fs  baseline %6.2fs  speedup %.2fx\n",
+			id, fast, base, base/fast)
 	}
 
 	gangSuite, err := benchGangSuiteRun(opts)
@@ -289,47 +276,36 @@ func writeBenchJSON(label string, ids []string, opts experiment.Options) error {
 	return nil
 }
 
-// benchGangSuiteRun times the ganged accuracy-sweep suite. Each
-// experiment runs three times: solo (NoGang, pools on), ganged with the
-// backing-array pools disabled, and ganged with pools on — in that order,
-// so the pooled run measures steady-state reuse rather than cold pools.
+// benchGangSuiteRun times the ganged accuracy-sweep suite: each
+// experiment runs solo (NoGang), then ganged.
 func benchGangSuiteRun(opts experiment.Options) (benchGangSuite, error) {
 	var suite benchGangSuite
-	timeRun := func(id string, noGang, pool bool) (seconds float64, mallocs, gets, reuses uint64, err error) {
+	timeRun := func(id string, noGang bool) (seconds float64, mallocs uint64, err error) {
 		fn, err := experiment.ByID(id)
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, err
 		}
 		o := opts
 		o.Progress = nil
 		o.Telemetry = nil
 		o.NoGang = noGang
-		var tally mem.PoolTally // per-run attribution: exact at any -parallel
-		o.PoolTally = &tally
-		mem.SetPoolEnabled(pool)
-		defer mem.SetPoolEnabled(true)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
 		if _, err := fn(o); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("%s: %w", id, err)
+			return 0, 0, fmt.Errorf("%s: %w", id, err)
 		}
 		seconds = time.Since(start).Seconds()
 		runtime.ReadMemStats(&after)
-		gets, reuses = tally.Counts()
-		return seconds, after.Mallocs - before.Mallocs, gets, reuses, nil
+		return seconds, after.Mallocs - before.Mallocs, nil
 	}
 	for _, id := range gangSuiteIDs {
-		solo, soloMallocs, _, _, err := timeRun(id, true, true)
+		solo, soloMallocs, err := timeRun(id, true)
 		if err != nil {
 			return suite, err
 		}
-		_, noPoolMallocs, _, _, err := timeRun(id, false, false)
-		if err != nil {
-			return suite, err
-		}
-		ganged, gangedMallocs, gets, reuses, err := timeRun(id, false, true)
+		ganged, gangedMallocs, err := timeRun(id, false)
 		if err != nil {
 			return suite, err
 		}
@@ -337,13 +313,11 @@ func benchGangSuiteRun(opts experiment.Options) (benchGangSuite, error) {
 			ID: id, SoloSeconds: solo, GangedSeconds: ganged,
 			Speedup:     solo / ganged,
 			SoloMallocs: soloMallocs, GangedMallocs: gangedMallocs,
-			GangedMallocsNoPool: noPoolMallocs,
-			PoolGets:            gets, PoolReuses: reuses,
 		})
 		suite.SoloSecondsTotal += solo
 		suite.GangedSecondsTotal += ganged
-		fmt.Fprintf(os.Stderr, "  bench %-9s solo %6.2fs  ganged %6.2fs  speedup %.2fx  mallocs %d -> %d (no-pool %d, %d/%d pool reuses)\n",
-			id, solo, ganged, solo/ganged, soloMallocs, gangedMallocs, noPoolMallocs, reuses, gets)
+		fmt.Fprintf(os.Stderr, "  bench %-9s solo %6.2fs  ganged %6.2fs  speedup %.2fx  mallocs %d -> %d\n",
+			id, solo, ganged, solo/ganged, soloMallocs, gangedMallocs)
 	}
 	suite.Speedup = suite.SoloSecondsTotal / suite.GangedSecondsTotal
 	fmt.Fprintf(os.Stderr, "  bench gang-suite  solo %6.2fs  ganged %6.2fs  speedup %.2fx\n",
@@ -441,9 +415,8 @@ func benchHot(wl string, seed uint64) (benchHotLoop, error) {
 }
 
 // benchBootAmortizationRun times boot against checkpoint fork. The
-// microbenchmark isolates kernel setup: fresh boots (the pools warm, so
-// allocation is already amortized) against forks from one captured
-// checkpoint. The sweep comparison reruns an accuracy-sweep experiment
+// microbenchmark isolates kernel setup: fresh boots against forks from
+// one captured checkpoint. The sweep comparison reruns an accuracy-sweep experiment
 // with checkpointing on, counting the forks each captured image served.
 func benchBootAmortizationRun(opts experiment.Options) (benchBootAmortization, error) {
 	const sweepID = "figure3"
@@ -455,32 +428,21 @@ func benchBootAmortizationRun(opts experiment.Options) (benchBootAmortization, e
 
 	kcfg := kernel.DefaultConfig(tapeworm.DECstation(out.Frames), opts.Seed)
 	const iters = 2000
-	// Warm the pools so both sides measure setup work, not first-touch
-	// allocation.
-	for i := 0; i < 8; i++ {
-		k := kernel.MustBoot(kcfg)
-		k.ReleaseBuffers()
-	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		k := kernel.MustBoot(kcfg)
-		k.ReleaseBuffers()
+		kernel.MustBoot(kcfg)
 	}
 	out.BootMicros = time.Since(start).Seconds() / iters * 1e6
 
-	src := kernel.MustBoot(kcfg)
-	cp, err := kernel.Capture(src, "bench")
-	src.ReleaseBuffers()
+	cp, err := kernel.Capture(kernel.MustBoot(kcfg), "bench")
 	if err != nil {
 		return out, err
 	}
 	start = time.Now()
 	for i := 0; i < iters; i++ {
-		k, err := kernel.Fork(cp, kcfg)
-		if err != nil {
+		if _, err := kernel.Fork(cp, kcfg); err != nil {
 			return out, err
 		}
-		k.ReleaseCheckpoint()
 	}
 	out.ForkMicros = time.Since(start).Seconds() / iters * 1e6
 	out.ForkSpeedup = out.BootMicros / out.ForkMicros

@@ -28,7 +28,7 @@ func main() {
 	fractions(*scale)
 }
 
-// boot hands the booted kernel (and its pooled buffers) to the caller.
+// boot boots the calibration machine with the given seed.
 func boot(seed uint64) *kernel.Kernel {
 	return kernel.MustBoot(kernel.DefaultConfig(mach.DECstation5000_200(8192), seed))
 }
@@ -62,7 +62,6 @@ func fractions(scale float64) {
 			100*float64(comp[kernel.CompUser])/total,
 			100*spec.FracKernel, 100*spec.FracBSD, 100*spec.FracX, 100*spec.FracUser,
 			k.Stats().UserSpawned)
-		k.ReleaseBuffers()
 	}
 }
 
@@ -90,6 +89,5 @@ func missCurve(name string, scale float64) {
 		user := float64(comp[kernel.CompUser])
 		fmt.Printf("  %4dK: misses %8d  ratio %.4f\n",
 			sizeKB, tw.Misses(), float64(tw.Misses())/user)
-		k.ReleaseBuffers()
 	}
 }

@@ -1,7 +1,7 @@
 // Command twvet checks the Tapeworm tree against the repo's simulation
 // invariants: deterministic iteration in result-producing packages,
 // zero-overhead telemetry guards on hot paths, balanced trap/breakpoint/
-// pool pairing, and options validation at experiment boundaries.
+// claim pairing, and options validation at experiment boundaries.
 //
 // It speaks the go vet vettool protocol, so the usual invocation is
 //

@@ -32,7 +32,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer k.ReleaseBuffers()
 	tw, err := core.Attach(k, core.Config{
 		Mode:     core.ModeTLB,
 		TLB:      cache.TLBConfig{Entries: 64, PageSize: 4096, Replace: cache.LRU},

@@ -30,11 +30,11 @@ var factAnalyzers = []*Analyzer{{
 func TestFactsRoundTrip(t *testing.T) {
 	RegisterFactTypes(factAnalyzers)
 	in := factSet{
-		{analyzer: "roundtrip", object: "MustFork"}: &roundtripFact{
-			Deltas: map[string]int{"checkpoint fork": 1}, Note: "transfer"},
-		{analyzer: "roundtrip", object: "(*Kernel).ReleaseCheckpoint"}: &roundtripFact{
-			Deltas: map[string]int{"checkpoint fork": -1}},
-		{analyzer: "roundtrip", object: "Scrap"}: &roundtripFact{},
+		{analyzer: "roundtrip", object: "MustClaim"}: &roundtripFact{
+			Deltas: map[string]int{"result cache claim": 1}, Note: "transfer"},
+		{analyzer: "roundtrip", object: "(*Claim).Release"}: &roundtripFact{
+			Deltas: map[string]int{"result cache claim": -1}},
+		{analyzer: "roundtrip", object: "Drop"}: &roundtripFact{},
 	}
 
 	data, err := encodeFacts(in)

@@ -1,9 +1,8 @@
 // Package pairing enforces the paper's paired-primitive discipline
 // (Table 1: tw_set_trap has tw_clear_trap, every arm has a disarm) on the
-// Go reproduction's resource pairs: mem trap reference counts, mach
-// instruction-breakpoint arm/clear, the sync.Pool-backed buffer recycling
-// in mem/pool.go, the kernel's pooled boot buffers released by
-// Kernel.ReleaseBuffers, result-cache claims, and checkpoint forks.
+// Go reproduction's resource pairs: mem trap reference counts and their
+// chunk summary, mach instruction-breakpoint arm/clear, and result-cache
+// claims.
 //
 // The path-balance core (internal/analysis/passes/pathbal) is structural:
 // within one function, every path — fallthrough, early return, both arms
@@ -13,8 +12,8 @@
 //
 // On top of it, this pass is inter-procedural through modular facts: a
 // function whose every exit hands the caller the same surplus of a true
-// ownership resource (a pooled buffer, a booted kernel, a forked
-// checkpoint, a cache claim) exports a TransfersOwnership fact, and a
+// ownership resource (a result-cache claim) exports a TransfersOwnership
+// fact, and a
 // function that consumes such a resource through its parameters or
 // receiver exports ReleasesResource. Callers — in this package or, via
 // serialized fact files, in importing packages — then account for those
@@ -68,8 +67,8 @@ func (*ReleasesResource) AFact() {}
 // pairs is the resource table. Transferable marks true ownership pairs —
 // a value the caller holds and must later release — which are the only
 // ones fact inference applies to: counter-like pairs (trap refcounts,
-// breakpoint arms, the anonymous sync.Pool protocol) would propagate
-// every intentional imbalance up the call graph.
+// breakpoint arms) would propagate every intentional imbalance up the
+// call graph.
 var pairs = []pathbal.Pair{
 	{
 		Name:     "mem trap refcount",
@@ -77,11 +76,11 @@ var pairs = []pathbal.Pair{
 		Releases: []string{"(*tapeworm/internal/mem.Controller).ReleaseTrapRef"},
 	},
 	{
-		// The hierarchical refcount summary (mem: refChunk/refSuper per
-		// chunk of trapRef words): a 0→nonzero increment recorded in the
-		// summary must be balanced by a nonzero→0 decrement, or the
-		// summary diverges from the word-level refs it indexes and
-		// selective pool re-zeroing skips dirty chunks.
+		// The refcount summary (mem: refChunk per chunk of trapRef
+		// words): a 0→nonzero increment recorded in the summary must be
+		// balanced by a nonzero→0 decrement, or the summary diverges from
+		// the word-level refs it indexes and a bulk trap clear skips a
+		// chunk that still holds references.
 		Name:     "trap refcount chunk summary",
 		Acquires: []string{"(*tapeworm/internal/mem.Phys).refChunkInc"},
 		Releases: []string{"(*tapeworm/internal/mem.Phys).refChunkDec"},
@@ -92,29 +91,6 @@ var pairs = []pathbal.Pair{
 		Releases: []string{"(*tapeworm/internal/mach.Machine).ClearBreakpoint"},
 	},
 	{
-		Name:     "sync.Pool buffer",
-		Acquires: []string{"(*sync.Pool).Get"},
-		Releases: []string{"(*sync.Pool).Put"},
-	},
-	{
-		Name:         "pooled frame tables",
-		Acquires:     []string{"tapeworm/internal/mem.GetFrameTables"},
-		Releases:     []string{"tapeworm/internal/mem.PutFrameTables"},
-		Transferable: true,
-	},
-	{
-		Name:         "pooled phys buffers",
-		Acquires:     []string{"tapeworm/internal/mem.getPhysBuffers", "tapeworm/internal/mem.getTrapRefs"},
-		Releases:     []string{"tapeworm/internal/mem.putPhysBuffers", "tapeworm/internal/mem.putTrapRefs"},
-		Transferable: true,
-	},
-	{
-		Name:         "kernel boot buffers",
-		Acquires:     []string{"tapeworm/internal/kernel.Boot", "tapeworm/internal/kernel.MustBoot"},
-		Releases:     []string{"(*tapeworm/internal/kernel.Kernel).ReleaseBuffers"},
-		Transferable: true,
-	},
-	{
 		// A result-cache claim must be released on every path (hit, fresh
 		// simulation, and error alike); Release without a prior Complete
 		// abandons the digest so single-flight followers can take over.
@@ -123,19 +99,6 @@ var pairs = []pathbal.Pair{
 		Name:         "result cache claim",
 		Acquires:     []string{"(*tapeworm/internal/resultcache.Store).Acquire"},
 		Releases:     []string{"(*tapeworm/internal/resultcache.Claim).Release"},
-		Transferable: true,
-	},
-	{
-		// A forked kernel owns pooled frame tables plus whatever its
-		// copy-on-write Phys materializes; ReleaseCheckpoint is the
-		// matching teardown (ReleaseBuffers also suffices at runtime, but
-		// fork call sites should pair with the checkpoint-aware release).
-		// ForkRun is the mid-run fork: it wraps Fork and transfers the same
-		// ownership, so interval-replay call sites must release the forked
-		// kernel on every path through a replay.
-		Name:         "checkpoint fork",
-		Acquires:     []string{"tapeworm/internal/kernel.Fork", "tapeworm/internal/kernel.ForkRun"},
-		Releases:     []string{"(*tapeworm/internal/kernel.Kernel).ReleaseCheckpoint"},
 		Transferable: true,
 	},
 }

@@ -1,24 +1,24 @@
-// Package lib wraps the kernel stand-in's checkpoint fork behind helper
-// functions, so the companion package factdep/use can only see the
+// Package lib wraps the result-cache stand-in's claim protocol behind
+// helper functions, so the companion package factdep/use can only see the
 // acquisition through this package's exported facts — the golden test for
 // cross-package fact flow.
 package lib
 
-import "tapeworm/internal/kernel"
+import "tapeworm/internal/resultcache"
 
-// MustFork forks and panics on error: every normal exit hands the caller
-// the forked kernel, so the pairing engine exports a TransfersOwnership
+// MustClaim acquires and panics on error: every normal exit hands the
+// caller the claim, so the pairing engine exports a TransfersOwnership
 // fact with no annotation anywhere.
-func MustFork(cp *kernel.Checkpoint, cfg kernel.Config, resume kernel.ProgramResume) *kernel.Kernel {
-	fk, err := kernel.ForkRun(cp, cfg, resume)
+func MustClaim(s *resultcache.Store, d resultcache.Digest) *resultcache.Claim {
+	c, err := s.Acquire(d, "")
 	if err != nil {
 		panic(err)
 	}
-	return fk
+	return c
 }
 
-// Scrap releases a forked kernel through its parameter: the dual
+// Drop releases a claim through its parameter: the dual
 // ReleasesResource fact.
-func Scrap(fk *kernel.Kernel) {
-	fk.ReleaseCheckpoint()
+func Drop(c *resultcache.Claim) {
+	c.Release()
 }

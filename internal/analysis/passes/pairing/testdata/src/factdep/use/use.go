@@ -4,25 +4,25 @@
 package use
 
 import (
-	"tapeworm/internal/kernel"
+	"tapeworm/internal/resultcache"
 
 	"factdep/lib"
 )
 
-// replayBalanced forks through lib and releases through lib: balanced
+// lookupBalanced claims through lib and releases through lib: balanced
 // purely by imported facts.
-func replayBalanced(cp *kernel.Checkpoint, cfg kernel.Config, resume kernel.ProgramResume) {
-	fk := lib.MustFork(cp, cfg, resume)
-	fk.Run(1000)
-	lib.Scrap(fk)
+func lookupBalanced(s *resultcache.Store, d resultcache.Digest) {
+	c := lib.MustClaim(s, d)
+	c.Cached()
+	lib.Drop(c)
 }
 
-// replayLeaked forgets the release: the acquisition is only visible via
-// lib.MustFork's fact.
-func replayLeaked(cp *kernel.Checkpoint, cfg kernel.Config, resume kernel.ProgramResume) {
-	fk := lib.MustFork(cp, cfg, resume)
-	fk.Run(1000)
-} // want `checkpoint fork acquired but not released`
+// lookupLeaked forgets the release: the acquisition is only visible via
+// lib.MustClaim's fact.
+func lookupLeaked(s *resultcache.Store, d resultcache.Digest) {
+	c := lib.MustClaim(s, d)
+	c.Cached()
+} // want `result cache claim acquired but not released`
 
-var _ = replayBalanced
-var _ = replayLeaked
+var _ = lookupBalanced
+var _ = lookupLeaked

@@ -1,76 +1,73 @@
-// Package pair exercises the pairing analyzer on the sync.Pool pair and
-// the repo's trap/breakpoint primitives.
+// Package pair exercises the pairing analyzer on the repo's trap
+// refcount and breakpoint primitives.
 package pair
 
 import (
 	"errors"
-	"sync"
 
 	"tapeworm/internal/mach"
 	"tapeworm/internal/mem"
 )
 
-var pool sync.Pool
-
-// Balanced gets and puts on every path.
-func Balanced() int {
-	b := pool.Get()
+// Balanced arms and clears on every path.
+func Balanced(m *mach.Machine, pa mem.PAddr, hot bool) int {
+	m.SetBreakpoint(pa)
 	n := 0
-	if b != nil {
+	if hot {
 		n = 1
 	}
-	pool.Put(b)
+	m.ClearBreakpoint(pa)
 	return n
 }
 
 // DeferBalanced releases via defer, which covers every exit.
-func DeferBalanced(fail bool) error {
-	b := pool.Get()
-	defer pool.Put(b)
+func DeferBalanced(c *mem.Controller, pa mem.PAddr, fail bool) error {
+	c.AddTrapRef(pa)
+	defer c.ReleaseTrapRef(pa)
 	if fail {
 		return errFail
 	}
 	return nil
 }
 
-// LeakOnEarlyReturn forgets the Put on the error path.
-func LeakOnEarlyReturn(fail bool) error {
-	b := pool.Get()
+// LeakOnEarlyReturn forgets the release on the error path.
+func LeakOnEarlyReturn(c *mem.Controller, pa mem.PAddr, fail bool) error {
+	c.AddTrapRef(pa)
 	if fail {
-		return errFail // want `acquired but not released`
+		return errFail // want `mem trap refcount acquired but not released`
 	}
-	pool.Put(b)
+	c.ReleaseTrapRef(pa)
 	return nil
 }
 
-// BranchImbalance puts on only one arm.
-func BranchImbalance(flip bool) {
-	b := pool.Get()
+// BranchImbalance clears on only one arm.
+func BranchImbalance(m *mach.Machine, pa mem.PAddr, flip bool) {
+	m.SetBreakpoint(pa)
 	if flip { // want `paths through this branch disagree`
-		pool.Put(b)
+		m.ClearBreakpoint(pa)
 	}
 }
 
-// LoopLeak acquires once per iteration without releasing.
-func LoopLeak(n int) {
+// LoopLeak arms once per iteration without clearing.
+func LoopLeak(m *mach.Machine, pa mem.PAddr, n int) {
 	for i := 0; i < n; i++ { // want `loop iteration acquires`
-		_ = pool.Get()
+		m.SetBreakpoint(pa + mem.PAddr(4*i))
 	}
 }
 
 // LoopBalanced is neutral per iteration.
-func LoopBalanced(n int) {
+func LoopBalanced(c *mem.Controller, pa mem.PAddr, n int) {
 	for i := 0; i < n; i++ {
-		b := pool.Get()
-		pool.Put(b)
+		c.AddTrapRef(pa)
+		c.ReleaseTrapRef(pa)
 	}
 }
 
-// Transfer hands the buffer to its caller by design.
+// Transfer leaves the breakpoint armed for its caller by design.
 //
 //twvet:transfer
-func Transfer() any {
-	return pool.Get()
+func Transfer(m *mach.Machine, pa mem.PAddr) {
+	m.SetBreakpoint(pa)
 }
 
 // ArmWithoutClear leaves a breakpoint armed past the function boundary.
@@ -94,7 +91,7 @@ var errFail = errors.New("fail")
 
 // Panics terminates without releasing: panic exits are not balance
 // checked (the process is tearing down).
-func Panics() {
-	_ = pool.Get()
+func Panics(m *mach.Machine, pa mem.PAddr) {
+	m.SetBreakpoint(pa)
 	panic("unreachable")
 }

@@ -1,6 +1,6 @@
 // Package mem is a golden-test stand-in for the real
-// tapeworm/internal/mem: it redeclares the two-level trap-refcount
-// summary API under the same import path, so the pairing analyzer's
+// tapeworm/internal/mem: it redeclares the trap-refcount chunk summary
+// API under the same import path, so the pairing analyzer's
 // fully-qualified name matching sees the genuine
 // (*tapeworm/internal/mem.Phys).refChunkInc/refChunkDec pair without the
 // test depending on the real package's (transfer-annotated) internals.
@@ -10,7 +10,6 @@ package mem
 type Phys struct {
 	trapRef  []uint8
 	refChunk []uint8
-	refSuper []uint8
 }
 
 func (p *Phys) refChunkInc(w uint32) { p.refChunk[w>>6]++ }

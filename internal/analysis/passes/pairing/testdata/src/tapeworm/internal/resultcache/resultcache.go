@@ -81,6 +81,65 @@ func completeIsNotRelease(s *Store, d Digest) error {
 	return claim.Complete("simulated") // want `result cache claim acquired but not released`
 }
 
+// simulateLeakedOnError releases on the happy path only: the early
+// return after a successful acquire leaks the claim, stalling every
+// single-flight follower of the digest.
+func simulateLeakedOnError(s *Store, d Digest, bad bool) error {
+	claim, err := s.Acquire(d, "")
+	if err != nil {
+		return err
+	}
+	if bad {
+		return errors.New("simulation failed") // want `result cache claim acquired but not released`
+	}
+	claim.Release()
+	return nil
+}
+
+// neverReleased forgets the release entirely. It returns only the
+// lookup error — a function returning the claim itself would be an
+// ownership-transfer shape the facts engine proves instead of flagging.
+func neverReleased(s *Store, d Digest) error {
+	claim, err := s.Acquire(d, "")
+	if err != nil {
+		return err
+	}
+	claim.Cached()
+	return nil // want `result cache claim acquired but not released`
+}
+
+// acquireTransfer hands the claim to its caller. The annotation is
+// redundant: every exit hands back the same surplus with a non-error
+// carrier, so the facts engine proves the transfer and asks for the
+// directive's deletion.
+//
+//twvet:transfer — ownership moves to the caller.
+func acquireTransfer(s *Store, d Digest) (*Claim, error) { // want `ownership transfer by acquireTransfer is provable inter-procedurally`
+	return s.Acquire(d, "")
+}
+
+// parked holds a claim released at sweep teardown, outside any caller's
+// view.
+var parked *Claim
+
+// acquireParked parks the claim in package state: the caller cannot see
+// the acquisition and no result carries it, so the engine cannot prove
+// the transfer and the annotation is load-bearing.
+//
+//twvet:transfer
+func acquireParked(s *Store, d Digest) error {
+	claim, err := s.Acquire(d, "")
+	if err != nil {
+		return err
+	}
+	parked = claim
+	return nil
+}
+
 var _ = acquireBalanced
 var _ = hitWithoutRelease
 var _ = completeIsNotRelease
+var _ = simulateLeakedOnError
+var _ = neverReleased
+var _ = acquireTransfer
+var _ = acquireParked

@@ -1,7 +1,7 @@
 // Package pathbal is the shared path-balance core behind the pairing and
 // lockcheck passes: an intra-procedural abstract interpretation that
-// requires every acquire of a paired resource (a trap arm, a pooled
-// buffer, a mutex) to be balanced by a release on every path — both arms
+// requires every acquire of a paired resource (a trap arm, a cache
+// claim, a mutex) to be balanced by a release on every path — both arms
 // of a conditional, each loop iteration, every early return — with
 // deferred releases credited at every exit.
 //

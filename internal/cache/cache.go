@@ -163,8 +163,6 @@ type Cache struct {
 
 	hits   uint64
 	misses uint64
-
-	reused bool // tag store recycled from the line pool (see pool.go)
 }
 
 // New builds a Cache from cfg. The rnd source is used only by Random
@@ -177,17 +175,15 @@ func New(cfg Config, rnd *rng.Source) (*Cache, error) {
 		return nil, fmt.Errorf("cache: Random replacement requires a random source")
 	}
 	nsets := cfg.Sets()
-	lines, reused := getLines(nsets * cfg.Ways())
 	return &Cache{
 		cfg:      cfg,
-		lines:    lines,
+		lines:    make([]line, nsets*cfg.Ways()),
 		ways:     cfg.Ways(),
 		lru:      cfg.Replace == LRU,
 		setMask:  uint32(nsets - 1),
 		lineMask: ^uint32(cfg.LineSize - 1),
 		shift:    log2(uint32(cfg.LineSize)),
 		rnd:      rnd,
-		reused:   reused,
 	}, nil
 }
 

@@ -21,12 +21,10 @@ func forkDEC(t *testing.T, seed, pageSeed uint64) (fresh, fork *kernel.Kernel) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.ReleaseBuffers()
 	fork, err = kernel.Fork(cp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(fork.ReleaseCheckpoint)
 	return kernel.MustBoot(cfg), fork
 }
 
@@ -116,8 +114,7 @@ func TestForkGangDetachMidRun(t *testing.T) {
 // ClearTrap fast path skips materialization), and once traps are armed,
 // DMA destruction behaves identically on fork and fresh boot.
 func TestForkDMASharedFrame(t *testing.T) {
-	fresh, fork := forkDEC(t, 5, 7)
-	defer fresh.ReleaseBuffers()
+	_, fork := forkDEC(t, 5, 7)
 
 	phys := fork.Machine().Phys()
 	if !phys.Shared() {

@@ -236,7 +236,6 @@ func buildCheckpoint(kcfg kernel.Config, dir string) (*kernel.Checkpoint, error)
 		return nil, fmt.Errorf("experiment: checkpoint capture boot: %w", err)
 	}
 	cp, err := kernel.Capture(k, "post-boot")
-	k.ReleaseBuffers()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint capture: %w", err)
 	}

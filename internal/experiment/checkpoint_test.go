@@ -9,7 +9,6 @@ import (
 
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mach"
-	"tapeworm/internal/mem"
 )
 
 // The checkpoint cache is process-wide and keyed by (seed, pageSeed,
@@ -125,30 +124,6 @@ func TestCheckpointStatsAmortization(t *testing.T) {
 	}
 	if forks < 2*images {
 		t.Errorf("amortization too low: %d forks over %d images", forks, images)
-	}
-}
-
-// TestPoolTallyAttribution: the per-option-set tally must count exactly
-// the pool traffic of its own runs, independent of the process-global
-// counters that other concurrent suites pollute.
-func TestPoolTallyAttribution(t *testing.T) {
-	var tally mem.PoolTally
-	o := parallelOptions(8)
-	o.Seed = 2027
-	o.PoolTally = &tally
-	if _, err := Table6(o); err != nil {
-		t.Fatal(err)
-	}
-	gets, reuses := tally.Counts()
-	if gets == 0 {
-		t.Fatal("tally recorded no pool gets")
-	}
-	if reuses > gets {
-		t.Fatalf("tally reuses %d exceed gets %d", reuses, gets)
-	}
-	tally.Reset()
-	if g, r := tally.Counts(); g != 0 || r != 0 {
-		t.Fatal("Reset did not zero the tally")
 	}
 }
 

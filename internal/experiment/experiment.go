@@ -99,11 +99,6 @@ type Options struct {
 	// processes. Files that fail validation are rejected with a typed
 	// resultcache.ErrMismatch/ErrCorrupt.
 	ResultCacheDir string
-	// PoolTally, if non-nil, accumulates pooled-buffer get/reuse counts
-	// attributed to this option set's runs (from each kernel's own
-	// counters). Unlike the process-global mem.PoolStats, the attribution
-	// stays exact when other suites run concurrently.
-	PoolTally *mem.PoolTally
 	// PhaseIntervals, when positive, enables representative-interval
 	// replay for gang-eligible runs: the compiled stream is sliced into
 	// this many fixed-length intervals, clustered into PhaseK phases, and

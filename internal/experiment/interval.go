@@ -264,16 +264,10 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	// machine timeline the ledgered gang shares.
 	prc := rc
 	prc.tel = nil
-	k, release, err := bootKernel(prc, kcfg)
+	k, err := bootKernel(prc, kcfg)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if prc.tally != nil {
-			prc.tally.Add(k.PoolCounts())
-		}
-		release()
-	}()
 
 	prog, err := workload.NewPlanned(rc.spec, rc.seed)
 	if err != nil {
@@ -484,12 +478,6 @@ func replayRep(o Options, rcs []runConfig, rc0 runConfig, kcfg kernel.Config,
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if rc0.tally != nil {
-			rc0.tally.Add(fk.PoolCounts())
-		}
-		fk.ReleaseCheckpoint()
-	}()
 
 	cfgs := make([]core.Config, len(rcs))
 	for i, rc := range rcs {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"tapeworm/internal/cache"
 	"tapeworm/internal/cache2000"
@@ -35,8 +34,6 @@ type runConfig struct {
 	checkpoint bool // fork the kernel from a cached boot checkpoint
 	//twvet:nohash storage-location — where checkpoints persist cannot change results
 	checkpointDir string // persist/load checkpoints here (requires checkpoint)
-	//twvet:nohash accounting — pool-tally output, never an input to the run
-	tally *mem.PoolTally // non-nil: accumulate this run's pool counts
 
 	// gang opts this run into the ganged execution path: it runs as a
 	// core.AttachGang member (ledgered traps) even when alone, so its
@@ -83,20 +80,10 @@ func run(rc runConfig) (runResult, error) {
 	kcfg.PageSeed = rc.pageSeed
 	kcfg.Telemetry = rc.tel
 	kcfg.Machine.NoFastPath = rc.noFastPath
-	k, release, err := bootKernel(rc, kcfg)
+	k, err := bootKernel(rc, kcfg)
 	if err != nil {
 		return res, err
 	}
-	// Deferred so error returns below recycle the pooled boot buffers too;
-	// an early return used to leak them for the rest of the sweep. The
-	// pool tally must read the kernel's counters before release recycles
-	// the buffers they describe.
-	defer func() {
-		if rc.tally != nil {
-			rc.tally.Add(k.PoolCounts())
-		}
-		release()
-	}()
 
 	var tw *core.Tapeworm
 	if rc.tw != nil {
@@ -173,29 +160,16 @@ func run(rc runConfig) (runResult, error) {
 
 // bootKernel produces the run's kernel: a fresh Boot, or — when the run
 // opts into checkpointing — a Fork from the process-wide cached boot
-// checkpoint for kcfg's (seed, pageSeed, frames) identity. The returned
-// release closure recycles the kernel's pooled buffers either way; the
-// caller must defer it (the twvet pairing pass accounts Boot/Fork against
-// it through this transfer).
-//
-//twvet:transfer
-func bootKernel(rc runConfig, kcfg kernel.Config) (*kernel.Kernel, func(), error) {
+// checkpoint for kcfg's (seed, pageSeed, frames) identity.
+func bootKernel(rc runConfig, kcfg kernel.Config) (*kernel.Kernel, error) {
 	if !rc.checkpoint {
-		k, err := kernel.Boot(kcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return k, k.ReleaseBuffers, nil
+		return kernel.Boot(kcfg)
 	}
 	cp, err := cachedCheckpoint(kcfg, rc.checkpointDir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	k, err := kernel.Fork(cp, kcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return k, k.ReleaseCheckpoint, nil
+	return kernel.Fork(cp, kcfg)
 }
 
 // runGang executes a group of runs that share one workload execution: one
@@ -217,19 +191,10 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	// describe the shared execution; they ride on the first member's run.
 	kcfg.Telemetry = rc0.tel
 	kcfg.Machine.NoFastPath = rc0.noFastPath
-	k, release, err := bootKernel(rc0, kcfg)
+	k, err := bootKernel(rc0, kcfg)
 	if err != nil {
 		return nil, err
 	}
-	// As in run: deferred so the attach/spawn error paths recycle the
-	// pooled boot buffers instead of leaking them, with the pool tally
-	// read before the counters' buffers go back to the pool.
-	defer func() {
-		if rc0.tally != nil {
-			rc0.tally.Add(k.PoolCounts())
-		}
-		release()
-	}()
 
 	cfgs := make([]core.Config, len(rcs))
 	for i, rc := range rcs {
@@ -411,7 +376,6 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 				rcs[mi].linearDemux = o.LinearGangDemux
 				rcs[mi].checkpoint = o.Checkpoint
 				rcs[mi].checkpointDir = o.CheckpointDir
-				rcs[mi].tally = o.PoolTally
 				rcs[mi].tel = o.Telemetry.StartRun(fmt.Sprintf("run%d", i))
 				tels[i] = rcs[mi].tel
 			}
@@ -427,8 +391,6 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 			return execGang(o, rcs)
 		}
 	}
-
-	prewarmPools(o, jobs, groups)
 
 	var done func(int, []runResult)
 	if o.Progress != nil || o.Telemetry != nil {
@@ -463,52 +425,6 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// prewarmPools primes the mem backing-array pools for the sweep's first
-// wave of parallel boots: one buffer set per worker that will run
-// concurrently at each machine geometry, plus gang trap-refcount arrays
-// for the groups taking the ganged path. Without this the first
-// o.Parallelism boots each allocate dense arrays cold and the pool only
-// pays off from the second wave on (the pool_reuses 2-of-12 pattern the
-// bench JSON used to show).
-func prewarmPools(o Options, jobs []runJob, groups [][]int) {
-	type want struct{ boots, gangs int }
-	byFrames := make(map[int]want)
-	for _, idx := range groups {
-		rc := jobs[idx[0]].cfg
-		f := rc.frames
-		if f <= 0 {
-			f = 8192
-		}
-		w := byFrames[f]
-		w.boots++
-		if rc.gang {
-			w.gangs++
-		}
-		byFrames[f] = w
-	}
-	par := o.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	frames := make([]int, 0, len(byFrames))
-	for f := range byFrames {
-		frames = append(frames, f)
-	}
-	sort.Ints(frames)
-	for _, f := range frames {
-		w := byFrames[f]
-		n := w.boots
-		if n > par {
-			n = par
-		}
-		refs := w.gangs
-		if refs > par {
-			refs = par
-		}
-		mem.PrewarmPools(n, refs, f, mach.DECstation5000_200(f).PageSize)
-	}
 }
 
 // slowdown implements the paper's definition against a matching normal

@@ -319,8 +319,8 @@ func (cp *Checkpoint) ValidateConfig(cfg Config) error { return cp.validateFork(
 // (seeds, geometry, server set — see validateFork); runtime-only options
 // such as Telemetry and Machine.NoFastPath are taken from cfg and may
 // differ from the captured boot. The forked kernel shares the
-// checkpoint's physical-memory image copy-on-write and owns pooled
-// buffers until ReleaseCheckpoint (or ReleaseBuffers).
+// checkpoint's physical-memory image copy-on-write; nothing needs
+// releasing when it is done.
 func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	if err := cp.validateFork(cfg); err != nil {
 		return nil, err
@@ -422,26 +422,10 @@ func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-// ReleaseCheckpoint recycles a forked kernel's pooled buffers: the frame
-// tables and whatever the copy-on-write Phys materialized. It is the
-// fork-side counterpart of ReleaseBuffers (and delegates to it — the
-// Phys knows which arrays it owns and which still belong to the image).
-func (k *Kernel) ReleaseCheckpoint() { k.ReleaseBuffers() }
-
-// PoolCounts reports the pooled-buffer requests made on behalf of this
-// kernel's boot or fork (physical-memory arrays, host cache tag stores,
-// gang trap refcounts, frame tables, copy-on-write materialization) and
-// how many were served by reuse. Read before ReleaseBuffers; unlike the
-// process-global mem.PoolStats, the attribution is exact at any
-// parallelism.
-func (k *Kernel) PoolCounts() (gets, reuses uint64) {
-	gets, reuses = k.m.PoolCounts()
-	if k.fa != nil {
-		gets += k.fa.poolGets
-		reuses += k.fa.poolReuses
-	}
-	return gets, reuses
-}
+// ReleaseCheckpoint does nothing: a forked kernel's arrays are plain
+// allocations that the garbage collector reclaims. The method is kept
+// only because the benchmark runner in perfbench/ still calls it.
+func (k *Kernel) ReleaseCheckpoint() {}
 
 // --- Persistence (-checkpoint-dir) ---
 
@@ -561,6 +545,9 @@ func ReadCheckpoint(f io.Reader) (*Checkpoint, error) {
 	if w.Img.Frames() != w.Frames || w.Img.PageSize() != w.PageSize {
 		return nil, fmt.Errorf("%w: image geometry %d×%d does not match header %d×%d",
 			ErrCheckpointMismatch, w.Img.Frames(), w.Img.PageSize(), w.Frames, w.PageSize)
+	}
+	if err := checkFrameTables(w.Frames, w.Free, w.Refcount); err != nil {
+		return nil, fmt.Errorf("%w: frame tables: %v", ErrCheckpointCorrupt, err)
 	}
 	if len(w.WalkerLabels) != len(w.WalkerStates) || len(w.ServerKinds) != len(w.ServerStates) {
 		return nil, fmt.Errorf("%w: inconsistent walker/server tables", ErrCheckpointMismatch)

@@ -83,14 +83,12 @@ func TestForkMatchesBoot(t *testing.T) {
 	fresh := MustBoot(cfg)
 	runToEnd(t, fresh)
 	wantState, wantPhys := ckSnapshot(t, fresh)
-	fresh.ReleaseBuffers()
 
 	src := MustBoot(cfg)
 	cp, err := Capture(src, "post-boot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.ReleaseBuffers()
 
 	// Two successive forks, to prove forks are independent of each other
 	// and of the (already released) capture kernel.
@@ -107,7 +105,6 @@ func TestForkMatchesBoot(t *testing.T) {
 		if !bytes.Equal(gotPhys, wantPhys) {
 			t.Fatalf("fork %d: physical trap tables differ from fresh boot", i)
 		}
-		fk.ReleaseCheckpoint()
 	}
 	if wantState.instret == 0 || wantState.cycles == 0 {
 		t.Fatalf("scenario executed nothing: %+v", wantState)
@@ -125,7 +122,6 @@ func TestForkRuntimeOptionsMayDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.ReleaseBuffers()
 
 	slow := cfg
 	slow.Machine.NoFastPath = true
@@ -133,7 +129,6 @@ func TestForkRuntimeOptionsMayDiffer(t *testing.T) {
 	fresh := MustBoot(slow)
 	runToEnd(t, fresh)
 	wantState, wantPhys := ckSnapshot(t, fresh)
-	fresh.ReleaseBuffers()
 
 	fk, err := Fork(cp, slow)
 	if err != nil {
@@ -141,7 +136,6 @@ func TestForkRuntimeOptionsMayDiffer(t *testing.T) {
 	}
 	runToEnd(t, fk)
 	gotState, gotPhys := ckSnapshot(t, fk)
-	fk.ReleaseCheckpoint()
 	if gotState != wantState || !bytes.Equal(gotPhys, wantPhys) {
 		t.Fatalf("no-fast-path fork diverged:\nfork:  %+v\nfresh: %+v", gotState, wantState)
 	}
@@ -154,7 +148,6 @@ func TestForkRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.ReleaseBuffers()
 
 	mutations := map[string]func(*Config){
 		"frames":    func(c *Config) { c.Machine = mach.DECstation5000_200(1024) },
@@ -181,7 +174,6 @@ func TestForkRejectsMismatchedConfig(t *testing.T) {
 
 func TestCaptureRequiresQuiescence(t *testing.T) {
 	k := bootTest(t, 2048)
-	defer k.ReleaseBuffers()
 	k.Spawn("p", &scriptProgram{events: refs(TextBase, 100)}, false, false)
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
@@ -201,7 +193,6 @@ func TestCheckpointEncodeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.ReleaseBuffers()
 
 	var buf bytes.Buffer
 	if err := cp.Encode(&buf); err != nil {
@@ -220,7 +211,6 @@ func TestCheckpointEncodeRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer k.ReleaseCheckpoint()
 		runToEnd(t, k)
 		st, phys := ckSnapshot(t, k)
 		return st, phys
@@ -232,13 +222,109 @@ func TestCheckpointEncodeRoundtrip(t *testing.T) {
 	}
 }
 
+// encodeCheckpoint returns cp's persisted bytes.
+func encodeCheckpoint(tb testing.TB, cp *Checkpoint) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := cp.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// corruptCheckpoints is the corruption matrix: checkpoint files that must
+// fail ReadCheckpoint with ErrCheckpointCorrupt, built from a genuine
+// small post-boot checkpoint. The frame-table cases decode cleanly as gob
+// and match the image geometry; before the tables were checked, the
+// first one panicked at the first frame allocation and the second ran to
+// completion.
+func corruptCheckpoints(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	cp, err := Capture(MustBoot(ckConfig(256, 11)), "post-boot")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	good := encodeCheckpoint(tb, cp)
+	tables := func(edit func(w *checkpointWire)) []byte {
+		var w checkpointWire
+		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&w); err != nil {
+			tb.Fatal(err)
+		}
+		edit(&w)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return map[string][]byte{
+		"garbage":   []byte("not a checkpoint"),
+		"empty":     nil,
+		"truncated": good[:len(good)/2],
+		"free frames out of range": tables(func(w *checkpointWire) {
+			for i := range w.Free {
+				w.Free[i] = 1 << 30
+			}
+		}),
+		"short refcount table": tables(func(w *checkpointWire) { w.Refcount = w.Refcount[:3] }),
+		"free list longer than memory": tables(func(w *checkpointWire) {
+			w.Free = append(w.Free, w.Free...)
+		}),
+		"frame free twice":     tables(func(w *checkpointWire) { w.Free[1] = w.Free[0] }),
+		"free frame is mapped": tables(func(w *checkpointWire) { w.Refcount[w.Free[0]] = 1 }),
+	}
+}
+
 func TestReadCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("garbage accepted")
+	for name, data := range corruptCheckpoints(t) {
+		if _, err := ReadCheckpoint(bytes.NewReader(data)); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: ReadCheckpoint err = %v, want ErrCheckpointCorrupt", name, err)
+		}
 	}
-	if _, err := ReadCheckpoint(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
+}
+
+// FuzzReadCheckpoint feeds arbitrary bytes through everything a
+// -checkpoint-dir load reaches: decode, ValidateConfig, Fork and a short
+// run. Each step must either return an error or finish; none may panic.
+func FuzzReadCheckpoint(f *testing.F) {
+	cfg := ckConfig(256, 11)
+	boot, err := Capture(MustBoot(cfg), "post-boot")
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(encodeCheckpoint(f, boot))
+	ran := MustBoot(cfg)
+	ran.Spawn("ck", ckProgram(), true, true)
+	if err := ran.Run(0); err != nil {
+		f.Fatal(err)
+	}
+	after, err := CaptureAt(ran, "after-run")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeCheckpoint(f, after))
+	for _, data := range corruptCheckpoints(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		kcfg := ckConfig(cp.frames, cp.seed)
+		kcfg.PageSeed = cp.pageSeed
+		kcfg.TapewormFrames = cp.tapewormFrames
+		kcfg.WithXServer, kcfg.WithBSDServer = cp.withXServer, cp.withBSDServer
+		if err := cp.ValidateConfig(kcfg); err != nil {
+			return
+		}
+		k, err := Fork(cp, kcfg)
+		if err != nil {
+			return
+		}
+		k.Spawn("ck", ckProgram(), true, true)
+		_ = k.Run(10_000) // an error (out of memory) is an acceptable outcome
+	})
 }
 
 // BenchmarkBootVsFork quantifies the boot amortization a checkpoint buys:
@@ -249,8 +335,7 @@ func BenchmarkBootVsFork(b *testing.B) {
 	cfg := ckConfig(8192, 1994)
 	b.Run("boot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			k := MustBoot(cfg)
-			k.ReleaseBuffers()
+			MustBoot(cfg)
 		}
 	})
 	b.Run("fork", func(b *testing.B) {
@@ -259,14 +344,11 @@ func BenchmarkBootVsFork(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		src.ReleaseBuffers()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k, err := Fork(cp, cfg)
-			if err != nil {
+			if _, err := Fork(cp, cfg); err != nil {
 				b.Fatal(err)
 			}
-			k.ReleaseCheckpoint()
 		}
 	})
 }

@@ -211,8 +211,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	return k, nil
 }
 
-// MustBoot is Boot but panics on error. Like Boot, the returned kernel
-// owns pooled buffers until ReleaseBuffers.
+// MustBoot is Boot but panics on error.
 func MustBoot(cfg Config) *Kernel {
 	k, err := Boot(cfg)
 	if err != nil {
@@ -251,16 +250,10 @@ func (k *Kernel) ReportTelemetry() {
 // SetHooks attaches a kernel-resident memory simulator (Tapeworm).
 func (k *Kernel) SetHooks(h MemSimHooks) { k.hooks = h }
 
-// ReleaseBuffers recycles this boot's pooled backing arrays — the frame
-// allocator's tables and the machine's physical-memory arrays — once all
-// results have been read out. The kernel must not be used afterwards.
-func (k *Kernel) ReleaseBuffers() {
-	if k.fa != nil {
-		mem.PutFrameTables(k.fa.free, k.fa.refcount)
-		k.fa = nil
-	}
-	k.m.ReleaseBuffers()
-}
+// ReleaseBuffers does nothing: a kernel's arrays are plain allocations
+// that the garbage collector reclaims. The method is kept only because
+// the benchmark runner in perfbench/ still calls it.
+func (k *Kernel) ReleaseBuffers() {}
 
 // Tracer observes the user-mode memory references of one annotated task,
 // the way a Pixie-rewritten binary emits its own address trace. Like

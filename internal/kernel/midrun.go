@@ -185,8 +185,7 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 // resuming exactly where CaptureAt froze it: same scheduler state, same
 // clock, same page tables, every program back on its captured op. resume
 // rebuilds each live task's program from its cursor. Like Fork, the
-// returned kernel shares the image copy-on-write and owns pooled
-// buffers until ReleaseCheckpoint.
+// returned kernel shares the image copy-on-write.
 //
 // The forked machine starts with cold host caches and TLB — the only
 // state deliberately absent from a checkpoint — so its overhead stream
@@ -204,7 +203,6 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		return nil, err
 	}
 	if len(rs.Tasks) != len(k.tasks) {
-		k.ReleaseCheckpoint()
 		return nil, fmt.Errorf("%w: run state covers %d tasks, checkpoint %q has %d",
 			ErrCheckpointMismatch, len(rs.Tasks), cp.mark, len(k.tasks))
 	}
@@ -226,7 +224,6 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		t.State = ts.State
 		t.Instructions = ts.Instructions
 		if len(ts.PageVPNs) != len(ts.PagePTEs) {
-			k.ReleaseCheckpoint()
 			return nil, fmt.Errorf("%w: task %d page table arrays disagree", ErrCheckpointMismatch, t.ID)
 		}
 		for j, vpn := range ts.PageVPNs {
@@ -235,13 +232,11 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		t.space.mapped = ts.Mapped
 		if ts.HasCursor {
 			if resume == nil {
-				k.ReleaseCheckpoint()
 				return nil, fmt.Errorf("kernel: ForkRun of %q needs a resume callback for task %d (%s)",
 					cp.mark, t.ID, t.Name)
 			}
 			prog, err := resume(ts.Cursor)
 			if err != nil {
-				k.ReleaseCheckpoint()
 				return nil, fmt.Errorf("kernel: resuming task %d (%s) of %q: %w", t.ID, t.Name, cp.mark, err)
 			}
 			t.prog = prog
@@ -249,13 +244,11 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 	}
 	for _, id := range rs.RunqIDs {
 		if int(id) < 0 || int(id) >= len(k.tasks) {
-			k.ReleaseCheckpoint()
 			return nil, fmt.Errorf("%w: run queue references unknown task %d", ErrCheckpointMismatch, id)
 		}
 		k.runq = append(k.runq, k.tasks[id])
 	}
 	if len(rs.ResidentTIDs) != len(rs.ResidentVPNs) {
-		k.ReleaseCheckpoint()
 		return nil, fmt.Errorf("%w: resident queue arrays disagree", ErrCheckpointMismatch)
 	}
 	for i, tid := range rs.ResidentTIDs {

@@ -146,20 +146,12 @@ type MemSimHooks interface {
 type frameAllocator struct {
 	free     []uint32
 	refcount []uint16 // per-frame mapping count (shared pages)
-
-	// poolGets/poolReuses attribute the backing-array acquisition to this
-	// allocator's run for per-run pool stats.
-	poolGets   uint64
-	poolReuses uint64
 }
 
-// newFrameAllocator builds the allocator over pooled backing arrays; the
-// returned allocator owns them until Kernel.ReleaseBuffers.
+// newFrameAllocator builds the allocator with every unreserved frame free,
+// in shuffled order.
 func newFrameAllocator(totalFrames, reservedFrames int, r *rng.Source) *frameAllocator {
-	// Backing arrays come from the per-size pool (sweeps boot hundreds of
-	// machines with identical geometry); GetFrameTables hands them back
-	// reset, so the fill and shuffle below see a fresh-boot state.
-	fa := acquireFrameTables(totalFrames)
+	fa := emptyFrameAllocator(totalFrames)
 	n := totalFrames - reservedFrames
 	for i := 0; i < n; i++ {
 		fa.free = append(fa.free, uint32(reservedFrames+i))
@@ -172,26 +164,51 @@ func newFrameAllocator(totalFrames, reservedFrames int, r *rng.Source) *frameAll
 	return fa
 }
 
-// restoreFrameAllocator rebuilds an allocator from checkpointed tables,
-// copying them into pooled backing arrays. The checkpoint's free list is
+// restoreFrameAllocator rebuilds an allocator from a copy of checkpointed
+// tables, which checkFrameTables has vetted. The checkpoint's free list is
 // already shuffled, so a restored allocator hands out the exact frame
 // sequence the captured boot would have — without re-running Fisher-Yates,
 // the dominant boot-only cost.
 func restoreFrameAllocator(totalFrames int, free []uint32, refcount []uint16) *frameAllocator {
-	fa := acquireFrameTables(totalFrames)
+	fa := emptyFrameAllocator(totalFrames)
 	fa.free = append(fa.free, free...)
 	copy(fa.refcount, refcount)
 	return fa
 }
 
-// acquireFrameTables pulls pooled tables and records the attribution.
-func acquireFrameTables(totalFrames int) *frameAllocator {
-	freeBuf, refcount, reused := mem.GetFrameTables(totalFrames)
-	fa := &frameAllocator{free: freeBuf, refcount: refcount, poolGets: 1}
-	if reused {
-		fa.poolReuses = 1
+// emptyFrameAllocator returns an allocator over totalFrames frames with an
+// empty free list (capacity for every frame) and zero mapping counts.
+func emptyFrameAllocator(totalFrames int) *frameAllocator {
+	return &frameAllocator{
+		free:     make([]uint32, 0, totalFrames),
+		refcount: make([]uint16, totalFrames),
 	}
-	return fa
+}
+
+// checkFrameTables reports whether checkpointed frame tables are
+// consistent with a machine of totalFrames frames: one mapping count per
+// frame, and a free list naming distinct, unmapped frames. Anything else
+// would index past the tables or hand one frame out twice.
+func checkFrameTables(totalFrames int, free []uint32, refcount []uint16) error {
+	if len(refcount) != totalFrames {
+		return fmt.Errorf("%d mapping counts for %d frames", len(refcount), totalFrames)
+	}
+	if len(free) > totalFrames {
+		return fmt.Errorf("%d free frames for %d frames", len(free), totalFrames)
+	}
+	seen := make([]bool, totalFrames)
+	for _, f := range free {
+		switch {
+		case int(f) >= totalFrames:
+			return fmt.Errorf("free frame %d out of range (%d frames)", f, totalFrames)
+		case seen[f]:
+			return fmt.Errorf("frame %d free twice", f)
+		case refcount[f] != 0:
+			return fmt.Errorf("free frame %d has %d mappings", f, refcount[f])
+		}
+		seen[f] = true
+	}
+	return nil
 }
 
 // alloc pops a free frame; ok is false when memory is exhausted.

@@ -308,13 +308,6 @@ type Machine struct {
 	pageShift uint
 	pageMask  uint32
 
-	// bpDirty records that bpPages was ever written, so ReleaseBuffers
-	// can skip clearing an untouched array before pooling it.
-	bpDirty bool
-
-	// Pool attribution for buffers acquired by build beyond the Phys's
-	// own (host cache tag stores, bpPages); see PoolCounts.
-	poolGets, poolReuses uint64
 	// Host cache line sizes, hoisted out of the per-reference path
 	// (Cache.Config returns the whole config struct by value).
 	lineI, lineD int
@@ -418,7 +411,6 @@ func (m *Machine) CaptureImage() *mem.Image { return mem.CaptureImage(m.phys) }
 // build assembles a Machine around an already-constructed Phys; cfg and
 // os are pre-validated.
 func build(cfg Config, os OS, phys *mem.Phys) *Machine {
-	bpPages, bpReused := getBPPages(cfg.Frames)
 	m := &Machine{
 		cfg:         cfg,
 		phys:        phys,
@@ -429,15 +421,9 @@ func build(cfg Config, os OS, phys *mem.Phys) *Machine {
 		hostTLB:     cache.MustNewTLB(cfg.HostTLB, rng.New(0x7457)),
 		nextTick:    cfg.ClockTickCycles,
 		breakpoints: make(map[mem.PAddr]uint32),
-		bpPages:     bpPages,
+		bpPages:     make([]uint32, cfg.Frames),
 		pageShift:   uint(bits.TrailingZeros(uint(cfg.PageSize))),
 		pageMask:    uint32(cfg.PageSize - 1),
-	}
-	m.poolGets = 4 // hostI, hostD, hostTLB, bpPages
-	for _, reused := range []bool{m.hostI.PoolReused(), m.hostD.PoolReused(), m.hostTLB.PoolReused(), bpReused} {
-		if reused {
-			m.poolReuses++
-		}
 	}
 	// The micro-cache's host-TLB-hit guarantee only makes sense when one
 	// TLB entry covers exactly one machine page; exotic configs fall back
@@ -708,7 +694,6 @@ func (m *Machine) SetBreakpoint(pa mem.PAddr) {
 		m.gen++
 		if f := int(w >> m.pageShift); f < len(m.bpPages) {
 			m.bpPages[f]++
-			m.bpDirty = true
 		}
 	}
 	m.breakpoints[w]++
@@ -1128,28 +1113,6 @@ func (m *Machine) InvalidatePage(t mem.TaskID, va mem.VAddr) {
 // only when the *union* validity across members transitions; tests assert
 // on this counter to pin that protocol down.
 func (m *Machine) PageInvalidations() uint64 { return m.pageInval }
-
-// ReleaseBuffers returns the machine's pooled backing arrays (physical
-// memory bitsets) for reuse by a later run. The machine must not execute
-// again; experiment teardown calls this after results are extracted.
-func (m *Machine) ReleaseBuffers() {
-	m.phys.Release()
-	m.hostI.Release()
-	m.hostD.Release()
-	m.hostTLB.Release()
-	putBPPages(m.bpPages, m.bpDirty)
-	m.bpPages = nil
-}
-
-// PoolCounts reports pooled-buffer acquisitions made on this machine's
-// behalf (host cache tag stores, breakpoint page counts, and physical
-// trap tables) and how many were satisfied by recycling. Per-machine, so
-// callers can attribute pool traffic to a run even when other machines
-// run concurrently (the process-global mem.PoolStats cannot).
-func (m *Machine) PoolCounts() (gets, reuses uint64) {
-	gets, reuses = m.phys.PoolCounts()
-	return gets + m.poolGets, reuses + m.poolReuses
-}
 
 // FastPathStats reports the fast path's self-counters: references resolved
 // through the translation micro-cache, and instructions charged in bulk by

@@ -5,14 +5,9 @@ package mem
 // true-error map — into an immutable Image. Forked machines share the
 // image's arrays copy-on-write: NewPhysFromImage aliases them directly, so
 // the branch-free hot-path reads (Trapped, TrappedWord) are untouched, and
-// the first mutation materializes private pooled copies of exactly the
-// chunks the image marks dirty. Trap reference counts are never part of an
+// the first mutation materializes private copies of exactly the chunks
+// the image marks dirty. Trap reference counts are never part of an
 // image; gang forks rebuild them through EnableTrapRefs as usual.
-//
-// Images are long-lived (the experiment layer caches one per boot
-// identity and forks it for every trial), so their arrays are plain
-// allocations, never pooled — a fork that releases without writing hands
-// nothing back to the pools.
 
 import (
 	"bytes"
@@ -53,8 +48,8 @@ func (img *Image) TrapCount() int {
 }
 
 // CaptureImage snapshots p's dense state into a fresh Image. The copy is
-// deep: the image shares nothing with p, so p may keep running (or be
-// released) while the image serves forks.
+// deep: the image shares nothing with p, so p may keep running while the
+// image serves forks.
 func CaptureImage(p *Phys) *Image {
 	img := &Image{
 		frames:       p.frames,
@@ -76,9 +71,8 @@ func CaptureImage(p *Phys) *Image {
 // NewPhysFromImage forks a physical memory from an image. The returned
 // Phys aliases the image's arrays until its first mutation (set/clear/flip
 // trap, error injection or correction), which copies the image's dirty
-// chunks into private pooled buffers. Reads are exactly as fast as on a
-// freshly booted Phys. Ownership of any materialized pooled arrays follows
-// the usual rules; Release hands them back.
+// chunks into private arrays. Reads are exactly as fast as on a freshly
+// booted Phys.
 func NewPhysFromImage(img *Image) *Phys {
 	return &Phys{
 		pageSize:     img.pageSize,
@@ -99,7 +93,7 @@ func NewPhysFromImage(img *Image) *Phys {
 // has materialized private copies yet). For tests and assertions.
 func (p *Phys) Shared() bool { return p.img != nil }
 
-// ensureOwned materializes private pooled copies of the dense arrays on
+// ensureOwned materializes private copies of the dense arrays on
 // the first mutation of an image-backed Phys. Every mutating entry point
 // calls this before touching trapBits/twBits/ecc, which puts it on the
 // trap-set/clear hot path of every forked run: the guard must stay small
@@ -115,25 +109,18 @@ func (p *Phys) ensureOwned() {
 }
 
 // materializeImage copies the dense arrays out of the backing image into
-// private pooled buffers. Only chunks the image's occupancy summary marks
-// dirty are copied — a clean boot image costs one pooled acquire and
-// nothing else.
-//
-//twvet:transfer
+// freshly allocated private arrays. Only chunks the image's occupancy
+// summary marks dirty are copied — a clean boot image costs the zeroed
+// allocation and nothing else.
 func (p *Phys) materializeImage() {
 	img := p.img
 	p.img = nil
-	words := p.bytes / WordBytes
-	b, reused := getPhysBuffers((words + chunkWords - 1) / chunkWords)
-	p.poolGets++
-	if reused {
-		p.poolReuses++
-	}
+	p.allocDense()
 	for s, sp := range img.superPop {
 		if sp == 0 {
 			continue
 		}
-		b.superPop[s] = sp
+		p.superPop[s] = sp
 		base := s * superSize
 		end := base + superSize
 		if end > len(img.chunkPop) {
@@ -143,16 +130,14 @@ func (p *Phys) materializeImage() {
 			if img.chunkPop[c] == 0 {
 				continue
 			}
-			b.trapBits[c] = img.trapBits[c]
-			b.twBits[c] = img.twBits[c]
-			b.chunkPop[c] = img.chunkPop[c]
+			p.trapBits[c] = img.trapBits[c]
+			p.twBits[c] = img.twBits[c]
+			p.chunkPop[c] = img.chunkPop[c]
 		}
 	}
 	for w, m := range img.ecc {
-		b.ecc[w] = m
+		p.ecc[w] = m
 	}
-	p.trapBits, p.twBits, p.chunkPop, p.superPop, p.ecc =
-		b.trapBits, b.twBits, b.chunkPop, b.superPop, b.ecc
 }
 
 // imageWire is the gob representation of an Image. gob needs exported

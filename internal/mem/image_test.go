@@ -51,9 +51,6 @@ func TestForkSharesUntilFirstWrite(t *testing.T) {
 	if !f.Shared() {
 		t.Fatal("reads materialized the fork")
 	}
-	if gets, _ := f.PoolCounts(); gets != 0 {
-		t.Fatalf("reads cost %d pool gets", gets)
-	}
 
 	// First write materializes; the image (and other forks) are untouched.
 	before := dense(f)
@@ -61,15 +58,10 @@ func TestForkSharesUntilFirstWrite(t *testing.T) {
 	if f.Shared() {
 		t.Fatal("write did not materialize the fork")
 	}
-	if gets, _ := f.PoolCounts(); gets != 1 {
-		t.Fatalf("materialization cost %d pool gets, want 1", gets)
-	}
 	f2 := NewPhysFromImage(img)
 	if !reflect.DeepEqual(dense(f2), before) {
 		t.Fatal("mutating one fork leaked into the shared image")
 	}
-	f.Release()
-	f2.Release()
 }
 
 // TestForkMutationsMatchFresh drives every mutating entry point against a
@@ -103,7 +95,7 @@ func TestForkMutationsMatchFresh(t *testing.T) {
 			setup(fc, fresh)
 			m.op(fc, fresh)
 
-			src, _, img := imageSource()
+			_, _, img := imageSource()
 			f := NewPhysFromImage(img)
 			m.op(NewController(f), f)
 
@@ -118,9 +110,6 @@ func TestForkMutationsMatchFresh(t *testing.T) {
 			if fset != wset || fcleared != wcleared {
 				t.Fatalf("fork stats (%d,%d) != fresh stats (%d,%d)", fset, fcleared, wset, wcleared)
 			}
-			f.Release()
-			fresh.Release()
-			src.Release()
 		})
 	}
 }
@@ -159,8 +148,6 @@ func TestForkWriteMidFaultService(t *testing.T) {
 	if err := f2.CheckSummaries(); err != nil {
 		t.Errorf("sibling summaries: %v", err)
 	}
-	f1.Release()
-	f2.Release()
 }
 
 // TestForkTrapRefsRebuiltPerFork: refcounts are never part of an image —
@@ -203,40 +190,31 @@ func TestForkTrapRefsRebuiltPerFork(t *testing.T) {
 	if !f2.TrappedWord(pa) {
 		t.Fatal("f1's release destroyed f2's trap")
 	}
-	f1.Release()
-	f2.Release()
 }
 
-// TestForkReleaseUnmaterialized: a fork torn down without ever writing
-// returns nothing to the pools (it owns nothing) and leaves the image
-// fully serviceable.
+// TestForkReleaseUnmaterialized: a fork dropped without ever writing
+// never copies the image, even with gang trap refcounts enabled (those
+// arrays are always private), and leaves the image fully serviceable.
 func TestForkReleaseUnmaterialized(t *testing.T) {
 	_, _, img := imageSource()
 	want := dense(NewPhysFromImage(img))
 
-	f := NewPhysFromImage(img)
-	f.Release()
-	if gets, _ := f.PoolCounts(); gets != 0 {
-		t.Fatalf("unmaterialized fork made %d pool gets", gets)
-	}
-
-	// Refcount arrays are private even on a shared fork: enabling them is
-	// the fork's only pool traffic, and releasing recycles just those.
 	fr := NewPhysFromImage(img)
 	fr.EnableTrapRefs()
-	if gets, _ := fr.PoolCounts(); gets != 1 {
-		t.Fatalf("refcounted shared fork made %d pool gets, want 1", gets)
+	if !fr.Shared() {
+		t.Fatal("enabling trap refcounts materialized the fork")
 	}
-	fr.Release()
+	if err := fr.CheckSummaries(); err != nil {
+		t.Fatal(err)
+	}
 
 	g := NewPhysFromImage(img)
 	if !reflect.DeepEqual(dense(g), want) {
-		t.Fatal("image corrupted by releasing an unmaterialized fork")
+		t.Fatal("image corrupted by an unmaterialized fork")
 	}
 	if err := g.CheckSummaries(); err != nil {
 		t.Fatal(err)
 	}
-	g.Release()
 }
 
 func TestImageGobRoundtrip(t *testing.T) {
@@ -259,7 +237,6 @@ func TestImageGobRoundtrip(t *testing.T) {
 	if f.TrapCount() != img.TrapCount() {
 		t.Fatalf("decoded fork TrapCount %d != image %d", f.TrapCount(), img.TrapCount())
 	}
-	f.Release()
 }
 
 func TestImageDecodeRejectsInconsistentLengths(t *testing.T) {

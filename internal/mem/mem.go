@@ -105,8 +105,8 @@ type Phys struct {
 
 	// chunkPop[c] is the population count of trapBits[c]; superPop[s] is
 	// the number of nonzero chunks among the s-th group of 64. Together
-	// they let range clears and TrapCount skip clean regions, and let
-	// pooled buffers be re-zeroed selectively on reuse.
+	// they let range clears, TrapCount and image materialization skip
+	// clean regions.
 	chunkPop []uint8
 	superPop []uint8
 
@@ -120,12 +120,11 @@ type Phys struct {
 	// gang-attached simulators: the physical check bit is flipped on the
 	// 0→1 transition and restored on the last release, so tw_clear_trap
 	// from one simulator never destroys another's trap. Allocated only by
-	// EnableTrapRefs; solo simulators pay nothing. refChunk/refSuper are
-	// the matching two-level occupancy summary (words with nonzero
-	// refcount per chunk, nonzero refChunk entries per super-chunk).
+	// EnableTrapRefs; solo simulators pay nothing. refChunk counts the
+	// words with a nonzero refcount per chunk, so the bulk clear paths
+	// skip chunks holding no references.
 	trapRef  []uint8
 	refChunk []uint8
-	refSuper []uint8
 
 	// destroyed, if set, is called with the word-aligned address whenever
 	// something other than ReleaseTrapRef removes a refcounted trap (DMA
@@ -135,14 +134,8 @@ type Phys struct {
 
 	// img, when non-nil, is the immutable checkpoint image whose arrays
 	// this Phys still aliases copy-on-write; the first mutation calls
-	// ensureOwned to materialize private pooled copies. See image.go.
+	// ensureOwned to materialize private copies. See image.go.
 	img *Image
-
-	// poolGets/poolReuses attribute pooled-buffer traffic to this Phys so
-	// callers can tally per-run stats regardless of what other runs do
-	// concurrently (the process-global PoolStats counters only ever sum).
-	poolGets   uint64
-	poolReuses uint64
 
 	trapsSet     uint64 // statistics: total tw_set_trap word-sets
 	trapsCleared uint64
@@ -170,57 +163,34 @@ func CheckPhysSize(frames, pageSize int) error {
 // NewPhys creates a physical memory of frames pages of pageSize bytes each.
 // pageSize must be a power of two and a multiple of the word size; callers
 // that need an error instead of a panic should run CheckPhysSize first.
-// Ownership of the pooled backing arrays moves into the returned Phys;
-// Release hands them back.
 func NewPhys(frames, pageSize int) *Phys {
 	if err := CheckPhysSize(frames, pageSize); err != nil {
 		panic(err.Error())
 	}
-	total := frames * pageSize
-	words := total / WordBytes
 	p := &Phys{
 		pageSize: pageSize,
 		frames:   frames,
-		bytes:    total,
+		bytes:    frames * pageSize,
 	}
-	b, reused := getPhysBuffers((words + chunkWords - 1) / chunkWords)
-	p.poolGets++
-	if reused {
-		p.poolReuses++
-	}
-	p.trapBits, p.twBits, p.chunkPop, p.superPop, p.ecc =
-		b.trapBits, b.twBits, b.chunkPop, b.superPop, b.ecc
+	p.allocDense()
 	return p
 }
 
-// Release returns the backing arrays to the per-geometry pool for reuse by
-// a later run with the same frame count. The Phys must not be used again;
-// callers release only at end-of-run teardown.
-func (p *Phys) Release() {
-	if p.trapBits == nil {
-		return
-	}
-	if p.img != nil {
-		// The dense arrays still alias the immutable checkpoint image and
-		// must never enter the pools; only the trap refcounts (always
-		// privately owned) are recycled.
-		putTrapRefs(p.trapRef, p.refChunk, p.refSuper)
-		p.img = nil
-	} else {
-		putPhysBuffers(&physBuffers{
-			trapBits: p.trapBits, twBits: p.twBits,
-			chunkPop: p.chunkPop, superPop: p.superPop, ecc: p.ecc,
-		}, p.trapRef, p.refChunk, p.refSuper)
-	}
-	p.trapBits, p.twBits, p.chunkPop, p.superPop, p.ecc = nil, nil, nil, nil, nil
-	p.trapRef, p.refChunk, p.refSuper = nil, nil, nil
+// allocDense gives p zeroed trap bitsets, occupancy summaries and
+// true-error map sized to its geometry.
+func (p *Phys) allocDense() {
+	chunks := (p.bytes/WordBytes + chunkWords - 1) / chunkWords
+	p.trapBits = make([]uint64, chunks)
+	p.twBits = make([]uint64, chunks)
+	p.chunkPop = make([]uint8, chunks)
+	p.superPop = make([]uint8, (chunks+superSize-1)/superSize)
+	p.ecc = make(map[uint32]uint64)
 }
 
-// PoolCounts reports the pooled-buffer requests made on behalf of this
-// Phys (boot arrays, gang trap refcounts, copy-on-write materialization)
-// and how many were served by reuse. Per-Phys attribution stays exact at
-// any parallelism, unlike the process-global PoolStats sum.
-func (p *Phys) PoolCounts() (gets, reuses uint64) { return p.poolGets, p.poolReuses }
+// PoolStats always reports zero gets and reuses: physical memory no
+// longer pools its backing arrays. The name is kept only because the
+// benchmark runner in perfbench/ reads it for its mem.pool_* ledger rows.
+func PoolStats() (gets, reuses uint64) { return 0, 0 }
 
 // PageSize returns the machine page size in bytes.
 func (p *Phys) PageSize() int { return p.pageSize }
@@ -322,7 +292,7 @@ func (p *Phys) mask(w uint32) uint64 {
 // two-level occupancy summary consistent. Every trapBits mutation funnels
 // through here: the summary invariant (chunkPop is the chunk's population
 // count, superPop its group's nonzero-chunk count) is what lets clears,
-// counts and pool-reuse zeroing skip clean regions.
+// counts and image materialization skip clean regions.
 func (p *Phys) writeChunk(c uint32, v uint64) {
 	if p.trapBits[c] == v {
 		return
@@ -417,18 +387,9 @@ func (p *Phys) CheckSummaries() error {
 				return fmt.Errorf("mem: word %d refcounted (%d) but Tapeworm bit clear", w, r)
 			}
 		}
-		refSuperNZ := make([]uint8, len(p.refSuper))
 		for c, want := range refNZ {
 			if p.refChunk[c] != want {
 				return fmt.Errorf("mem: chunk %d: refChunk %d, want %d", c, p.refChunk[c], want)
-			}
-			if want != 0 {
-				refSuperNZ[c/superSize]++
-			}
-		}
-		for s, want := range refSuperNZ {
-			if p.refSuper[s] != want {
-				return fmt.Errorf("mem: super %d: refSuper %d, want %d", s, p.refSuper[s], want)
 			}
 		}
 	}
@@ -443,18 +404,12 @@ func (p *Phys) Stats() (set, cleared uint64) { return p.trapsSet, p.trapsCleared
 // --- Trap reference counts (gang attach) ---
 
 // EnableTrapRefs allocates the per-word trap reference counts used when
-// several simulators share one machine. Idempotent. The pooled arrays are
-// owned by the Phys until Release.
-//
-//twvet:transfer
+// several simulators share one machine. Idempotent.
 func (p *Phys) EnableTrapRefs() {
 	if p.trapRef == nil {
-		var reused bool
-		p.trapRef, p.refChunk, p.refSuper, reused = getTrapRefs(p.bytes / WordBytes)
-		p.poolGets++
-		if reused {
-			p.poolReuses++
-		}
+		words := p.bytes / WordBytes
+		p.trapRef = make([]uint8, words)
+		p.refChunk = make([]uint8, (words+chunkWords-1)/chunkWords)
 	}
 }
 
@@ -476,27 +431,15 @@ func (p *Phys) TrapRefCount(pa PAddr) int {
 	return int(p.trapRef[p.wordIndex(pa)])
 }
 
-// refChunkInc records word w's refcount going 0→nonzero in the two-level
-// refcount summary. Paired with refChunkDec: every increment must be
-// balanced by exactly one decrement when the word's count returns to zero,
-// or the summary diverges from trapRef and selective pool zeroing leaks
-// stale counts into the next boot.
-func (p *Phys) refChunkInc(w uint32) {
-	c := w / chunkWords
-	if p.refChunk[c] == 0 {
-		p.refSuper[c/superSize]++
-	}
-	p.refChunk[c]++
-}
+// refChunkInc records word w's refcount going 0→nonzero in the refcount
+// summary. Paired with refChunkDec: every increment must be balanced by
+// exactly one decrement when the word's count returns to zero, or the
+// summary diverges from trapRef and a bulk clear skips a chunk that
+// still holds references, leaving a gang member's intent dangling.
+func (p *Phys) refChunkInc(w uint32) { p.refChunk[w/chunkWords]++ }
 
 // refChunkDec records word w's refcount going nonzero→0; see refChunkInc.
-func (p *Phys) refChunkDec(w uint32) {
-	c := w / chunkWords
-	p.refChunk[c]--
-	if p.refChunk[c] == 0 {
-		p.refSuper[c/superSize]--
-	}
-}
+func (p *Phys) refChunkDec(w uint32) { p.refChunk[w/chunkWords]-- }
 
 // noteDestroyed zeroes the word's reference count and notifies the gang
 // layer. Called from every non-ReleaseTrapRef path that removes the

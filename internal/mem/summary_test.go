@@ -108,56 +108,3 @@ func TestBulkRangeOpsMatchWordOps(t *testing.T) {
 		t.Fatalf("stats diverge: bulk %d/%d vs word %d/%d", aset, aclr, bset, bclr)
 	}
 }
-
-// TestSelectiveReuseZeroing recycles heavily-armed buffers and verifies the
-// summary-guided zeroing restores exact fresh-boot state.
-func TestSelectiveReuseZeroing(t *testing.T) {
-	SetPoolEnabled(true)
-	p := NewPhys(32, 4096)
-	p.EnableTrapRefs()
-	c := NewController(p)
-	c.SetTrap(0x1000, 8192)
-	c.AddTrapRef(0x3000)
-	c.AddTrapRef(0x3000)
-	c.AddTrapRef(0x1f000)
-	p.InjectError(0x9000, 11)
-	p.Release()
-
-	q := NewPhys(32, 4096)
-	q.EnableTrapRefs()
-	if err := q.CheckSummaries(); err != nil {
-		t.Fatal(err)
-	}
-	if q.TrapCount() != 0 {
-		t.Fatalf("recycled phys has %d traps armed", q.TrapCount())
-	}
-	for _, pa := range []PAddr{0x1000, 0x3000, 0x9000, 0x1f000} {
-		if q.TrappedWord(pa) || q.ECCState(pa) != 0 || q.TrapRefCount(pa) != 0 {
-			t.Fatalf("stale state at %#x after reuse", pa)
-		}
-	}
-}
-
-// TestPrewarmPools checks that pre-warmed buffers are served as reuses by
-// the next boots at the same geometry.
-func TestPrewarmPools(t *testing.T) {
-	SetPoolEnabled(true)
-	const frames, page = 48, 4096
-	PrewarmPools(2, 2, frames, page)
-	g0, r0 := PoolStats()
-	for i := 0; i < 2; i++ {
-		p := NewPhys(frames, page)
-		p.EnableTrapRefs()
-		if err := p.CheckSummaries(); err != nil {
-			t.Fatal(err)
-		}
-		if p.TrapCount() != 0 {
-			t.Fatal("prewarmed buffers not clean")
-		}
-		p.Release()
-	}
-	g1, r1 := PoolStats()
-	if g1-g0 < 4 || r1-r0 < 4 {
-		t.Fatalf("prewarmed pool not reused: gets +%d reuses +%d", g1-g0, r1-r0)
-	}
-}

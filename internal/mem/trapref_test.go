@@ -133,31 +133,3 @@ func TestTrapRefRequiresEnable(t *testing.T) {
 	}()
 	c.AddTrapRef(0)
 }
-
-func TestPhysBufferPoolReuse(t *testing.T) {
-	SetPoolEnabled(true)
-	p := NewPhys(32, 4096)
-	p.EnableTrapRefs()
-	c := NewController(p)
-	c.AddTrapRef(0x100)
-	c.SetTrap(0x200, 16)
-	p.Release()
-
-	g0, r0 := PoolStats()
-	q := NewPhys(32, 4096)
-	q.EnableTrapRefs()
-	g1, r1 := PoolStats()
-	if g1 <= g0 || r1 <= r0 {
-		t.Fatalf("pool not exercised: gets %d->%d reuses %d->%d", g0, g1, r0, r1)
-	}
-	// Fresh-boot semantics: recycled arrays come back zeroed.
-	if q.TrapCount() != 0 {
-		t.Fatalf("recycled phys has %d traps armed", q.TrapCount())
-	}
-	if q.TrapRefCount(0x100) != 0 {
-		t.Fatal("recycled trap refcounts not reset")
-	}
-	if s, cl := q.Stats(); s != 0 || cl != 0 {
-		t.Fatalf("recycled phys stats not reset: set=%d cleared=%d", s, cl)
-	}
-}

@@ -82,7 +82,12 @@ func Read(r io.Reader) (*Buffer, error) {
 	if n > maxEntries {
 		return nil, fmt.Errorf("trace: implausible entry count %d", n)
 	}
-	b := &Buffer{entries: make([]Entry, 0, n)}
+	// The count is untrusted until the records arrive: size the buffer
+	// for at most initialEntries up front and let append grow it, so a
+	// corrupt header fails on its missing records instead of reserving
+	// gigabytes.
+	const initialEntries = 1 << 16
+	b := &Buffer{entries: make([]Entry, 0, min(n, initialEntries))}
 	var rec [5]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,63 @@ func TestReadRejectsImplausibleCount(t *testing.T) {
 	if _, err := Read(bytes.NewReader(raw)); err == nil {
 		t.Fatal("implausible count accepted")
 	}
+}
+
+// oversizedHeader is a complete trace header claiming 1<<30 entries (the
+// largest plausible count) followed by no records at all.
+func oversizedHeader() []byte {
+	return append([]byte("TWT2"), 0, 0, 0, 0x40, 0, 0, 0, 0)
+}
+
+// TestReadOversizedHeaderFailsCheaply: a header whose count outruns the
+// file must fail on the first missing record without first reserving
+// room for every entry it claims (8 GiB for this header).
+func TestReadOversizedHeaderFailsCheaply(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(oversizedHeader()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: entry 0: ") {
+		t.Fatalf("oversized header: err = %v, want a trace: entry 0 error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("reading a 12-byte file allocated %d bytes", got)
+	}
+}
+
+// FuzzTraceRead feeds arbitrary bytes to Read. Every input must either
+// fail with an error or decode to a trace whose own encoding is exactly
+// the prefix of the input that Read consumed.
+func FuzzTraceRead(f *testing.F) {
+	var b Buffer
+	b.Append(Entry{VA: 0x0040_0000, Kind: mem.IFetch})
+	b.Append(Entry{VA: 0x1000_0004, Kind: mem.Load})
+	b.Append(Entry{VA: 0x7fff_f000, Kind: mem.Store})
+	var buf bytes.Buffer
+	if err := b.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	badKind := bytes.Clone(good)
+	badKind[len(badKind)-1] = 9
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add([]byte("NOPE\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(badKind)
+	f.Add(oversizedHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := got.Write(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("decoded %d entries that re-encode differently from the input", got.Len())
+		}
+	})
 }
 
 func TestReset(t *testing.T) {

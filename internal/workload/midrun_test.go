@@ -84,7 +84,6 @@ func eqUint64s(a, b []uint64) bool {
 func captureMidway(t *testing.T, spec workload.Spec, target uint64) (*kernel.Checkpoint, finalState) {
 	t.Helper()
 	k := midrunBoot(t)
-	defer k.ReleaseBuffers()
 	prog, err := workload.NewPlanned(spec, midrunSeed)
 	if err != nil {
 		t.Fatalf("NewPlanned: %v", err)
@@ -123,7 +122,6 @@ func forkAndFinish(t *testing.T, cp *kernel.Checkpoint, spec workload.Spec) fina
 	if err != nil {
 		t.Fatalf("ForkRun: %v", err)
 	}
-	defer fk.ReleaseCheckpoint()
 	if got, want := fk.UserInstructions(), cp.UserInstructions(); got != want {
 		t.Fatalf("forked kernel starts at %d user instructions, checkpoint captured %d", got, want)
 	}
@@ -205,15 +203,12 @@ func TestMidrunCheckpointPersistence(t *testing.T) {
 
 func TestForkRunRejectsPostBootCheckpoint(t *testing.T) {
 	k := midrunBoot(t)
-	defer k.ReleaseBuffers()
 	cp, err := kernel.Capture(k, "post-boot")
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}
 	kcfg := kernel.DefaultConfig(mach.DECstation5000_200(midrunFrames), midrunSeed)
-	fk, err := kernel.ForkRun(cp, kcfg, nil)
-	if err == nil {
-		fk.ReleaseCheckpoint()
+	if _, err := kernel.ForkRun(cp, kcfg, nil); err == nil {
 		t.Fatalf("ForkRun accepted a post-boot checkpoint")
 	}
 }
@@ -221,7 +216,6 @@ func TestForkRunRejectsPostBootCheckpoint(t *testing.T) {
 func TestRunUntilInstr(t *testing.T) {
 	spec := midrunSpec(t, "espresso", 2000)
 	k := midrunBoot(t)
-	defer k.ReleaseBuffers()
 	prog, err := workload.NewPlanned(spec, midrunSeed)
 	if err != nil {
 		t.Fatalf("NewPlanned: %v", err)

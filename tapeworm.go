@@ -181,11 +181,9 @@ type System struct {
 	k *kernel.Kernel
 }
 
-// NewSystem boots a machine and kernel. The system owns the boot's
-// pooled buffers; call Kernel().ReleaseBuffers() at end-of-run teardown
-// to recycle them.
-//
-//twvet:transfer
+// NewSystem boots a machine and kernel, or forks them from a cached boot
+// checkpoint when cfg.Checkpoint is set. Nothing needs releasing when the
+// system is done; the garbage collector reclaims it.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Machine.Proc == nil {
 		cfg.Machine = DECstation(8192)
