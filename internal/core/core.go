@@ -298,6 +298,9 @@ func build(k *kernel.Kernel, cfg Config) (*Tapeworm, error) {
 		if err := cfg.Cache.Validate(); err != nil {
 			return nil, err
 		}
+		if err := fitsMemory("cache", cfg.Cache, m); err != nil {
+			return nil, err
+		}
 		// With a two-level hierarchy, traps live at L2 line granularity
 		// and sampling selects L2 sets.
 		trapLine := cfg.Cache.LineSize
@@ -305,6 +308,9 @@ func build(k *kernel.Kernel, cfg Config) (*Tapeworm, error) {
 		if cfg.L2 != nil {
 			if err := cfg.L2.Validate(); err != nil {
 				return nil, fmt.Errorf("core: L2: %w", err)
+			}
+			if err := fitsMemory("L2", *cfg.L2, m); err != nil {
+				return nil, err
 			}
 			trapLine = cfg.L2.LineSize
 			sampleSets = cfg.L2.Sets()
@@ -386,6 +392,18 @@ func build(k *kernel.Kernel, cfg Config) (*Tapeworm, error) {
 	}
 
 	return tw, nil
+}
+
+// fitsMemory rejects a simulated cache larger than the machine's physical
+// memory before its tag store is allocated: capacity beyond physical
+// memory can never be filled, and a tag store for an arbitrary size can
+// exhaust the host.
+func fitsMemory(what string, c cache.Config, m *mach.Machine) error {
+	if phys := m.Phys().Bytes(); c.Size > phys {
+		return fmt.Errorf("core: %s size %d bytes exceeds the machine's %d bytes of physical memory",
+			what, c.Size, phys)
+	}
+	return nil
 }
 
 // MustAttach is Attach but panics on error.

@@ -6,6 +6,7 @@ import (
 	"tapeworm/internal/cache"
 	"tapeworm/internal/core"
 	"tapeworm/internal/kernel"
+	"tapeworm/internal/mach"
 )
 
 // TestComponentSharingInterference checks the structural property behind
@@ -69,19 +70,34 @@ func TestMaskedTrapsRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := run(runConfig{
-		spec: spec, seed: o.Seed, pageSeed: o.Seed, frames: o.Frames,
-		tw:      dmICache(4<<10, cache.PhysIndexed, core.FullSampling()),
-		simUser: true, simServers: true, simKernel: true,
-	})
+	rc := runConfig{spec: spec, seed: o.Seed, simUser: true, simServers: true, simKernel: true}
+	kcfg := kernel.DefaultConfig(mach.DECstation5000_200(o.Frames), o.Seed)
+	kcfg.PageSeed = o.Seed
+	k, err := kernel.Boot(kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.counters.ECCLatched == 0 {
+	tw, err := core.Attach(k, *dmICache(4<<10, cache.PhysIndexed, core.FullSampling()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := newWorkloadProgram(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Spawn(spec.Name, prog, true, true)
+	if err := simulateSystem(k, tw, rc); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	c := k.Machine().Counters()
+	if c.ECCLatched == 0 {
 		t.Fatal("no ECC traps were latched during masked kernel sections")
 	}
-	if res.counters.MaskedDrops > res.counters.ECCLatched/10 {
+	if c.MaskedDrops > c.ECCLatched/10 {
 		t.Errorf("too many masked drops (%d) relative to latched deliveries (%d)",
-			res.counters.MaskedDrops, res.counters.ECCLatched)
+			c.MaskedDrops, c.ECCLatched)
 	}
 }

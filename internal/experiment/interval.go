@@ -13,7 +13,8 @@ package experiment
 //     window, runs to completion, and keeps the exhaustive
 //     uninstrumented result as the shared base. Gang ledgered mode keeps
 //     the machine clock undilated, so this base is exactly the shared
-//     execution an exhaustive gang would observe.
+//     execution an exhaustive gang would observe — and exactly the
+//     uninstrumented baseline a rider in the group (runAll) needs.
 //
 //  2. Per representative, a short INSTRUMENTED replay: fork the
 //     checkpoint (kernel.ForkRun), attach the whole gang with
@@ -321,7 +322,6 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 		base.xInstr = t.Instructions
 	}
 	base.tasks = k.Stats().UserSpawned
-	base.counters = m.Counters()
 
 	return &intervalProfile{plan: plan, marks: marks, base: base}, nil
 }
@@ -400,9 +400,12 @@ type intervalTally struct {
 // runGangIntervals executes one gang group through representative-
 // interval replay. Results are deterministic (the plan, marks and every
 // replay are pure functions of the group identity) but extrapolated —
-// see the package comment for the error contract.
+// see the package comment for the error contract. Riders (trailing
+// configs without a simulator) take the profiling pass's exhaustive
+// uninstrumented base, which is exact.
 func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 	rc0 := rcs[0]
+	members := rcs[:memberCount(rcs)]
 	if rc0.frames <= 0 {
 		rc0.frames = 8192
 	}
@@ -415,13 +418,13 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 		return nil, err
 	}
 
-	tallies := make([]intervalTally, len(rcs))
+	tallies := make([]intervalTally, len(members))
 	for ri, rep := range profile.plan.Reps {
 		cp, err := repCheckpoint(o, rc0, kcfg, rep.Index)
 		if err != nil {
 			return nil, err
 		}
-		if err := replayRep(o, rcs, rc0, kcfg, cp, profile.marks[ri], rep, tallies); err != nil {
+		if err := replayRep(o, members, rc0, kcfg, cp, profile.marks[ri], rep, tallies); err != nil {
 			return nil, err
 		}
 	}
@@ -434,7 +437,10 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 		secondsPerCycle = profile.base.seconds / float64(profile.base.snap.Cycles)
 	}
 	out := make([]runResult, len(rcs))
-	for i, rc := range rcs {
+	for i := range out {
+		out[i] = profile.base
+	}
+	for i, rc := range members {
 		res := profile.base
 		t := &tallies[i]
 		res.twStats = core.Stats{

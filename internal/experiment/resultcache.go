@@ -18,7 +18,6 @@ import (
 
 	"tapeworm/internal/core"
 	"tapeworm/internal/kernel"
-	"tapeworm/internal/mach"
 	"tapeworm/internal/monster"
 	"tapeworm/internal/resultcache"
 )
@@ -164,10 +163,16 @@ func runGroupCached(o Options, rcs []runConfig) ([]runResult, error) {
 		var rs []runResult
 		var err error
 		if !sub[0].gang {
-			// Non-gang groups are singletons, so a partial one is too.
-			var r runResult
-			r, err = run(sub[0])
-			rs = []runResult{r}
+			// Riders follow the members, so a first miss that is not
+			// gang-opted means every member hit (or the group is a solo
+			// singleton): only uninstrumented runs are left, and they run
+			// solo rather than boot a gang for nobody.
+			rs = make([]runResult, len(sub))
+			for mi := range sub {
+				if rs[mi], err = run(sub[mi]); err != nil {
+					break
+				}
+			}
 		} else {
 			rs, err = execGang(o, sub)
 		}
@@ -198,7 +203,6 @@ type resultWire struct {
 	BSDInstr uint64
 	XInstr   uint64
 	Tasks    int
-	Counters mach.Counters
 
 	TwStats  core.Stats
 	TwByComp [kernel.NumComponents]uint64
@@ -217,7 +221,7 @@ func encodeResult(v any) ([]byte, error) {
 	err := gob.NewEncoder(&buf).Encode(resultWire{
 		Snap: r.snap, Seconds: r.seconds, Comp: r.comp,
 		BSDInstr: r.bsdInstr, XInstr: r.xInstr, Tasks: r.tasks,
-		Counters: r.counters, TwStats: r.twStats, TwByComp: r.twByComp,
+		TwStats: r.twStats, TwByComp: r.twByComp,
 		TwEst: r.twEst, Mech: r.mech, C2kHits: r.c2kHits, C2kMisses: r.c2kMisses,
 		PixieRefs: r.pixieRefs,
 	})
@@ -234,7 +238,7 @@ func decodeResult(b []byte) (any, error) {
 	return runResult{
 		snap: w.Snap, seconds: w.Seconds, comp: w.Comp,
 		bsdInstr: w.BSDInstr, xInstr: w.XInstr, tasks: w.Tasks,
-		counters: w.Counters, twStats: w.TwStats, twByComp: w.TwByComp,
+		twStats: w.TwStats, twByComp: w.TwByComp,
 		twEst: w.TwEst, mech: w.Mech, c2kHits: w.C2kHits, c2kMisses: w.C2kMisses,
 		pixieRefs: w.PixieRefs,
 	}, nil

@@ -1,12 +1,19 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"tapeworm/internal/core"
+	"tapeworm/internal/kernel"
+	"tapeworm/internal/mach"
+	"tapeworm/internal/monster"
 	"tapeworm/internal/resultcache"
 )
 
@@ -224,6 +231,122 @@ func TestSweepResultCacheDirPersistence(t *testing.T) {
 		}
 		if tab3.Render() != tab1.Render() {
 			t.Fatal("render after recovery differs from original")
+		}
+	})
+}
+
+// legacyResultWire is resultWire as persisted before runResult dropped
+// the machine's event counters: result files written then carry an extra
+// Counters field, which decoding must skip.
+type legacyResultWire struct {
+	Snap     monster.Snapshot
+	Seconds  float64
+	Comp     [kernel.NumComponents]uint64
+	BSDInstr uint64
+	XInstr   uint64
+	Tasks    int
+	Counters mach.Counters
+
+	TwStats  core.Stats
+	TwByComp [kernel.NumComponents]uint64
+	TwEst    float64
+	Mech     string
+
+	C2kHits, C2kMisses uint64
+	PixieRefs          uint64
+}
+
+// resultEnvelope mirrors the store's on-disk envelope field for field, so
+// tests can write files the store did not (another wire version).
+type resultEnvelope struct {
+	Version int
+	Digest  []byte
+	Payload []byte
+}
+
+func gobBytes(tb testing.TB, v any) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadResultFile writes data as digest d's persisted result in a fresh
+// directory and resolves d through a fresh store, exactly as a
+// -result-cache-dir lookup does.
+func loadResultFile(tb testing.TB, d resultcache.Digest, data []byte) (runResult, error) {
+	tb.Helper()
+	dir := tb.TempDir()
+	if err := os.WriteFile(resultcache.Path(dir, d), data, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	claim, err := resultcache.New(1, encodeResult, decodeResult).Acquire(d, dir)
+	if err != nil {
+		return runResult{}, err
+	}
+	defer claim.Release()
+	v, ok := claim.Cached()
+	if !ok {
+		tb.Fatal("a present result file was neither loaded nor rejected")
+	}
+	return v.(runResult), nil
+}
+
+// FuzzResultFile feeds arbitrary bytes to the persistent result tier as
+// a result-<digest>.rc file. The store must reject the file with
+// ErrCorrupt or ErrMismatch, or serve a value that encodes again; it must
+// never panic. Seeds: a valid file, a truncated one, another digest's
+// file, another wire version, and a file in the pre-counter-removal
+// shape, which must still load.
+func FuzzResultFile(f *testing.F) {
+	o := QuickOptions()
+	spec, err := mustSpec(o, "espresso")
+	if err != nil {
+		f.Fatal(err)
+	}
+	d := resultDigest(o, normalConfig(o, spec, 0))
+	other := resultDigest(o, normalConfig(o, spec, 1))
+	want := runResult{
+		snap:    monster.Snapshot{Cycles: 9, OverheadCycles: 4, Instructions: 7, ClockTicks: 2},
+		seconds: 1.5, comp: [kernel.NumComponents]uint64{5, 1, 1}, bsdInstr: 1, xInstr: 2, tasks: 3,
+		twStats: core.Stats{Misses: 6}, twByComp: [kernel.NumComponents]uint64{6}, twEst: 6,
+		mech: "ECC", c2kHits: 8, c2kMisses: 1, pixieRefs: 9,
+	}
+	file := func(version int, d resultcache.Digest, payload []byte) []byte {
+		return gobBytes(f, resultEnvelope{Version: version, Digest: d[:], Payload: payload})
+	}
+	payload, err := encodeResult(want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy := file(1, d, gobBytes(f, legacyResultWire{
+		Snap: want.snap, Seconds: want.seconds, Comp: want.comp,
+		BSDInstr: want.bsdInstr, XInstr: want.xInstr, Tasks: want.tasks,
+		Counters: mach.Counters{PageFaults: 12, ECCTraps: 6},
+		TwStats:  want.twStats, TwByComp: want.twByComp, TwEst: want.twEst, Mech: want.mech,
+		C2kHits: want.c2kHits, C2kMisses: want.c2kMisses, PixieRefs: want.pixieRefs,
+	}))
+	if got, err := loadResultFile(f, d, legacy); err != nil || !reflect.DeepEqual(got, want) {
+		f.Fatalf("pre-change result file: got %+v, err %v; want %+v", got, err, want)
+	}
+	valid := file(1, d, payload)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(file(1, other, payload))
+	f.Add(file(2, d, payload))
+	f.Add(legacy)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := loadResultFile(t, d, data)
+		if err != nil {
+			if !errors.Is(err, resultcache.ErrCorrupt) && !errors.Is(err, resultcache.ErrMismatch) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			return
+		}
+		if _, err := encodeResult(r); err != nil {
+			t.Fatalf("loaded result does not encode again: %v", err)
 		}
 	})
 }

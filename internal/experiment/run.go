@@ -56,7 +56,6 @@ type runResult struct {
 	bsdInstr uint64
 	xInstr   uint64
 	tasks    int
-	counters mach.Counters
 
 	twStats  core.Stats
 	twByComp [kernel.NumComponents]uint64
@@ -133,7 +132,6 @@ func run(rc runConfig) (runResult, error) {
 		res.xInstr = t.Instructions
 	}
 	res.tasks = k.Stats().UserSpawned
-	res.counters = m.Counters()
 	if tw != nil {
 		res.twStats = tw.Stats()
 		res.twByComp = tw.MissesByComponent()
@@ -179,9 +177,12 @@ func bootKernel(rc runConfig, kcfg kernel.Config) (*kernel.Kernel, error) {
 // member's statistics are identical to what a group of one would
 // produce; the per-member snapshot adds the member's private overhead
 // ledger to the shared (undilated) machine clock, which is exactly the
-// clock its solo ledgered run shows.
+// clock its solo ledgered run shows. Riders (trailing configs without a
+// simulator) attach nothing and take the shared readout before any
+// ledger is added: the uninstrumented run of the same stream.
 func runGang(rcs []runConfig) ([]runResult, error) {
 	rc0 := rcs[0]
+	members := rcs[:memberCount(rcs)]
 	if rc0.frames <= 0 {
 		rc0.frames = 8192
 	}
@@ -196,8 +197,8 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 		return nil, err
 	}
 
-	cfgs := make([]core.Config, len(rcs))
-	for i, rc := range rcs {
+	cfgs := make([]core.Config, len(members))
+	for i, rc := range members {
 		cfgs[i] = *rc.tw
 	}
 	g, err := core.AttachGang(k, cfgs)
@@ -229,9 +230,10 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	m := k.Machine()
 	base := monster.Snap(m)
 	shared := runResult{
-		comp:     k.ComponentInstructions(),
-		tasks:    k.Stats().UserSpawned,
-		counters: m.Counters(),
+		snap:    base,
+		seconds: m.Seconds(base.Cycles),
+		comp:    k.ComponentInstructions(),
+		tasks:   k.Stats().UserSpawned,
 	}
 	if t := k.Server(kernel.BSDServer); t != nil {
 		shared.bsdInstr = t.Instructions
@@ -244,10 +246,12 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	}
 
 	out := make([]runResult, len(rcs))
+	for i := range out {
+		out[i] = shared
+	}
 	for i, tw := range g.Members() {
 		res := shared
 		ledger := tw.LedgerCycles()
-		res.snap = base
 		res.snap.Cycles += ledger
 		res.snap.OverheadCycles += ledger
 		res.seconds = m.Seconds(res.snap.Cycles)
@@ -262,6 +266,16 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 		out[i] = res
 	}
 	return out, nil
+}
+
+// memberCount returns how many of a gang group's configs are simulator
+// members; the rest are riders, which runAll places last.
+func memberCount(rcs []runConfig) int {
+	n := len(rcs)
+	for n > 0 && rcs[n-1].tw == nil {
+		n--
+	}
+	return n
 }
 
 // simulateSystem applies rc's server and kernel component flags to tw
@@ -297,7 +311,10 @@ func newWorkloadProgram(rc runConfig) (kernel.Program, error) {
 
 // normalConfig describes an uninstrumented run of the workload,
 // establishing the "Normal Workload Run Time" denominator of the slowdown
-// metric.
+// metric. When the same job set gangs instrumented runs of the same
+// execution identity (Figure 3, Sweep), runAll lets this run ride in
+// that gang instead of executing the stream a second time; its result
+// and result digest are the same either way.
 func normalConfig(o Options, spec workload.Spec, trial uint64) runConfig {
 	return runConfig{
 		spec:     spec,
@@ -325,6 +342,10 @@ type gangKey struct {
 	frames         int
 }
 
+func keyOf(rc runConfig) gangKey {
+	return gangKey{rc.spec.Name, rc.seed, rc.pageSeed, rc.frames}
+}
+
 // runAll executes the jobs' machine runs on a sched worker pool bounded by
 // o.Parallelism, and returns the results in submission order. Jobs whose
 // configs opt into ganging (runConfig.gang) and share a gangKey run as ONE
@@ -332,6 +353,14 @@ type gangKey struct {
 // are the unit of scheduling. A gang-opted job always takes the ganged
 // path — alone when o.NoGang suppresses grouping — so its results are
 // byte-identical whether grouping is on or off, at any parallelism.
+//
+// An uninstrumented job (no simulator, no tracer) whose gangKey matches a
+// gang rides in that gang: the gang's machine clock is undilated, so its
+// pre-ledger readout IS the uninstrumented run (runGang). Riders follow
+// the members in their group and keep their own (non-gang) result
+// digest. Under o.NoGang or telemetry they run solo, as a run's trace
+// must come from its own execution.
+//
 // Because results are index-ordered, every table assembled from them is
 // byte-identical to a serial execution. Progress lines and telemetry
 // commits are re-sequenced into original submission order through a
@@ -339,26 +368,41 @@ type gangKey struct {
 // many at once; when neither is requested the scheduler runs with no
 // completion callback at all.
 func runAll(o Options, jobs []runJob) ([]runResult, error) {
+	ganged := func(rc runConfig) bool {
+		return !o.NoGang && rc.gang && rc.tw != nil && rc.trace == nil
+	}
+	rides := make(map[gangKey]bool) // execution identities a baseline may ride
+	if o.Telemetry == nil {
+		for _, j := range jobs {
+			if ganged(j.cfg) {
+				rides[keyOf(j.cfg)] = true
+			}
+		}
+	}
 	// Partition into execution groups preserving original job indices.
 	groups := make([][]int, 0, len(jobs))
 	byKey := make(map[gangKey]int)
+	var riders []int
 	for i, j := range jobs {
 		rc := j.cfg
-		if !rc.gang || rc.tw == nil || rc.trace != nil {
+		switch {
+		case ganged(rc):
+			key := keyOf(rc)
+			if gi, ok := byKey[key]; ok {
+				groups[gi] = append(groups[gi], i)
+				continue
+			}
+			byKey[key] = len(groups)
 			groups = append(groups, []int{i})
-			continue
-		}
-		key := gangKey{rc.spec.Name, rc.seed, rc.pageSeed, rc.frames}
-		if o.NoGang {
+		case rc.tw == nil && rc.trace == nil && rides[keyOf(rc)]:
+			riders = append(riders, i)
+		default:
 			groups = append(groups, []int{i})
-			continue
 		}
-		if gi, ok := byKey[key]; ok {
-			groups[gi] = append(groups[gi], i)
-			continue
-		}
-		byKey[key] = len(groups)
-		groups = append(groups, []int{i})
+	}
+	for _, i := range riders {
+		gi := byKey[keyOf(jobs[i].cfg)]
+		groups[gi] = append(groups[gi], i)
 	}
 
 	tels := make([]*telemetry.Run, len(jobs))

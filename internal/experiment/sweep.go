@@ -56,11 +56,12 @@ func (sc SweepConfig) Points() int {
 }
 
 // Sweep simulates the instruction-cache miss behaviour of every grid
-// point, plus one uninstrumented run for the slowdown column. All points
-// share one execution identity modulo the simulated geometry, so they run
-// as a single gang; with Options.ResultCache set, repeated sweeps are
-// served from the store and a grid extension simulates only the new
-// points.
+// point, plus the uninstrumented baseline for the slowdown column. All
+// points share one execution identity modulo the simulated geometry, so
+// they run as a single gang, and the baseline rides in it (runAll): a
+// cold sweep is one execution of the stream. With Options.ResultCache
+// set, repeated sweeps are served from the store and a grid extension
+// simulates only the new points.
 func Sweep(o Options, sc SweepConfig) (*Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err

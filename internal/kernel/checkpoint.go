@@ -549,6 +549,21 @@ func ReadCheckpoint(f io.Reader) (*Checkpoint, error) {
 	if err := checkFrameTables(w.Frames, w.Free, w.Refcount); err != nil {
 		return nil, fmt.Errorf("%w: frame tables: %v", ErrCheckpointCorrupt, err)
 	}
+	// Data generators draw offsets uniformly from their hot region; Boot
+	// never makes one empty, and an empty one cannot be drawn from.
+	if w.KdataHot == 0 {
+		return nil, fmt.Errorf("%w: kernel data generator has an empty hot region", ErrCheckpointCorrupt)
+	}
+	for i, sw := range w.ServerStates {
+		if sw.DataHot == 0 {
+			return nil, fmt.Errorf("%w: server %d data generator has an empty hot region", ErrCheckpointCorrupt, i)
+		}
+	}
+	if w.Run != nil {
+		if err := w.Run.check(len(w.Tasks), w.Refcount); err != nil {
+			return nil, fmt.Errorf("%w: run state: %v", ErrCheckpointCorrupt, err)
+		}
+	}
 	if len(w.WalkerLabels) != len(w.WalkerStates) || len(w.ServerKinds) != len(w.ServerStates) {
 		return nil, fmt.Errorf("%w: inconsistent walker/server tables", ErrCheckpointMismatch)
 	}

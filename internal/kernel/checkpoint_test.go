@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"testing"
 
 	"tapeworm/internal/mach"
@@ -232,30 +233,134 @@ func encodeCheckpoint(tb testing.TB, cp *Checkpoint) []byte {
 	return buf.Bytes()
 }
 
+// opProgram replays a fixed op list of single-instruction runs, data
+// references and syscalls. Its cursor is the op index, so a kernel
+// running it can be captured mid-run and resumed through opResume — the
+// kernel-side stand-in for a compiled workload replay.
+type opProgram struct {
+	ops []CompiledOp
+	pos int
+}
+
+func (p *opProgram) Ops() []CompiledOp             { return p.ops }
+func (p *opProgram) OpPos() (int, bool)            { return p.pos, true }
+func (p *opProgram) SeekOp(pos int)                { p.pos = pos }
+func (p *opProgram) Cursor() (ProgramCursor, bool) { return ProgramCursor{Pos: p.pos}, true }
+func (p *opProgram) Next() Event                   { return p.next() }
+func (p *opProgram) NextRun(int) (mem.VAddr, int, Event) {
+	if p.pos < len(p.ops) && p.ops[p.pos].Kind == OpRun {
+		p.pos++
+		return p.ops[p.pos-1].VA, 1, Event{}
+	}
+	return 0, 0, p.next()
+}
+
+func (p *opProgram) next() Event {
+	if p.pos >= len(p.ops) {
+		return Event{Kind: EvExit}
+	}
+	op := p.ops[p.pos]
+	p.pos++
+	switch op.Kind {
+	case OpRun:
+		return Event{Kind: EvRef, Ref: mem.Ref{VA: op.VA, Kind: mem.IFetch}}
+	case OpData:
+		return Event{Kind: EvRef, Ref: mem.Ref{VA: op.VA, Kind: op.Ref}}
+	case OpSyscall:
+		return Event{Kind: EvSyscall, Service: ServiceID(op.Arg)}
+	}
+	return Event{Kind: EvExit}
+}
+
+// opStream is the op list every opProgram task replays: text fetches
+// over six pages, loads over four data pages and two syscalls.
+var opStream = func() []CompiledOp {
+	var ops []CompiledOp
+	for i := 0; i < 3000; i++ {
+		ops = append(ops, CompiledOp{Kind: OpRun, N: 1, VA: TextBase + mem.VAddr(i*52%(6*4096))})
+		if i%50 == 0 {
+			ops = append(ops, CompiledOp{Kind: OpData, Ref: mem.Load, VA: DataBase + mem.VAddr(i%4*4096+i%1024*4)})
+		}
+		if i%1500 == 700 {
+			ops = append(ops, CompiledOp{Kind: OpSyscall, Arg: int32(SvcRead)})
+		}
+	}
+	return append(ops, CompiledOp{Kind: OpExit})
+}()
+
+func opResume(cur ProgramCursor) (Program, error) {
+	if len(cur.Path) != 0 || cur.Pos < 0 || cur.Pos > len(opStream) {
+		return nil, fmt.Errorf("cursor %v outside the op stream", cur)
+	}
+	return &opProgram{ops: opStream, pos: cur.Pos}, nil
+}
+
+// midrunCheckpoint captures a small machine with two simulated op-stream
+// tasks part-way through their streams: live cursors, resident pages,
+// a non-empty run queue.
+func midrunCheckpoint(tb testing.TB) *Checkpoint {
+	tb.Helper()
+	k := MustBoot(ckConfig(256, 11))
+	k.Spawn("a", &opProgram{ops: opStream}, true, true)
+	k.Spawn("b", &opProgram{ops: opStream}, true, true)
+	if err := k.RunUntilUser(2500); err != nil {
+		tb.Fatal(err)
+	}
+	cp, err := CaptureAt(k, "midway")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(cp.run.RunqIDs) != 2 || len(cp.run.ResidentTIDs) == 0 {
+		tb.Fatalf("midway capture has %d queued tasks and %d resident pages; want both tasks live with pages",
+			len(cp.run.RunqIDs), len(cp.run.ResidentTIDs))
+	}
+	return cp
+}
+
 // corruptCheckpoints is the corruption matrix: checkpoint files that must
 // fail ReadCheckpoint with ErrCheckpointCorrupt, built from a genuine
-// small post-boot checkpoint. The frame-table cases decode cleanly as gob
-// and match the image geometry; before the tables were checked, the
-// first one panicked at the first frame allocation and the second ran to
-// completion.
+// small post-boot checkpoint and a genuine mid-run one. The frame-table
+// cases decode cleanly as gob and match the image geometry; before the
+// tables were checked, the first one panicked at the first frame
+// allocation and the second ran to completion; an empty data hot region
+// (found by FuzzReadCheckpoint) panicked at the first data reference the
+// generator drew. Before the run state was
+// checked, the mid-run page-table and queue cases reached ForkRun, and
+// "resident page beyond memory" panicked as soon as RegisterResidentPages
+// handed its frame to a simulator.
 func corruptCheckpoints(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	cp, err := Capture(MustBoot(ckConfig(256, 11)), "post-boot")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	good := encodeCheckpoint(tb, cp)
-	tables := func(edit func(w *checkpointWire)) []byte {
+	edit := func(good []byte, change func(w *checkpointWire)) []byte {
 		var w checkpointWire
 		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&w); err != nil {
 			tb.Fatal(err)
 		}
-		edit(&w)
+		change(&w)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
 			tb.Fatal(err)
 		}
 		return buf.Bytes()
+	}
+	good := encodeCheckpoint(tb, cp)
+	tables := func(e func(w *checkpointWire)) []byte { return edit(good, e) }
+	midway := encodeCheckpoint(tb, midrunCheckpoint(tb))
+	run := func(e func(rs *runState)) []byte {
+		return edit(midway, func(w *checkpointWire) { e(w.Run) })
+	}
+	// paged returns the first task with resident pages.
+	paged := func(rs *runState) *taskRunState {
+		for i := range rs.Tasks {
+			if len(rs.Tasks[i].PagePTEs) > 0 {
+				return &rs.Tasks[i]
+			}
+		}
+		tb.Fatal("mid-run checkpoint maps no pages")
+		return nil
 	}
 	return map[string][]byte{
 		"garbage":   []byte("not a checkpoint"),
@@ -270,8 +375,40 @@ func corruptCheckpoints(tb testing.TB) map[string][]byte {
 		"free list longer than memory": tables(func(w *checkpointWire) {
 			w.Free = append(w.Free, w.Free...)
 		}),
-		"frame free twice":     tables(func(w *checkpointWire) { w.Free[1] = w.Free[0] }),
-		"free frame is mapped": tables(func(w *checkpointWire) { w.Refcount[w.Free[0]] = 1 }),
+		"frame free twice":             tables(func(w *checkpointWire) { w.Free[1] = w.Free[0] }),
+		"free frame is mapped":         tables(func(w *checkpointWire) { w.Refcount[w.Free[0]] = 1 }),
+		"empty kernel data hot region": tables(func(w *checkpointWire) { w.KdataHot = 0 }),
+		"empty server data hot region": tables(func(w *checkpointWire) { w.ServerStates[0].DataHot = 0 }),
+
+		"page table arrays disagree": run(func(rs *runState) {
+			ts := paged(rs)
+			ts.PagePTEs = ts.PagePTEs[:len(ts.PagePTEs)-1]
+		}),
+		"resident page beyond memory": run(func(rs *runState) {
+			ts := paged(rs)
+			ts.PagePTEs[0] = uint32(pte(1<<19) | pteValid | pteResident)
+		}),
+		"mapping count disagrees": run(func(rs *runState) {
+			ts := paged(rs)
+			ts.PagePTEs = append(ts.PagePTEs, ts.PagePTEs[0])
+			ts.PageVPNs = append(ts.PageVPNs, ts.PageVPNs[len(ts.PageVPNs)-1]+1)
+		}),
+		"run queue names unknown task": run(func(rs *runState) {
+			rs.RunqIDs = append(rs.RunqIDs, mem.TaskID(len(rs.Tasks)))
+		}),
+		"run queue names a task without a program": run(func(rs *runState) {
+			rs.RunqIDs = append(rs.RunqIDs, mem.KernelTask)
+		}),
+		"negative scheduler slot": run(func(rs *runState) { rs.Cur = -1 }),
+		"resident queue names unknown task": run(func(rs *runState) {
+			rs.ResidentTIDs[0] = -3
+		}),
+		"resident queue arrays disagree": run(func(rs *runState) {
+			rs.ResidentVPNs = rs.ResidentVPNs[1:]
+		}),
+		"run state misses a task": run(func(rs *runState) {
+			rs.Tasks = rs.Tasks[:len(rs.Tasks)-1]
+		}),
 	}
 }
 
@@ -283,9 +420,31 @@ func TestReadCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// trapHooks is a minimal memory simulator for the fuzz target: it traps
+// every word of a registered page and clears a line's traps when one
+// fires, so a run touches the trap state of every frame it was handed.
+type trapHooks struct{ k *Kernel }
+
+func (h trapHooks) PageRegistered(_ mem.TaskID, pa mem.PAddr, _ mem.VAddr, _ mem.RefKind) {
+	h.k.Machine().Controller().SetTrap(pa, h.k.Machine().Config().PageSize)
+}
+func (h trapHooks) PageRemoved(_ mem.TaskID, pa mem.PAddr, _ mem.VAddr) {
+	h.k.Machine().Controller().ClearTrap(pa, h.k.Machine().Config().PageSize)
+}
+func (trapHooks) TaskForked(_, _ *Task) {}
+func (trapHooks) TaskExited(mem.TaskID) {}
+func (h trapHooks) ECCTrap(_ mem.TaskID, _ mem.VAddr, pa mem.PAddr, _ mem.RefKind) bool {
+	h.k.Machine().Controller().ClearTrap(pa&^15, 16)
+	return true
+}
+func (trapHooks) InvalidPageTrap(mem.TaskID, mem.VAddr, mem.PAddr, mem.RefKind) bool { return false }
+func (trapHooks) BreakpointTrap(mem.TaskID, mem.VAddr, mem.PAddr)                    {}
+
 // FuzzReadCheckpoint feeds arbitrary bytes through everything a
-// -checkpoint-dir load reaches: decode, ValidateConfig, Fork and a short
-// run. Each step must either return an error or finish; none may panic.
+// -checkpoint-dir load reaches: decode, ValidateConfig, then Fork and a
+// spawned program for a post-boot image, or ForkRun and a resident-page
+// sweep into trap-setting hooks for a mid-run one, and a short run. Each
+// step must either return an error or finish; none may panic.
 func FuzzReadCheckpoint(f *testing.F) {
 	cfg := ckConfig(256, 11)
 	boot, err := Capture(MustBoot(cfg), "post-boot")
@@ -303,6 +462,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(encodeCheckpoint(f, after))
+	f.Add(encodeCheckpoint(f, midrunCheckpoint(f)))
 	for _, data := range corruptCheckpoints(f) {
 		f.Add(data)
 	}
@@ -318,11 +478,19 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err := cp.ValidateConfig(kcfg); err != nil {
 			return
 		}
-		k, err := Fork(cp, kcfg)
-		if err != nil {
-			return
+		var k *Kernel
+		if cp.HasRunState() {
+			if k, err = ForkRun(cp, kcfg, opResume); err != nil {
+				return
+			}
+			k.SetHooks(trapHooks{k})
+			k.RegisterResidentPages()
+		} else {
+			if k, err = Fork(cp, kcfg); err != nil {
+				return
+			}
+			k.Spawn("ck", ckProgram(), true, true)
 		}
-		k.Spawn("ck", ckProgram(), true, true)
 		_ = k.Run(10_000) // an error (out of memory) is an acceptable outcome
 	})
 }

@@ -98,6 +98,59 @@ type runState struct {
 	Tasks []taskRunState
 }
 
+// check reports whether a decoded run state is consistent with the boot
+// half it extends (tasks task records, frame mapping counts refcount):
+// one entry per task, page tables whose entries name existing frames with
+// exactly the mapping counts the frame tables record, a run queue of live
+// tasks with programs to resume, and a resident queue of known tasks.
+// Anything else would index past the machine's memory, free a frame
+// twice, or schedule a task with no program.
+func (rs *runState) check(tasks int, refcount []uint16) error {
+	if len(rs.Tasks) != tasks {
+		return fmt.Errorf("run state covers %d tasks, checkpoint has %d", len(rs.Tasks), tasks)
+	}
+	if rs.Cur < 0 {
+		return fmt.Errorf("scheduler slot %d", rs.Cur)
+	}
+	mappings := make([]int, len(refcount))
+	for i, ts := range rs.Tasks {
+		if len(ts.PageVPNs) != len(ts.PagePTEs) {
+			return fmt.Errorf("task %d has %d page numbers but %d page-table entries",
+				i, len(ts.PageVPNs), len(ts.PagePTEs))
+		}
+		for j, raw := range ts.PagePTEs {
+			p := pte(raw)
+			f := p.frame()
+			switch {
+			case !p.resident():
+				return fmt.Errorf("task %d page %#x: non-resident entry %#x", i, ts.PageVPNs[j], raw)
+			case int(f) >= len(refcount):
+				return fmt.Errorf("task %d page %#x: frame %d of %d", i, ts.PageVPNs[j], f, len(refcount))
+			}
+			mappings[f]++
+		}
+	}
+	for f, n := range mappings {
+		if n != int(refcount[f]) {
+			return fmt.Errorf("frame %d has %d page-table mappings, frame table records %d", f, n, refcount[f])
+		}
+	}
+	for _, id := range rs.RunqIDs {
+		if id < 0 || int(id) >= tasks || !rs.Tasks[id].HasCursor || rs.Tasks[id].State == Exited {
+			return fmt.Errorf("run queue names task %d, which has no live program", id)
+		}
+	}
+	if len(rs.ResidentTIDs) != len(rs.ResidentVPNs) {
+		return fmt.Errorf("%d resident tasks for %d resident pages", len(rs.ResidentTIDs), len(rs.ResidentVPNs))
+	}
+	for _, id := range rs.ResidentTIDs {
+		if id < 0 || int(id) >= tasks {
+			return fmt.Errorf("resident queue names unknown task %d", id)
+		}
+	}
+	return nil
+}
+
 // HasRunState reports whether the checkpoint was captured mid-run
 // (CaptureAt) rather than post-boot (Capture). Mid-run checkpoints fork
 // only through ForkRun.
@@ -185,7 +238,9 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 // resuming exactly where CaptureAt froze it: same scheduler state, same
 // clock, same page tables, every program back on its captured op. resume
 // rebuilds each live task's program from its cursor. Like Fork, the
-// returned kernel shares the image copy-on-write.
+// returned kernel shares the image copy-on-write. The run state is
+// installed as is: CaptureAt builds it consistent, and ReadCheckpoint
+// vets a decoded one (runState.check).
 //
 // The forked machine starts with cold host caches and TLB — the only
 // state deliberately absent from a checkpoint — so its overhead stream
@@ -201,10 +256,6 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 	k, err := Fork(cp, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(rs.Tasks) != len(k.tasks) {
-		return nil, fmt.Errorf("%w: run state covers %d tasks, checkpoint %q has %d",
-			ErrCheckpointMismatch, len(rs.Tasks), cp.mark, len(k.tasks))
 	}
 	k.m.SetClockState(rs.Clock)
 	k.ticks = rs.Ticks
@@ -223,9 +274,6 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		t.Parent = ts.Parent
 		t.State = ts.State
 		t.Instructions = ts.Instructions
-		if len(ts.PageVPNs) != len(ts.PagePTEs) {
-			return nil, fmt.Errorf("%w: task %d page table arrays disagree", ErrCheckpointMismatch, t.ID)
-		}
 		for j, vpn := range ts.PageVPNs {
 			t.space.set(vpn, pte(ts.PagePTEs[j]))
 		}
@@ -243,13 +291,7 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		}
 	}
 	for _, id := range rs.RunqIDs {
-		if int(id) < 0 || int(id) >= len(k.tasks) {
-			return nil, fmt.Errorf("%w: run queue references unknown task %d", ErrCheckpointMismatch, id)
-		}
 		k.runq = append(k.runq, k.tasks[id])
-	}
-	if len(rs.ResidentTIDs) != len(rs.ResidentVPNs) {
-		return nil, fmt.Errorf("%w: resident queue arrays disagree", ErrCheckpointMismatch)
 	}
 	for i, tid := range rs.ResidentTIDs {
 		k.resident.push(tid, rs.ResidentVPNs[i])
