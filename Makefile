@@ -83,9 +83,10 @@ verify-fastpath:
 	diff /tmp/vf-metrics-fast.flt /tmp/vf-metrics-slow.flt
 	@echo "verify-fastpath: tables and metrics byte-identical, fast path on/off"
 
-## verify-compiled: render Figure 2 with the compiled workload replay on
-## and off, serial and parallel, and diff every table — the byte-identity
-## gate for program compilation. Timing lines are filtered as above.
+## verify-compiled: render Figure 2 with the compiled (or decode-ahead)
+## workload replay and with the reference interpreter (-compile=false),
+## serial and parallel, and diff every table — the byte-identity gate for
+## program compilation. Timing lines are filtered as above.
 verify-compiled:
 	$(GO) build -o /tmp/twbench-vc ./cmd/twbench
 	/tmp/twbench-vc -run figure2 -scale 4000 -trials 2 -q -parallel 1 \

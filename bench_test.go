@@ -17,6 +17,9 @@ import (
 	"tapeworm/internal/cache"
 	"tapeworm/internal/core"
 	"tapeworm/internal/experiment"
+	"tapeworm/internal/kernel"
+	"tapeworm/internal/mach"
+	"tapeworm/internal/workload"
 )
 
 // benchOptions is the reduced scale used by the benchmark harness.
@@ -262,6 +265,61 @@ func BenchmarkMicro_WorkloadExecute(b *testing.B) {
 		instr += sys.Monitor().Instructions
 	}
 	b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(instr), "ns/instr")
+}
+
+// BenchmarkSoloRun times one solo run of each paper workload in a 64 KB
+// direct-mapped I-cache at scale 1000, once per program path: the
+// reference interpreter, New (decode-ahead at any scale) and a compiled
+// image (compiled once, outside the timer). Boot and attach are not
+// timed.
+func BenchmarkSoloRun(b *testing.B) {
+	const seed = 1994
+	simCfg := core.Config{
+		Mode:     core.ModeICache,
+		Cache:    cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 1, Indexing: cache.PhysIndexed},
+		Sampling: core.FullSampling(),
+	}
+	for _, name := range workload.Names() {
+		spec, err := workload.ByName(name, 1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		compiled, err := workload.Compile(spec, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		paths := []struct {
+			name string
+			prog func() (kernel.Program, error)
+		}{
+			{"reference", func() (kernel.Program, error) { return workload.NewReference(spec, seed) }},
+			{"new", func() (kernel.Program, error) { return workload.New(spec, seed) }},
+			{"compiled", func() (kernel.Program, error) { compiled.SeekOp(0); return compiled, nil }},
+		}
+		for _, path := range paths {
+			b.Run(name+"/"+path.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					k, err := kernel.Boot(kernel.DefaultConfig(mach.DECstation5000_200(4096), seed))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := core.Attach(k, simCfg); err != nil {
+						b.Fatal(err)
+					}
+					prog, err := path.prog()
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					k.Spawn(spec.Name, prog, true, true)
+					if err := k.Run(0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkMicro_SimulatedCacheInsert(b *testing.B) {

@@ -160,8 +160,8 @@ type benchGangPoint struct {
 // benchHotLoop isolates the simulation core on one uninstrumented
 // workload run; refs counts instruction-fetch references. Fast is the
 // default configuration (batched fast path, compiled replay); interp
-// keeps the fast path but drives the interpreted program; baseline is the
-// per-reference path. Compile time is excluded: the image cache amortizes
+// keeps the fast path but drives the reference interpreter; baseline is
+// the per-reference path. Compile time is excluded: the image cache amortizes
 // it across every run of a (spec, seed) pair, which is how sweeps use it.
 type benchHotLoop struct {
 	Workload           string  `json:"workload"`
@@ -347,10 +347,10 @@ func bestOf(n int, f func() (float64, error)) (float64, error) {
 
 // benchHot times one uninstrumented run of the named workload end to end
 // in three configurations: fast (batched fast path, compiled replay),
-// interp (fast path, interpreted program), and baseline (per-reference
-// path). All three are identical simulations (the verify-fastpath and
-// verify-compiled invariants), so instructions are counted once. Each
-// configuration reports its best of three runs.
+// interp (fast path, reference interpreter), and baseline (per-reference
+// path, reference interpreter). All three are identical simulations (the
+// verify-fastpath and verify-compiled invariants), so instructions are
+// counted once. Each configuration reports its best of three runs.
 func benchHot(wl string, seed uint64) (benchHotLoop, error) {
 	const scale = 2000
 	run := func(noFast, noCompile bool) (uint64, float64, error) {
@@ -366,7 +366,7 @@ func benchHot(wl string, seed uint64) (benchHotLoop, error) {
 		}
 		var prog kernel.Program
 		if noCompile {
-			prog, err = workload.New(spec, seed)
+			prog, err = workload.NewReference(spec, seed)
 		} else {
 			prog, err = workload.NewPlanned(spec, seed)
 		}

@@ -11,7 +11,7 @@
 //	twbench -o report.txt           # also write the report to a file
 //	twbench -metrics m.json -trace t.jsonl   # machine-readable telemetry
 //	twbench -fastpath=false         # force the per-reference execution path
-//	twbench -compile=false          # force the interpreted workload programs
+//	twbench -compile=false          # run the workloads on the reference interpreter
 //	twbench -gang=false             # run every configuration as its own execution
 //	twbench -gang-demux linear      # per-member linear gang trap demux
 //	twbench -checkpoint             # fork runs from cached post-boot images
@@ -60,10 +60,10 @@ func main() {
 		resultCache    = flag.Bool("result-cache", false, "serve repeated identical runs from the content-addressed result cache (results are byte-identical either way)")
 		resultCacheDir = flag.String("result-cache-dir", "", "persist results to this directory and reload them across invocations (requires -result-cache)")
 
-		fastpath   = flag.Bool("fastpath", true, "use the batched hit fast path (results are byte-identical either way)")
-		compile    = flag.Bool("compile", true, "replay pre-compiled workload programs (results are byte-identical either way)")
-		gang       = flag.Bool("gang", true, "group gang-eligible runs into shared executions (results are byte-identical either way)")
-		gangDemux  = flag.String("gang-demux", "bitset", "gang trap demux strategy: bitset or linear (results are byte-identical either way)")
+		fastpath        = flag.Bool("fastpath", true, "use the batched hit fast path (results are byte-identical either way)")
+		compile         = flag.Bool("compile", true, "replay compiled or decode-ahead workload programs; false runs the reference interpreter (results are byte-identical either way)")
+		gang            = flag.Bool("gang", true, "group gang-eligible runs into shared executions (results are byte-identical either way)")
+		gangDemux       = flag.String("gang-demux", "bitset", "gang trap demux strategy: bitset or linear (results are byte-identical either way)")
 		benchLabel      = flag.String("bench-json", "", "time each experiment with the fast path on and off plus a hot-loop microbenchmark and the ganged accuracy-sweep suite, and write BENCH_<label>.json")
 		verifyIntervals = flag.Bool("verify-intervals", false, "run the interval-sampling measurement alone and exit non-zero unless it meets the CI gates (speedup >= 5, miss-ratio error <= 0.02)")
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"tapeworm/internal/cache"
 	"tapeworm/internal/kernel"
@@ -51,19 +50,26 @@ func (p *chaosProgram) Next() kernel.Event {
 	}
 }
 
-// TestChaosLifecycleInvariant drives randomized fork/exit/reference
-// workloads through every simulation mode and checks the trap/cache
-// invariant and bookkeeping at the end of each run.
-func TestChaosLifecycleInvariant(t *testing.T) {
-	f := func(seed uint64, modeRaw, idxRaw uint8) bool {
+// FuzzChaosLifecycle drives randomized fork/exit/reference workloads
+// through every simulation mode and checks the trap/cache invariant and
+// bookkeeping at the end of each run. The seed corpus covers every mode ×
+// indexing shape at two workload seeds.
+func FuzzChaosLifecycle(f *testing.F) {
+	for _, seed := range []uint64{1994, 0x9e3779b97f4a7c15} {
+		for mode := uint8(0); mode < 3; mode++ {
+			for idx := uint8(0); idx < 2; idx++ {
+				f.Add(seed, mode, idx)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, modeRaw, idxRaw uint8) {
 		mode := []Mode{ModeICache, ModeUnified, ModeTLB}[modeRaw%3]
 		indexing := []cache.Indexing{cache.PhysIndexed, cache.VirtIndexed}[idxRaw%2]
 
 		kcfg := kernel.DefaultConfig(machFor(mode), seed)
 		k, err := kernel.Boot(kcfg)
 		if err != nil {
-			t.Log(err)
-			return false
+			t.Fatal(err)
 		}
 		cfg := Config{Mode: mode, Sampling: FullSampling(), Seed: seed}
 		switch mode {
@@ -75,37 +81,28 @@ func TestChaosLifecycleInvariant(t *testing.T) {
 		}
 		tw, err := Attach(k, cfg)
 		if err != nil {
-			t.Log(err)
-			return false
+			t.Fatal(err)
 		}
 		prog := &chaosProgram{r: rng.New(seed).Split("chaos"), n: 20000,
 			forks: 3, spread: 48 << 10}
 		k.Spawn("chaos", prog, true, true)
 		if err := k.Run(0); err != nil {
-			t.Log(err)
-			return false
+			t.Fatal(err)
 		}
 		// Tolerate the documented leak channels only.
 		c := k.Machine().Counters()
 		tolerated := c.MaskedDrops + c.SilentClears + c.DMAClears + c.DMAFaults +
 			tw.Stats().CrossKindClears
 		if err := tw.CheckInvariant(tolerated); err != nil {
-			t.Log(err)
-			return false
+			t.Fatal(err)
 		}
 		if tw.Stats().PagesTracked != 0 {
-			t.Logf("%d pages leaked", tw.Stats().PagesTracked)
-			return false
+			t.Fatalf("%d pages leaked", tw.Stats().PagesTracked)
 		}
 		if tw.Stats().Misses == 0 {
-			t.Log("no misses at all")
-			return false
+			t.Fatal("no misses at all")
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // machFor picks an allocate-on-write host for unified mode (stores would

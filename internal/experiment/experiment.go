@@ -56,10 +56,11 @@ type Options struct {
 	// Results are byte-identical either way (the `make verify-fastpath`
 	// gate); this exists for that gate and for benchmarking the speedup.
 	NoFastPath bool
-	// NoCompile forces every workload through the interpreted program
-	// instead of the compiled replay. Results are byte-identical either
-	// way (the `make verify-compiled` gate); this exists for that gate
-	// and for benchmarking the compiled hot loop.
+	// NoCompile runs every workload on the reference interpreter
+	// (workload.NewReference) instead of the compiled or decode-ahead
+	// replay. Results are byte-identical either way (the
+	// `make verify-compiled` gate); this exists for that gate, as its
+	// oracle, and for benchmarking the replay paths against it.
 	NoCompile bool
 	// LinearGangDemux forces the gang trap demultiplexer onto the
 	// per-member linear probe walk instead of the member-intent bitset

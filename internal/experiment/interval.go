@@ -247,8 +247,8 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	plan, err := cachedPlan(o, rc)
 	if errors.Is(err, workload.ErrStreamTooLarge) {
 		// No compiled stream means no resumable cursors: the group must
-		// replay exhaustively (the same condition that falls the normal
-		// path back to the interpreter).
+		// replay exhaustively (the same condition that runs the normal
+		// path decode-ahead).
 		return nil, fmt.Errorf("%w: %v", errIntervalFallback, err)
 	}
 	if err != nil {

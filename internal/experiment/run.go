@@ -28,7 +28,7 @@ type runConfig struct {
 	simServers  bool         // register X/BSD server pages
 	simKernel   bool         // register kernel pages
 	noFastPath  bool         // force the per-reference execution path
-	noCompile   bool         // force the interpreted workload program
+	noCompile   bool         // force the reference interpreter
 	linearDemux bool         // force the per-member linear gang trap demux
 
 	checkpoint bool // fork the kernel from a cached boot checkpoint
@@ -298,13 +298,13 @@ func simulateSystem(k *kernel.Kernel, tw *core.Tapeworm, rc runConfig) error {
 
 // newWorkloadProgram builds the run's workload program: the compiled
 // replay by default (cached across the trials, gang members and
-// fast/baseline pairs that share a (spec, seed) stream), or the
-// interpreter when the run opts out. The two are stream-identical, so
-// every table is byte-identical either way; the verify-compiled gate
-// enforces it.
+// fast/baseline pairs that share a (spec, seed) stream; decode-ahead for a
+// stream beyond the compile budget), or the reference interpreter when
+// the run opts out. They are stream-identical, so every table is
+// byte-identical either way; the verify-compiled gate enforces it.
 func newWorkloadProgram(rc runConfig) (kernel.Program, error) {
 	if rc.noCompile {
-		return workload.New(rc.spec, rc.seed)
+		return workload.NewReference(rc.spec, rc.seed)
 	}
 	return workload.NewPlanned(rc.spec, rc.seed)
 }

@@ -45,8 +45,8 @@ type ProgramCursor struct {
 
 // CursorProgram is implemented by programs whose position can be
 // captured as a ProgramCursor and rebuilt later (workload.Compiled).
-// Programs without it — the interpreter, trace replays — cannot be
-// mid-run checkpointed.
+// Programs without it — the reference interpreter, decode-ahead streams,
+// trace replays — cannot be mid-run checkpointed.
 type CursorProgram interface {
 	CompiledProgram
 	Cursor() (ProgramCursor, bool)
@@ -171,7 +171,7 @@ func (cp *Checkpoint) UserInstructions() uint64 {
 // where Run, RunUntilUser and RunUntilInstr always stop. Every live
 // workload task's program must be a CursorProgram positioned on an op
 // boundary (compiled replays always are at main-loop boundaries); the
-// interpreter fallback is not capturable. The kernel keeps running
+// decode-ahead streams of over-budget workloads are not capturable. The kernel keeps running
 // afterwards and shares nothing mutable with the checkpoint.
 func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 	if k.inClock || k.m.InHandler() || k.m.IntMasked() {

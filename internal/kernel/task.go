@@ -102,20 +102,26 @@ type CompiledOp struct {
 const CompiledRunCap = userRunCap
 
 // CompiledProgram is an optional extension of BatchProgram for programs
-// whose entire stream was pre-compiled into a CompiledOp array. The Run
-// loop replays the ops directly — no per-instruction dispatch, no draws —
+// whose stream is lowered into CompiledOp arrays: a whole compiled image,
+// or a decode-ahead stream's chunks, one window at a time. The Run loop
+// replays the ops directly — no per-instruction dispatch, no draws —
 // while Next/NextRun remain available (and must stay byte-identical to the
 // ops) for traced and instruction-limited execution.
 type CompiledProgram interface {
 	BatchProgram
-	// Ops returns the immutable compiled op stream.
+	// Ops returns the immutable op window that holds the replay cursor:
+	// the whole stream for a compiled image, the current chunk for a
+	// decode-ahead stream. Call it after OpPos.
 	Ops() []CompiledOp
-	// OpPos returns the replay cursor as an op index. ok is false while
-	// the cursor sits inside a partially consumed run op (possible only
-	// when the program was also driven through Next), in which case the
-	// caller must fall back to Next/NextRun until realigned.
+	// OpPos returns the replay cursor as an op index into Ops. ok is
+	// false while the cursor sits inside a partially consumed run op
+	// (possible only when the program was also driven through Next), in
+	// which case the caller must fall back to Next/NextRun until
+	// realigned. When the cursor has reached the end of its window, OpPos
+	// first moves it to the start of the next window.
 	OpPos() (pos int, ok bool)
-	// SeekOp moves the replay cursor to op index pos (run-aligned).
+	// SeekOp moves the replay cursor to op index pos of the window Ops
+	// returned (run-aligned). A decode-ahead stream only moves forward.
 	SeekOp(pos int)
 }
 

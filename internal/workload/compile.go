@@ -6,18 +6,26 @@ package workload
 // into a flat array of pre-planned ops (fused walker runs, pre-resolved
 // service points, batched data references) and replayed any number of
 // times. Replay eliminates the per-instruction probability draws, Zipf
-// lookups and walker stepping that dominate the interpreter's cost, and a
+// lookups and walker stepping that dominate the generator's cost, and a
 // process-wide cache amortizes the one-time compile across gang members,
 // fast/baseline comparison runs, and bench iterations — all of which
 // execute the same (spec, seed) stream by construction.
 //
+// Compile records through the same recorder as a decode-ahead stream
+// (stream.go): into chunks that start at firstChunkOps and double up to
+// maxCompileChunkOps, copied once into the image's flat op array, so no
+// garbage generations of a growing slice are left behind. A stream beyond
+// the compile budget is not compiled; NewPlanned runs it decode-ahead
+// instead, through the same kernel replay loop.
+//
 // The compiler is seed-pure: it consumes randomness only through the
-// interpreter it records, so a compiled replay is bit-identical to the
-// interpreter by construction, and memoizing images by (spec, seed) can
-// never change simulation results.
+// generator it records, so a compiled replay is bit-identical to the
+// reference interpreter by construction, and memoizing images by (spec,
+// seed) can never change simulation results.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -28,12 +36,12 @@ import (
 
 // maxCompiledOps bounds the total op count of one workload's fork tree.
 // Beyond it (roughly 50 MB of ops; only reached far above the bench and
-// verification scales), Compile refuses and callers fall back to the
-// interpreter.
+// verification scales), Compile refuses and NewPlanned returns a
+// decode-ahead stream.
 const maxCompiledOps = 4 << 20
 
 // ErrStreamTooLarge reports a workload whose stream exceeds the compile
-// op budget; run it through the interpreter instead.
+// op budget; run it decode-ahead (New) instead.
 var ErrStreamTooLarge = fmt.Errorf("workload: stream exceeds the %d-op compile budget", maxCompiledOps)
 
 // image is the compiled form of one task's program: its op stream plus the
@@ -48,20 +56,14 @@ type image struct {
 // the beginning of the stream; each task (including every forked child)
 // gets its own Compiled over the shared immutable image.
 type Compiled struct {
+	cursor // over img.ops
 	img    *image
 	path   []int32 // fork-op args from the root image to img (never mutated)
-	pos    int
-	runOff int // instructions consumed of the run op at pos (Next-driven)
 }
 
-// Ops implements kernel.CompiledProgram.
-func (c *Compiled) Ops() []kernel.CompiledOp { return c.img.ops }
-
-// OpPos implements kernel.CompiledProgram.
-func (c *Compiled) OpPos() (int, bool) { return c.pos, c.runOff == 0 }
-
-// SeekOp implements kernel.CompiledProgram.
-func (c *Compiled) SeekOp(pos int) { c.pos, c.runOff = pos, 0 }
+func newCompiled(img *image, path []int32, pos int) *Compiled {
+	return &Compiled{cursor: cursor{ops: img.ops, pos: pos}, img: img, path: path}
+}
 
 // Cursor implements kernel.CursorProgram: it names this replay's position
 // in the fork tree (the chain of fork-op args that produced its image,
@@ -92,23 +94,13 @@ func (c *Compiled) Next() kernel.Event {
 // run ops split but never merge, so boundaries the interpreter would emit
 // are preserved.
 func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
-	ops := c.img.ops
-	if c.pos >= len(ops) {
+	if c.pos >= len(c.ops) {
 		return 0, 0, kernel.Event{Kind: kernel.EvExit}
 	}
-	op := &ops[c.pos]
+	op := &c.ops[c.pos]
 	switch op.Kind {
 	case kernel.OpRun:
-		n := int(op.N) - c.runOff
-		if n > max {
-			n = max
-		}
-		base := op.VA + mem.VAddr(mem.WordBytes*c.runOff)
-		c.runOff += n
-		if c.runOff == int(op.N) {
-			c.pos++
-			c.runOff = 0
-		}
+		base, n := c.run(op, max)
 		return base, n, kernel.Event{}
 	case kernel.OpData:
 		c.pos++
@@ -123,7 +115,7 @@ func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 		childPath[len(c.path)] = op.Arg
 		return 0, 0, kernel.Event{
 			Kind:      kernel.EvFork,
-			Child:     &Compiled{img: c.img.children[op.Arg], path: childPath},
+			Child:     newCompiled(c.img.children[op.Arg], childPath, 0),
 			ShareText: op.N != 0,
 		}
 	default: // OpExit is sticky, like the interpreter's exited state.
@@ -131,72 +123,46 @@ func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 	}
 }
 
-// compileImage records prog's full stream (and, recursively, the streams
-// of the children it forks) into an image. budget is the remaining op
-// allowance across the whole fork tree.
-func compileImage(prog kernel.Program, budget *int) (*image, error) {
-	bp, ok := prog.(kernel.BatchProgram)
-	if !ok {
-		return nil, fmt.Errorf("workload: program %T is not batchable", prog)
-	}
+// compileImage records gen's full stream into an image, compiling the
+// children it forks, in fork order, as each chunk hands them over.
+// budget is the remaining op allowance across the whole fork tree.
+func compileImage(gen *program, budget *int) (*image, error) {
+	r := recorder{gen: gen}
 	img := &image{}
-	for {
-		if *budget <= 0 {
+	var chunks [][]kernel.CompiledOp
+	for size := firstChunkOps; !r.exited; size = min(2*size, maxCompileChunkOps) {
+		c := &chunk{ops: make([]kernel.CompiledOp, 0, size)}
+		r.fill(c)
+		if *budget -= len(c.ops); *budget < 0 {
 			return nil, ErrStreamTooLarge
 		}
-		*budget--
-		base, n, ev := bp.NextRun(kernel.CompiledRunCap)
-		if n > 0 {
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpRun, VA: base, N: uint16(n),
-			})
-			continue
-		}
-		switch ev.Kind {
-		case kernel.EvRef:
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpData, VA: ev.Ref.VA, Ref: ev.Ref.Kind,
-			})
-		case kernel.EvSyscall:
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpSyscall, Arg: int32(ev.Service),
-			})
-		case kernel.EvFork:
-			child, err := compileImage(ev.Child, budget)
+		chunks = append(chunks, c.ops)
+		for _, g := range c.children {
+			child, err := compileImage(g, budget)
 			if err != nil {
 				return nil, err
 			}
-			var share uint16
-			if ev.ShareText {
-				share = 1
-			}
-			img.ops = append(img.ops, kernel.CompiledOp{
-				Kind: kernel.OpFork, N: share, Arg: int32(len(img.children)),
-			})
 			img.children = append(img.children, child)
-		case kernel.EvExit:
-			img.ops = append(img.ops, kernel.CompiledOp{Kind: kernel.OpExit})
-			return img, nil
-		default:
-			return nil, fmt.Errorf("workload: unknown event kind %d while compiling", ev.Kind)
 		}
 	}
+	img.ops = slices.Concat(chunks...)
+	return img, nil
 }
 
 // Compile lowers spec's reference stream into a fresh compiled program,
 // bypassing the cache. Returns ErrStreamTooLarge when the stream exceeds
 // the op budget.
 func Compile(spec Spec, seed uint64) (*Compiled, error) {
-	prog, err := New(spec, seed)
+	gen, err := newGenerator(spec, seed)
 	if err != nil {
 		return nil, err
 	}
 	budget := maxCompiledOps
-	img, err := compileImage(prog, &budget)
+	img, err := compileImage(gen, &budget)
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{img: img}, nil
+	return newCompiled(img, nil, 0), nil
 }
 
 // --- Process-wide image cache ---
@@ -310,8 +276,9 @@ func (img *image) bytes() int64 {
 }
 
 // NewPlanned returns the fastest available Program for (spec, seed): a
-// replay of the cached compiled stream when it fits the op budget, else
-// the interpreter. The emitted event stream is identical either way.
+// replay of the cached compiled stream when it fits the op budget, else a
+// decode-ahead stream (New). Both replay through the kernel's compiled
+// loop, and the emitted event stream is identical either way.
 func NewPlanned(spec Spec, seed uint64) (kernel.Program, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -323,14 +290,14 @@ func NewPlanned(spec Spec, seed uint64) (kernel.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{img: img}, nil
+	return newCompiled(img, nil, 0), nil
 }
 
 // NewPlannedAt rebuilds a compiled replay of (spec, seed) positioned at a
 // cursor previously reported by Compiled.Cursor — the resume half of the
 // kernel's mid-run checkpoint protocol. Cursors exist only for compiled
-// replays, so a stream too large to compile is an error here, not an
-// interpreter fallback: the interpreter cannot seek.
+// replays, so a stream too large to compile is an error here, not a
+// decode-ahead fallback: a decode-ahead stream cannot seek.
 func NewPlannedAt(spec Spec, seed uint64, cur kernel.ProgramCursor) (kernel.Program, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -353,7 +320,7 @@ func NewPlannedAt(spec Spec, seed uint64, cur kernel.ProgramCursor) (kernel.Prog
 	}
 	path := make([]int32, len(cur.Path))
 	copy(path, cur.Path)
-	return &Compiled{img: node, path: path, pos: cur.Pos}, nil
+	return newCompiled(node, path, cur.Pos), nil
 }
 
 // OpTree is a read-only view over one compiled task stream and the

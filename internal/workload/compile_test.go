@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"tapeworm/internal/kernel"
@@ -75,22 +76,84 @@ func flattenNext(t *testing.T, prog kernel.Program, cap int) []flatEvent {
 	return out
 }
 
+// flattenMixed interleaves Next and NextRun on the same program — the
+// shape a traced task or instruction-limited run produces — and explodes
+// the stream like flatten, draining forked children through Next.
+func flattenMixed(t *testing.T, prog kernel.Program, cap int) []flatEvent {
+	t.Helper()
+	bp := prog.(kernel.BatchProgram)
+	var got []flatEvent
+	for i := 0; len(got) < cap; i++ {
+		var ev kernel.Event
+		if i%3 == 0 {
+			ev = bp.Next()
+			if ev.Kind == kernel.EvRef && ev.Ref.Kind == mem.IFetch {
+				got = append(got, flatEvent{kind: kernel.EvRef, va: ev.Ref.VA, ref: mem.IFetch})
+				continue
+			}
+		} else {
+			var base mem.VAddr
+			var n int
+			base, n, ev = bp.NextRun(5 + i%60)
+			if n > 0 {
+				for j := 0; j < n; j++ {
+					got = append(got, flatEvent{kind: kernel.EvRef, va: base + mem.VAddr(4*j), ref: mem.IFetch})
+				}
+				continue
+			}
+		}
+		switch ev.Kind {
+		case kernel.EvRef:
+			got = append(got, flatEvent{kind: kernel.EvRef, va: ev.Ref.VA, ref: ev.Ref.Kind})
+		case kernel.EvSyscall:
+			got = append(got, flatEvent{kind: kernel.EvSyscall, svc: ev.Service})
+		case kernel.EvFork:
+			got = append(got, flatEvent{kind: kernel.EvFork, shared: ev.ShareText})
+			got = append(got, flattenNext(t, ev.Child, cap-len(got))...)
+		case kernel.EvExit:
+			return append(got, flatEvent{kind: kernel.EvExit})
+		}
+	}
+	return got
+}
+
 func compareStreams(t *testing.T, name string, want, got []flatEvent) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: stream lengths differ: interpreter %d, compiled %d", name, len(want), len(got))
+		t.Fatalf("%s: stream lengths differ: reference %d, replay %d", name, len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s: streams diverge at event %d: interpreter %+v, compiled %+v", name, i, want[i], got[i])
+			t.Fatalf("%s: streams diverge at event %d: reference %+v, replay %+v", name, i, want[i], got[i])
 		}
 	}
 }
 
+// ref builds the reference interpreter for (spec, seed), the oracle every
+// replay path is checked against.
+func ref(t *testing.T, spec Spec, seed uint64) kernel.Program {
+	t.Helper()
+	p, err := NewReference(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// replayPaths are the optimized constructors whose streams must equal the
+// reference interpreter's: a fresh compiled image, and decode-ahead.
+var replayPaths = []struct {
+	name string
+	new  func(Spec, uint64) (kernel.Program, error)
+}{
+	{"compiled", func(s Spec, seed uint64) (kernel.Program, error) { return Compile(s, seed) }},
+	{"decode-ahead", New},
+}
+
 // TestCompiledStreamMatchesInterpreter checks byte-identity of the
-// compiled replay against the interpreter across fork-tree shapes (single
-// task, one-level, two-level trees) and batch widths, including the
-// per-instruction Next path.
+// compiled replay and of decode-ahead against the reference interpreter
+// across fork-tree shapes (single task, one-level, two-level trees) and
+// batch widths, including the per-instruction Next path.
 func TestCompiledStreamMatchesInterpreter(t *testing.T) {
 	const scale = 40000 // small streams; sdet/kenbus still fork full trees
 	const seed = 1994
@@ -100,85 +163,43 @@ func TestCompiledStreamMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := flatten(t, MustNew(spec, seed), kernel.CompiledRunCap, capEvents)
-
-		c, err := Compile(spec, seed)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
-		compareStreams(t, name+"/run64", ref, flatten(t, c, kernel.CompiledRunCap, capEvents))
-
-		for _, width := range []int{1, 7, 64, 1024} {
-			c, err := Compile(spec, seed)
-			if err != nil {
-				t.Fatal(err)
+		want := flatten(t, ref(t, spec, seed), kernel.CompiledRunCap, capEvents)
+		for _, path := range replayPaths {
+			fresh := func() kernel.Program {
+				p, err := path.new(spec, seed)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, path.name, err)
+				}
+				return p
 			}
-			compareStreams(t, name, ref, flatten(t, c, width, capEvents))
+			for _, width := range []int{1, 7, 64, 1024} {
+				compareStreams(t, fmt.Sprintf("%s/%s/run%d", name, path.name, width), want,
+					flatten(t, fresh(), width, capEvents))
+			}
+			compareStreams(t, name+"/"+path.name+"/next", want, flattenNext(t, fresh(), capEvents))
 		}
-
-		c, err = Compile(spec, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareStreams(t, name+"/next", ref, flattenNext(t, c, capEvents))
 	}
 }
 
 // TestCompiledMixedDriving interleaves Next and NextRun on the same
-// replayer — the shape a traced task or instruction-limited run produces —
-// and checks the flat stream still matches.
+// replayer, compiled and decode-ahead, and checks the flat stream still
+// matches the reference interpreter's.
 func TestCompiledMixedDriving(t *testing.T) {
-	spec, err := ByName("eqntott", 40000)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const seed = 7
-	ref := flatten(t, MustNew(spec, seed), 64, 1<<20)
-
-	c, err := Compile(spec, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []flatEvent
-	i := 0
-	for len(got) < 1<<20 {
-		var base mem.VAddr
-		var n int
-		var ev kernel.Event
-		if i%3 == 0 {
-			ev = c.Next()
-			if ev.Kind == kernel.EvRef && ev.Ref.Kind == mem.IFetch {
-				got = append(got, flatEvent{kind: kernel.EvRef, va: ev.Ref.VA, ref: mem.IFetch})
-				i++
-				continue
-			}
-		} else {
-			base, n, ev = c.NextRun(5 + i%60)
-			if n > 0 {
-				for j := 0; j < n; j++ {
-					got = append(got, flatEvent{kind: kernel.EvRef, va: base + mem.VAddr(4*j), ref: mem.IFetch})
-				}
-				i++
-				continue
-			}
+	for _, name := range []string{"eqntott", "sdet"} {
+		spec, err := ByName(name, 40000)
+		if err != nil {
+			t.Fatal(err)
 		}
-		i++
-		switch ev.Kind {
-		case kernel.EvRef:
-			got = append(got, flatEvent{kind: kernel.EvRef, va: ev.Ref.VA, ref: ev.Ref.Kind})
-		case kernel.EvSyscall:
-			got = append(got, flatEvent{kind: kernel.EvSyscall, svc: ev.Service})
-		case kernel.EvFork:
-			got = append(got, flatEvent{kind: kernel.EvFork, shared: ev.ShareText})
-			got = append(got, flattenNext(t, ev.Child, 1<<20-len(got))...)
-		case kernel.EvExit:
-			got = append(got, flatEvent{kind: kernel.EvExit})
-		}
-		if ev.Kind == kernel.EvExit {
-			break
+		want := flatten(t, ref(t, spec, seed), 64, 1<<20)
+		for _, path := range replayPaths {
+			p, err := path.new(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareStreams(t, name+"/"+path.name+"/mixed", want, flattenMixed(t, p, 1<<20))
 		}
 	}
-	compareStreams(t, "mixed", ref, got)
 }
 
 // TestNewPlannedCacheSharesImages checks the cache returns independent

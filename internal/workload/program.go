@@ -9,11 +9,12 @@ import (
 	"tapeworm/internal/textwalk"
 )
 
-// program is the kernel.Program implementation for a workload task. Its
-// stream is a deterministic function of (spec, seed, task label): it never
-// consults machine or kernel state, so single-task virtually-indexed
-// simulations are exactly reproducible regardless of scheduling — the
-// property the paper's validation against Cache2000 relies on.
+// program is a workload task's reference generator. Its stream is a
+// deterministic function of (spec, seed, task label): it never consults
+// machine or kernel state, so single-task virtually-indexed simulations
+// are exactly reproducible regardless of scheduling — the property the
+// paper's validation against Cache2000 relies on. Compile and decode-ahead
+// streams record it; run directly, it is the reference interpreter.
 type program struct {
 	spec *Spec
 	r    *rng.Source
@@ -57,12 +58,45 @@ type program struct {
 	forkEvery  uint64
 	sinceFork  uint64
 	childIndex int
-	makeChild  func(i int) kernel.Program
+	makeChild  func(i int) *program
 }
 
-// New builds the root Program for spec, seeded by seed. The root forks the
-// spec's fork tree as it runs.
+// New builds the root Program for spec, seeded by seed, as a decode-ahead
+// stream: first driven, it lowers a first chunk of ops itself, then a
+// producer goroutine generates the rest into chunks ahead of the
+// consumer, which the kernel replays through its compiled loop (see
+// stream.go). The root forks the spec's fork tree as it runs; each child
+// is a decode-ahead stream too. The stream is byte-identical to
+// NewReference's. A producer stops at the stream's exit, or once its
+// program is garbage.
 func New(spec Spec, seed uint64) (kernel.Program, error) {
+	gen, err := newGenerator(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	return newStream(gen, firstChunkOps, maxRingChunkOps), nil
+}
+
+// MustNew is New, a decode-ahead stream, but panics on error.
+func MustNew(spec Spec, seed uint64) kernel.Program {
+	p, err := New(spec, seed)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// NewReference builds the root Program for spec as the reference
+// interpreter: the generator itself, drawing every reference on the
+// driving goroutine as it is asked for. It is the oracle the compiled and
+// decode-ahead paths are checked against (Options.NoCompile, twbench
+// -compile=false and tests); simulations should use NewPlanned or New.
+func NewReference(spec Spec, seed uint64) (kernel.Program, error) {
+	return newGenerator(spec, seed)
+}
+
+// newGenerator builds the root generator for spec, seeded by seed.
+func newGenerator(spec Spec, seed uint64) (*program, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -105,7 +139,7 @@ func New(spec Spec, seed uint64) (kernel.Program, error) {
 		}
 		root.forksLeft = directChildren
 		root.forkEvery = maxu64(rootInstr/uint64(directChildren+1), 1)
-		root.makeChild = func(i int) kernel.Program {
+		root.makeChild = func(i int) *program {
 			label := fmt.Sprintf("task-%d", i)
 			gc := 0
 			if s.ForkDepth == 2 {
@@ -119,7 +153,7 @@ func New(spec Spec, seed uint64) (kernel.Program, error) {
 			if gc > 0 {
 				c.forksLeft = gc
 				c.forkEvery = maxu64(childWork/uint64(gc+1), 1)
-				c.makeChild = func(j int) kernel.Program {
+				c.makeChild = func(j int) *program {
 					g := newProgram(cs,
 						rng.New(seed).Split(fmt.Sprintf("%s-%d", label, j)), childWork)
 					g.syscallProb, g.mixCum, g.mixSvc = prob, cum, svcs
@@ -130,15 +164,6 @@ func New(spec Spec, seed uint64) (kernel.Program, error) {
 		}
 	}
 	return root, nil
-}
-
-// MustNew is New but panics on error.
-func MustNew(spec Spec, seed uint64) kernel.Program {
-	p, err := New(spec, seed)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 func isqrt(n int) int {
