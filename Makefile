@@ -1,7 +1,7 @@
 GO ?= go
 TWVET = /tmp/twvet-bin
 
-.PHONY: build test twvet vet verify verify-race verify-telemetry verify-fastpath verify-compiled verify-gang verify-gang-demux verify-checkpoint verify-resultcache verify-intervals bench bench-json clean
+.PHONY: build test twvet vet verify verify-race verify-telemetry verify-fastpath verify-compiled verify-gang verify-checkpoint verify-resultcache verify-intervals bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -128,24 +128,6 @@ verify-gang:
 		grep -v 'completed in' /tmp/$$f.txt > /tmp/$$f.flt && \
 		diff /tmp/vg-ref.flt /tmp/$$f.flt || exit 1; done
 	@echo "verify-gang: tables byte-identical, ganged vs solo, telemetry on/off"
-
-## verify-gang-demux: render the gang-eligible experiments under the
-## member-intent bitset trap demux and the per-member linear walk, serial
-## and parallel, and diff every table — the byte-identity gate for the
-## batched gang trap delivery.
-verify-gang-demux:
-	$(GO) build -o /tmp/twbench-vgd ./cmd/twbench
-	/tmp/twbench-vgd -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 1 \
-		> /tmp/vgd-bitset-p1.txt
-	/tmp/twbench-vgd -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 1 \
-		-gang-demux linear > /tmp/vgd-linear-p1.txt
-	/tmp/twbench-vgd -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 8 \
-		-gang-demux linear > /tmp/vgd-linear-p8.txt
-	grep -v 'completed in' /tmp/vgd-bitset-p1.txt > /tmp/vgd-ref.flt
-	for f in vgd-linear-p1 vgd-linear-p8; do \
-		grep -v 'completed in' /tmp/$$f.txt > /tmp/$$f.flt && \
-		diff /tmp/vgd-ref.flt /tmp/$$f.flt || exit 1; done
-	@echo "verify-gang-demux: tables byte-identical, bitset vs linear demux"
 
 ## verify-checkpoint: render the gang-eligible experiments fresh-booted
 ## and forked from checkpointed boot images — fastpath on/off, gang

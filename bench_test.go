@@ -322,6 +322,24 @@ func BenchmarkSoloRun(b *testing.B) {
 	}
 }
 
+// BenchmarkGangSweep times one cold mpeg_play cache-geometry sweep at
+// scale 1000 — every grid point a member of one gang — at 48 points (one
+// 64-bit member-mask word) and 96 (two).
+func BenchmarkGangSweep(b *testing.B) {
+	sizes := []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10}
+	for _, lines := range [][]int{{16, 32}, {16, 32, 64, 128}} {
+		grid := experiment.SweepConfig{Workload: "mpeg_play", Sizes: sizes, Assocs: []int{1, 2, 4, 8}, Lines: lines}
+		b.Run("members="+strconv.Itoa(grid.Points()), func(b *testing.B) {
+			o := experiment.Options{Scale: 1000, Seed: 1994, Trials: 1, Frames: 4096, Parallelism: 1}
+			for i := 0; i < b.N; i++ {
+				if _, err := experiment.Sweep(o, grid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMicro_SimulatedCacheInsert(b *testing.B) {
 	c := cache.MustNew(cache.Config{Size: 16 << 10, LineSize: 16, Assoc: 2}, nil)
 	b.ResetTimer()

@@ -142,8 +142,8 @@ type benchGang struct {
 // benchGangScaling is the gang speedup as a function of member count:
 // for each point, one execution drives N simulated caches and is timed
 // against N gang-of-1 executions of the same configurations. Outputs are
-// byte-identical (TestGangDemuxByteIdentityWide), so the ratio is pure
-// execution sharing.
+// byte-identical (TestGangDemuxByteIdentityWide checks members against
+// their gang-of-1 runs), so the ratio is pure execution sharing.
 type benchGangScaling struct {
 	Workload string           `json:"workload"`
 	Points   []benchGangPoint `json:"points"`

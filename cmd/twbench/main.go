@@ -13,7 +13,6 @@
 //	twbench -fastpath=false         # force the per-reference execution path
 //	twbench -compile=false          # run the workloads on the reference interpreter
 //	twbench -gang=false             # run every configuration as its own execution
-//	twbench -gang-demux linear      # per-member linear gang trap demux
 //	twbench -checkpoint             # fork runs from cached post-boot images
 //	twbench -result-cache           # serve repeated identical runs from the result cache
 //	twbench -result-cache-dir /tmp/rc   # persist results across invocations
@@ -63,7 +62,6 @@ func main() {
 		fastpath        = flag.Bool("fastpath", true, "use the batched hit fast path (results are byte-identical either way)")
 		compile         = flag.Bool("compile", true, "replay compiled or decode-ahead workload programs; false runs the reference interpreter (results are byte-identical either way)")
 		gang            = flag.Bool("gang", true, "group gang-eligible runs into shared executions (results are byte-identical either way)")
-		gangDemux       = flag.String("gang-demux", "bitset", "gang trap demux strategy: bitset or linear (results are byte-identical either way)")
 		benchLabel      = flag.String("bench-json", "", "time each experiment with the fast path on and off plus a hot-loop microbenchmark and the ganged accuracy-sweep suite, and write BENCH_<label>.json")
 		verifyIntervals = flag.Bool("verify-intervals", false, "run the interval-sampling measurement alone and exit non-zero unless it meets the CI gates (speedup >= 5, miss-ratio error <= 0.02)")
 
@@ -83,13 +81,9 @@ func main() {
 	opts := experiment.Options{
 		Scale: *scale, Seed: *seed, Trials: *trials, Frames: *frames,
 		Parallelism: *parallel, NoFastPath: !*fastpath, NoCompile: !*compile,
-		NoGang: !*gang, LinearGangDemux: *gangDemux == "linear",
-		Checkpoint: *checkpoint, CheckpointDir: *checkpointDir,
+		NoGang: !*gang, Checkpoint: *checkpoint, CheckpointDir: *checkpointDir,
 		ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
 		PhaseIntervals: *phaseIntervals, PhaseK: *phaseK, PhaseWarmup: *phaseWarmup,
-	}
-	if *gangDemux != "bitset" && *gangDemux != "linear" {
-		fail(fmt.Errorf("-gang-demux must be bitset or linear, got %q", *gangDemux))
 	}
 	if err := opts.Validate(); err != nil {
 		fail(err)

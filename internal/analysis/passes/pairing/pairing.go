@@ -1,8 +1,7 @@
 // Package pairing enforces the paper's paired-primitive discipline
 // (Table 1: tw_set_trap has tw_clear_trap, every arm has a disarm) on the
-// Go reproduction's resource pairs: mem trap reference counts and their
-// chunk summary, mach instruction-breakpoint arm/clear, and result-cache
-// claims.
+// Go reproduction's resource pairs: mach instruction-breakpoint
+// arm/clear and result-cache claims.
 //
 // The path-balance core (internal/analysis/passes/pathbal) is structural:
 // within one function, every path — fallthrough, early return, both arms
@@ -66,25 +65,9 @@ func (*ReleasesResource) AFact() {}
 
 // pairs is the resource table. Transferable marks true ownership pairs —
 // a value the caller holds and must later release — which are the only
-// ones fact inference applies to: counter-like pairs (trap refcounts,
-// breakpoint arms) would propagate every intentional imbalance up the
-// call graph.
+// ones fact inference applies to: counter-like pairs (breakpoint arms)
+// would propagate every intentional imbalance up the call graph.
 var pairs = []pathbal.Pair{
-	{
-		Name:     "mem trap refcount",
-		Acquires: []string{"(*tapeworm/internal/mem.Controller).AddTrapRef"},
-		Releases: []string{"(*tapeworm/internal/mem.Controller).ReleaseTrapRef"},
-	},
-	{
-		// The refcount summary (mem: refChunk per chunk of trapRef
-		// words): a 0→nonzero increment recorded in the summary must be
-		// balanced by a nonzero→0 decrement, or the summary diverges from
-		// the word-level refs it indexes and a bulk trap clear skips a
-		// chunk that still holds references.
-		Name:     "trap refcount chunk summary",
-		Acquires: []string{"(*tapeworm/internal/mem.Phys).refChunkInc"},
-		Releases: []string{"(*tapeworm/internal/mem.Phys).refChunkDec"},
-	},
 	{
 		Name:     "mach breakpoint arm",
 		Acquires: []string{"(*tapeworm/internal/mach.Machine).SetBreakpoint"},

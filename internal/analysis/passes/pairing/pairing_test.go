@@ -12,11 +12,11 @@ func TestPairing(t *testing.T) {
 	analysistest.Run(t, pairing.Analyzer, "pair")
 }
 
-// TestPairingRefChunkSummary checks the hierarchical trap-refcount
-// summary pair against a stand-in package declared under the real import
-// path, so the fully qualified method names match.
-func TestPairingRefChunkSummary(t *testing.T) {
-	analysistest.Run(t, pairing.Analyzer, "tapeworm/internal/mem")
+// TestPairingBreakpointStandIn checks the breakpoint arm pair inside the
+// package that declares it, against a stand-in package under the real
+// import path, so the fully qualified method names match.
+func TestPairingBreakpointStandIn(t *testing.T) {
+	analysistest.Run(t, pairing.Analyzer, "tapeworm/internal/mach")
 }
 
 // TestPairingResultCacheClaim checks the result-cache claim lifecycle —

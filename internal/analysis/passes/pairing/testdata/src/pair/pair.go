@@ -1,5 +1,5 @@
-// Package pair exercises the pairing analyzer on the repo's trap
-// refcount and breakpoint primitives.
+// Package pair exercises the pairing analyzer on the repo's breakpoint
+// arm primitives.
 package pair
 
 import (
@@ -21,9 +21,9 @@ func Balanced(m *mach.Machine, pa mem.PAddr, hot bool) int {
 }
 
 // DeferBalanced releases via defer, which covers every exit.
-func DeferBalanced(c *mem.Controller, pa mem.PAddr, fail bool) error {
-	c.AddTrapRef(pa)
-	defer c.ReleaseTrapRef(pa)
+func DeferBalanced(m *mach.Machine, pa mem.PAddr, fail bool) error {
+	m.SetBreakpoint(pa)
+	defer m.ClearBreakpoint(pa)
 	if fail {
 		return errFail
 	}
@@ -31,12 +31,12 @@ func DeferBalanced(c *mem.Controller, pa mem.PAddr, fail bool) error {
 }
 
 // LeakOnEarlyReturn forgets the release on the error path.
-func LeakOnEarlyReturn(c *mem.Controller, pa mem.PAddr, fail bool) error {
-	c.AddTrapRef(pa)
+func LeakOnEarlyReturn(m *mach.Machine, pa mem.PAddr, fail bool) error {
+	m.SetBreakpoint(pa)
 	if fail {
-		return errFail // want `mem trap refcount acquired but not released`
+		return errFail // want `mach breakpoint arm acquired but not released`
 	}
-	c.ReleaseTrapRef(pa)
+	m.ClearBreakpoint(pa)
 	return nil
 }
 
@@ -56,10 +56,18 @@ func LoopLeak(m *mach.Machine, pa mem.PAddr, n int) {
 }
 
 // LoopBalanced is neutral per iteration.
-func LoopBalanced(c *mem.Controller, pa mem.PAddr, n int) {
+func LoopBalanced(m *mach.Machine, pa mem.PAddr, n int) {
 	for i := 0; i < n; i++ {
-		c.AddTrapRef(pa)
-		c.ReleaseTrapRef(pa)
+		m.SetBreakpoint(pa)
+		m.ClearBreakpoint(pa)
+	}
+}
+
+// LoopRelease clears once per iteration without arming: releases are
+// checked per iteration as strictly as acquires.
+func LoopRelease(m *mach.Machine, pa mem.PAddr, n int) {
+	for i := 0; i < n; i++ { // want `loop iteration over-releases`
+		m.ClearBreakpoint(pa + mem.PAddr(4*i))
 	}
 }
 
@@ -79,12 +87,6 @@ func ArmWithoutClear(m *mach.Machine, pa mem.PAddr) {
 func ArmClear(m *mach.Machine, pa mem.PAddr) {
 	m.SetBreakpoint(pa)
 	m.ClearBreakpoint(pa)
-}
-
-// RefBalanced pairs the trap refcount calls on the straight-line path.
-func RefBalanced(c *mem.Controller, pa mem.PAddr) {
-	c.AddTrapRef(pa)
-	c.ReleaseTrapRef(pa)
 }
 
 var errFail = errors.New("fail")

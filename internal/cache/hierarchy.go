@@ -123,15 +123,15 @@ func (t *TwoLevel) Access(task mem.TaskID, addr uint32) (level Level, displaced 
 	return MissAll, displaced
 }
 
-// AccessDetail is like Access but surfaces L2 evictions so callers can
-// maintain trap state. It performs the same state transitions.
-func (t *TwoLevel) AccessDetail(task mem.TaskID, addr uint32) (level Level, l2Evicted []Key) {
+// AccessDetail is like Access but surfaces the L2 eviction, if any, so
+// callers can maintain trap state. It performs the same state transitions.
+func (t *TwoLevel) AccessDetail(task mem.TaskID, addr uint32) (level Level, l2Victim Key, evicted bool) {
 	if hit, _, _ := t.L1.Access(task, addr); hit {
-		return HitL1, nil
+		return HitL1, Key{}, false
 	}
 	if t.L2.Probe(task, addr) {
 		t.L2.Access(task, addr) // refresh L2 replacement state
-		return HitL2, nil
+		return HitL2, Key{}, false
 	}
 	_, victim, evicted := t.L2.Access(task, addr)
 	if evicted {
@@ -141,9 +141,8 @@ func (t *TwoLevel) AccessDetail(task mem.TaskID, addr uint32) (level Level, l2Ev
 		for a := victim.Addr; a < victim.Addr+uint32(t.L2.Config().LineSize); a += step {
 			t.L1.Invalidate(victim.Task, a)
 		}
-		l2Evicted = append(l2Evicted, victim)
 	}
-	return MissAll, l2Evicted
+	return MissAll, victim, evicted
 }
 
 // Contains reports whether the line holding addr is resident anywhere in

@@ -70,16 +70,16 @@ func TestTwoLevelValidation(t *testing.T) {
 
 func TestTwoLevelHitLevels(t *testing.T) {
 	tl := newTwoLevel(t)
-	if lvl, _ := tl.AccessDetail(1, 0x100); lvl != MissAll {
+	if lvl, _, _ := tl.AccessDetail(1, 0x100); lvl != MissAll {
 		t.Fatalf("cold access level = %v", lvl)
 	}
-	if lvl, _ := tl.AccessDetail(1, 0x104); lvl != HitL1 {
+	if lvl, _, _ := tl.AccessDetail(1, 0x104); lvl != HitL1 {
 		t.Fatalf("warm access level = %v", lvl)
 	}
 	// Evict 0x100 from the direct-mapped L1 (16 sets) with a conflicting
 	// address; L2 (2-way, 32 sets) keeps it.
 	tl.AccessDetail(1, 0x100+256)
-	if lvl, _ := tl.AccessDetail(1, 0x100); lvl != HitL2 {
+	if lvl, _, _ := tl.AccessDetail(1, 0x100); lvl != HitL2 {
 		t.Fatalf("L1-evicted line level = %v, want L2 hit", lvl)
 	}
 }
@@ -117,13 +117,11 @@ func TestTwoLevelEvictionsSurface(t *testing.T) {
 	stride := uint32(l2sets * 16)
 	sawEviction := false
 	for i := uint32(0); i < 8; i++ {
-		_, evicted := tl.AccessDetail(1, i*stride)
-		if len(evicted) > 0 {
+		_, k, evicted := tl.AccessDetail(1, i*stride)
+		if evicted {
 			sawEviction = true
-			for _, k := range evicted {
-				if tl.Contains(k.Task, k.Addr) {
-					t.Fatalf("evicted line %+v still resident", k)
-				}
+			if tl.Contains(k.Task, k.Addr) {
+				t.Fatalf("evicted line %+v still resident", k)
 			}
 		}
 	}

@@ -200,16 +200,15 @@ type Tapeworm struct {
 	// cycles a solo run would have charged to the machine clock (gang
 	// members must never dilate the shared clock — the Figure 4 leak);
 	// intent is the member's own armed-word bitset (cache modes), the
-	// member-local view of the union trap set; tlbInvalid is the set of
-	// (task, page) mappings this member currently holds invalid (TLB mode);
-	// attrs holds the member's own tw_attributes bits per task, of which
-	// the kernel's task structures carry only the union.
-	gang       *Gang
-	gangIdx    int // member index; bit position in the gang's demux masks
-	ledger     uint64
-	intent     []uint64
-	tlbInvalid map[vkey]bool
-	attrs      map[mem.TaskID]taskAttr
+	// member-local view of the union trap set (a TLB member's invalid
+	// pages are its own bit in the gang's invalid-page masks); attrs holds
+	// the member's own tw_attributes bits per task, of which the kernel's
+	// task structures carry only the union.
+	gang    *Gang
+	gangIdx int // member index; bit position in the gang's demux masks
+	ledger  uint64
+	intent  []uint64
+	attrs   map[mem.TaskID]taskAttr
 }
 
 // taskAttr is one gang member's tw_attributes bits for one task.
@@ -503,18 +502,14 @@ func (tw *Tapeworm) simInvalidateRange(task mem.TaskID, addr uint32, size int) {
 	tw.sim.InvalidateRange(task, addr, size)
 }
 
-// simInsert runs tw_replace: insert the missing line, returning the lines
-// displaced out of the structure entirely (the locations to re-arm).
-func (tw *Tapeworm) simInsert(task mem.TaskID, addr uint32) []cache.Key {
+// simInsert runs tw_replace: insert the missing line, returning the line
+// displaced out of the structure entirely (the location to re-arm), if any.
+func (tw *Tapeworm) simInsert(task mem.TaskID, addr uint32) (displaced cache.Key, evicted bool) {
 	if tw.sim2 != nil {
-		_, evicted := tw.sim2.AccessDetail(task, addr)
-		return evicted
+		_, displaced, evicted = tw.sim2.AccessDetail(task, addr)
+		return displaced, evicted
 	}
-	displaced, evicted := tw.sim.Insert(task, addr)
-	if !evicted {
-		return nil
-	}
-	return []cache.Key{displaced}
+	return tw.sim.Insert(task, addr)
 }
 
 // simKeys lists resident lines at trap granularity (L2 under a hierarchy,
@@ -755,7 +750,7 @@ func (tw *Tapeworm) miss(t mem.TaskID, vaLine mem.VAddr, paLine mem.PAddr) {
 	tw.mech.ClearTrap(paLine, int(tw.lineSize))
 
 	keyTask, keyAddr := tw.simKey(t, vaLine, paLine)
-	for _, displaced := range tw.simInsert(keyTask, keyAddr) {
+	if displaced, evicted := tw.simInsert(keyTask, keyAddr); evicted {
 		if dispPA, ok := tw.resolveLinePA(displaced); ok {
 			tw.mech.SetTrap(dispPA, int(tw.lineSize))
 		} else {
@@ -804,7 +799,7 @@ func (tw *Tapeworm) InvalidPageTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, ki
 	if _, tracked := tw.mapVP[vkey{t, uint32(va) >> tw.pageBits}]; !tracked {
 		return false
 	}
-	if tw.gang != nil && !tw.tlbInvalid[vkey{t, uint32(va) >> tw.pageBits}] {
+	if tw.gang != nil && !tw.gang.holdsInvalid(tw, vkey{t, uint32(va) >> tw.pageBits}) {
 		// Another gang member holds this page invalid; not our miss.
 		return false
 	}
@@ -1008,7 +1003,7 @@ func (tw *Tapeworm) checkTLBInvariant() error {
 		if tw.gang != nil {
 			// The pte holds the union validity; this member's view is
 			// whether it holds an invalid-intent itself.
-			valid = !tw.tlbInvalid[key]
+			valid = !tw.gang.holdsInvalid(tw, key)
 		}
 		if inTLB && !valid {
 			return fmt.Errorf("core: (%d, %#x) in simulated TLB but page invalid", key.t, va)

@@ -3,10 +3,10 @@ package core
 // Ganged multi-configuration simulation (Section 4.4's "several simulators
 // over the same trap mechanisms at once"): one booted machine drives N
 // independent Tapeworm instances. The machine traps on the union of the
-// members' trap sets — per-word ECC trap reference counts and per-word
-// breakpoint refcounts in mem/mach make one member's tw_clear_trap unable
-// to destroy another member's trap — and every trap event is demultiplexed
-// to each member whose own intent set covers it.
+// members' trap sets — per-word member masks (ECC) and mach's per-word
+// breakpoint refcounts make one member's tw_clear_trap unable to destroy
+// another member's trap — and every trap event is demultiplexed to each
+// member whose own intent set covers it.
 //
 // Two properties make each member's statistics byte-identical to its solo
 // run:
@@ -21,10 +21,11 @@ package core
 //     time-dilation leak cannot occur by construction.
 //
 //  2. Member-local intent. Each member keeps its own armed-word bitset
-//     (cache modes) or invalid-page set (TLB mode). Every simulation
-//     decision — is this trap mine, is this line armed, is this page
-//     invalid — consults the member's intent, never the union state, so a
-//     member cannot observe how many other members share a trap.
+//     (cache modes) or holds pages invalid through its own bit of the
+//     invalid-page masks (TLB mode). Every simulation decision — is this
+//     trap mine, is this line armed, is this page invalid — consults the
+//     member's own intent, never the union, so a member cannot observe how
+//     many other members share a trap.
 //
 //  3. Member-local attributes. Each member keeps its own tw_attributes
 //     bits per task, inherited through fork from its own bits. The
@@ -60,107 +61,111 @@ type Gang struct {
 	pageSize uint32
 	pageBits uint
 
-	// invalid holds the union TLB invalid-intent refcounts: how many live
-	// members currently want (task, page) to trap. The physical page-valid
-	// bit flips only on 0↔1 transitions of this count.
-	invalid map[vkey]int
-
-	// Member-intent reverse index for batch trap demux. For gangs of at
-	// most 64 members, maskPages[wi>>maskPageShift] is a lazily allocated
-	// 1024-word page whose entry for word wi is the bitset of member
-	// indices holding wi in their intent set. A union trap fire then
-	// demultiplexes with one word load and a bit walk instead of probing
-	// every member's private bitset. The invariant — mask bit i set iff
-	// member i's intent covers the word — is maintained at every intent
-	// mutation (gangMech.SetTrap/ClearTrap, Detach, trapDestroyed).
+	// Member masks are the gang's union trap state. Each is maskWords =
+	// ⌈n/64⌉ words; member i is bit i&63 of word i>>6 (memberBit).
+	//
+	// maskPages[wi>>maskPageShift] is a lazily allocated page holding one
+	// mask per physical word: the members whose intent set covers the
+	// word. A union trap fire demultiplexes with a bit walk over that
+	// mask. The invariant — mask bit i set iff member i's intent covers
+	// the word — is maintained at every intent mutation (hold, release,
+	// trapDestroyed). A word's physical Tapeworm bit is armed while any ECC
+	// member holds it: mem is told when the first holder arrives and when
+	// the last one leaves.
+	maskWords int
 	maskPages [][]uint64
-	liveMask  uint64 // bit i set while member i is live
-	eccMask   uint64 // bit i set for ECC cache-mode members
-	bpMask    uint64 // bit i set for breakpoint cache-mode members
+	liveMask  []uint64 // members still attached
+	eccMask   []uint64 // ECC cache-mode members
+	bpMask    []uint64 // breakpoint cache-mode members
 
-	// invalidMask is the TLB-mode analogue: the bitset of members holding
-	// (task, page) invalid, keyed like invalid. One lookup replaces the
-	// per-member tlbInvalid map probes on every invalid-page trap.
-	invalidMask map[vkey]uint64
-
-	// wide gangs (>64 members) exceed the mask width; linear forces the
-	// per-member probe walk for the `make verify-gang-demux` byte-identity
-	// gate. Either way delivery falls back to the original linear demux,
-	// which visits members in the same ascending index order as the bit
-	// walk — results are identical by construction.
-	wide   bool
-	linear bool
+	// invalidMask is the TLB-mode analogue: invalidMask[j][key] is word j
+	// of the mask of members holding (task, page) invalid, absent when
+	// zero. The physical page-valid bit is clear exactly while some
+	// member's bit is set. One map per mask word keeps narrow gangs at one
+	// allocation-free probe.
+	invalidMask []map[vkey]uint64
 }
 
-// maskPageShift sizes the lazily allocated mask pages at 1024 words
-// (8 KB per page); trap sets are sparse, so most pages stay nil.
+// maskPageShift sizes the lazily allocated mask pages at 1024 physical
+// words (maskWords × 8 KB per page); trap sets are sparse, so most pages
+// stay nil. A page always holds whole 64-word trap chunks.
 const (
 	maskPageShift = 10
 	maskPageWords = 1 << maskPageShift
 )
 
-// SetLinearDemux forces (true) or re-enables (false) the per-member
-// linear trap demux in place of the member-intent bitset walk. Results
-// are byte-identical either way; the verify-gang-demux gate runs both.
-func (g *Gang) SetLinearDemux(v bool) { g.linear = v }
+// memberBit locates member i in a mask: bit b of word j.
+func memberBit(i int) (j int, b uint64) { return i >> 6, 1 << uint(i&63) }
 
-// bitsetDemux reports whether trap delivery may take the mask walk.
-func (g *Gang) bitsetDemux() bool { return !g.wide && !g.linear }
+// anyIn reports whether mask e shares a member with sel.
+func anyIn(e, sel []uint64) bool {
+	for j, w := range e {
+		if w&sel[j] != 0 {
+			return true
+		}
+	}
+	return false
+}
 
-func (g *Gang) maskSet(wi uint32, bit uint64) {
-	pi := wi >> maskPageShift
+// maskAt returns the member mask of physical word wi, or nil when no
+// member has ever held a word of its page.
+func (g *Gang) maskAt(wi uint32) []uint64 {
+	pg := g.maskPages[wi>>maskPageShift]
+	if pg == nil {
+		return nil
+	}
+	i := int(wi&(maskPageWords-1)) * g.maskWords
+	return pg[i : i+g.maskWords]
+}
+
+// chunkMasks returns the masks of the 64 words of trap chunk ch, word
+// ch<<6+b at [b*maskWords, (b+1)*maskWords), allocating their page on
+// first use.
+func (g *Gang) chunkMasks(ch uint32) []uint64 {
+	pi := ch >> (maskPageShift - 6)
 	pg := g.maskPages[pi]
 	if pg == nil {
-		pg = make([]uint64, maskPageWords)
+		pg = make([]uint64, maskPageWords*g.maskWords)
 		g.maskPages[pi] = pg
 	}
-	pg[wi&(maskPageWords-1)] |= bit
-}
-
-func (g *Gang) maskClear(wi uint32, bit uint64) {
-	if pg := g.maskPages[wi>>maskPageShift]; pg != nil {
-		pg[wi&(maskPageWords-1)] &^= bit
-	}
-}
-
-func (g *Gang) maskAt(wi uint32) uint64 {
-	if pg := g.maskPages[wi>>maskPageShift]; pg != nil {
-		return pg[wi&(maskPageWords-1)]
-	}
-	return 0
+	i := int(ch<<6&(maskPageWords-1)) * g.maskWords
+	return pg[i : i+64*g.maskWords]
 }
 
 // AttachGang builds one Tapeworm per configuration on the booted kernel k
 // and installs the gang as the kernel's memory-simulation hooks. The
-// machine is switched to ledgered-trap mode and the physical memory's trap
-// reference counts are enabled. Configurations are validated exactly as in
-// Attach; the first failure aborts the whole gang.
+// machine is switched to ledgered-trap mode and the gang registers for
+// physical memory's destroyed-trap notifications. Configurations are
+// validated exactly as in Attach; the first failure aborts the whole gang.
 func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("core: gang needs at least one configuration")
 	}
 	m := k.Machine()
+	mw := (len(cfgs) + 63) / 64
 	g := &Gang{
-		k:        k,
-		m:        m,
-		pageSize: uint32(m.Config().PageSize),
-		invalid:  make(map[vkey]int),
+		k:           k,
+		m:           m,
+		pageSize:    uint32(m.Config().PageSize),
+		maskWords:   mw,
+		liveMask:    make([]uint64, mw),
+		eccMask:     make([]uint64, mw),
+		bpMask:      make([]uint64, mw),
+		invalidMask: make([]map[vkey]uint64, mw),
+	}
+	for j := range g.invalidMask {
+		g.invalidMask[j] = make(map[vkey]uint64)
 	}
 	for s := g.pageSize; s > 1; s >>= 1 {
 		g.pageBits++
 	}
 	phys := m.Phys()
 	m.SetLedgeredTraps(true)
-	phys.EnableTrapRefs()
 	phys.SetTrapDestroyedHook(g.trapDestroyed)
 
 	words := phys.Bytes() / mem.WordBytes
 	chunks := (words + 63) / 64
-	g.wide = len(cfgs) > 64
-	if !g.wide {
-		g.maskPages = make([][]uint64, (words+maskPageWords-1)/maskPageWords)
-		g.invalidMask = make(map[vkey]uint64)
-	}
+	g.maskPages = make([][]uint64, (words+maskPageWords-1)/maskPageWords)
 	for i, cfg := range cfgs {
 		tw, err := build(k, cfg)
 		if err != nil {
@@ -168,23 +173,18 @@ func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 		}
 		tw.gang = g
 		tw.gangIdx = i
-		if cfg.Mode == ModeTLB {
-			tw.tlbInvalid = make(map[vkey]bool)
-		} else {
+		j, b := memberBit(i)
+		if cfg.Mode != ModeTLB {
 			_, bp := tw.mech.(*breakpointMech)
 			tw.mech = &gangMech{tw: tw, inner: tw.mech, ecc: !bp}
 			tw.intent = make([]uint64, chunks)
-			if !g.wide {
-				if bp {
-					g.bpMask |= 1 << uint(i)
-				} else {
-					g.eccMask |= 1 << uint(i)
-				}
+			if bp {
+				g.bpMask[j] |= b
+			} else {
+				g.eccMask[j] |= b
 			}
 		}
-		if !g.wide {
-			g.liveMask |= 1 << uint(i)
-		}
+		g.liveMask[j] |= b
 		// Every member starts from the kernel's current bits.
 		tw.attrs = make(map[mem.TaskID]taskAttr)
 		for _, t := range k.Tasks() {
@@ -234,14 +234,10 @@ func MustAttachGang(k *kernel.Kernel, cfgs []Config) *Gang {
 // including detached ones (their statistics remain readable).
 func (g *Gang) Members() []*Tapeworm { return g.members }
 
-// Detach removes one member mid-run: its armed traps are released from the
-// union (reference counts drop; physical traps disappear only where no
-// other member holds them) and its invalid-page intents are returned. The
-// member's statistics stay readable; it receives no further events.
-// Releases traps the member acquired over its whole attachment, so the
-// per-call balance is intentionally one-sided.
-//
-//twvet:transfer
+// Detach removes one member mid-run: its armed traps leave the union
+// (physical traps disappear only where no other member holds them) and
+// its invalid-page intents are returned. The member's statistics stay
+// readable; it receives no further events.
 func (g *Gang) Detach(tw *Tapeworm) error {
 	idx := -1
 	for i, m := range g.members {
@@ -254,34 +250,24 @@ func (g *Gang) Detach(tw *Tapeworm) error {
 		return fmt.Errorf("core: simulator not attached to this gang")
 	}
 	g.live[idx] = false
-	g.liveMask &^= 1 << uint(idx)
+	j, b := memberBit(idx)
+	g.liveMask[j] &^= b
 
 	if tw.intent != nil {
-		gm := tw.mech.(*gangMech)
-		memberBit := uint64(1) << uint(idx)
-		for ci, word := range tw.intent {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				wi := uint32(ci*64 + b)
-				pa := mem.PAddr(wi) * mem.WordBytes
-				if gm.ecc {
-					g.m.Controller().ReleaseTrapRef(pa)
-				} else {
-					g.m.ClearBreakpoint(pa)
-				}
-				if !g.wide {
-					g.maskClear(wi, memberBit)
-				}
+		ecc := tw.mech.(*gangMech).ecc
+		for ch, held := range tw.intent {
+			if held != 0 {
+				g.release(uint32(ch), held, idx, ecc)
+				tw.intent[ch] = 0
 			}
-			tw.intent[ci] = 0
 		}
 	}
 	// Restoring validity touches shared kernel page state, so walk the
-	// member's invalid-intent set in sorted order: detach must leave the
-	// gang in the same state regardless of map iteration order.
-	keys := make([]vkey, 0, len(tw.tlbInvalid))
-	for key := range tw.tlbInvalid {
+	// invalid-page masks in sorted order: detach must leave the gang in the
+	// same state regardless of map iteration order. Pages the member does
+	// not hold are no-ops.
+	keys := make([]vkey, 0, len(g.invalidMask[j]))
+	for key := range g.invalidMask[j] {
 		keys = append(keys, key)
 	}
 	slices.SortFunc(keys, vkeyCompare)
@@ -300,32 +286,88 @@ func (g *Gang) Detach(tw *Tapeworm) error {
 	return nil
 }
 
+// hold adds member idx to the masks of words add of trap chunk ch and
+// returns the words the member now holds. A breakpoint member takes one
+// mach arm reference per word. For an ECC member, the words no ECC member
+// held yet are armed with one mem call; words carrying a true memory error
+// refuse the trap (ArmWords returns them), matching the solo mechanism's
+// inability to distinguish its own syndrome there. The member holds what
+// it arms until release.
+//
+//twvet:transfer
+func (g *Gang) hold(ch uint32, add uint64, idx int, ecc bool) uint64 {
+	j, b := memberBit(idx)
+	masks, mw := g.chunkMasks(ch), g.maskWords
+	if !ecc {
+		for rem := add; rem != 0; rem &= rem - 1 {
+			i := bits.TrailingZeros64(rem)
+			g.m.SetBreakpoint(mem.PAddr(ch<<6+uint32(i)) * mem.WordBytes)
+			masks[i*mw+j] |= b
+		}
+		return add
+	}
+	var fresh uint64
+	for rem := add; rem != 0; rem &= rem - 1 {
+		i := bits.TrailingZeros64(rem)
+		e := masks[i*mw : i*mw+mw]
+		if !anyIn(e, g.eccMask) {
+			fresh |= 1 << uint(i)
+		}
+		e[j] |= b
+	}
+	if fresh == 0 {
+		return add
+	}
+	refused := g.m.Controller().ArmWords(ch, fresh)
+	for rem := refused; rem != 0; rem &= rem - 1 {
+		masks[bits.TrailingZeros64(rem)*mw+j] &^= b
+	}
+	return add &^ refused
+}
+
+// release drops member idx from the masks of words rm of trap chunk ch,
+// which the member held. A breakpoint member drops its mach arm reference
+// per word; for an ECC member, the words no ECC member holds any more are
+// disarmed with one mem call.
+//
+//twvet:transfer
+func (g *Gang) release(ch uint32, rm uint64, idx int, ecc bool) {
+	j, b := memberBit(idx)
+	masks, mw := g.chunkMasks(ch), g.maskWords
+	if !ecc {
+		for rem := rm; rem != 0; rem &= rem - 1 {
+			i := bits.TrailingZeros64(rem)
+			masks[i*mw+j] &^= b
+			g.m.ClearBreakpoint(mem.PAddr(ch<<6+uint32(i)) * mem.WordBytes)
+		}
+		return
+	}
+	var unheld uint64
+	for rem := rm; rem != 0; rem &= rem - 1 {
+		i := bits.TrailingZeros64(rem)
+		e := masks[i*mw : i*mw+mw]
+		e[j] &^= b
+		if !anyIn(e, g.eccMask) {
+			unheld |= 1 << uint(i)
+		}
+	}
+	if unheld != 0 {
+		g.m.Controller().DisarmWords(ch, unheld)
+	}
+}
+
 // trapDestroyed is the Phys destroyed-trap hook: hardware paths (DMA
 // writes, no-allocate store write-arounds, scrubbing) destroy an ECC trap
 // regardless of how many members hold it, so every ECC member's intent for
 // the word is cleared — exactly as each solo run would lose its own trap.
 func (g *Gang) trapDestroyed(pa mem.PAddr) {
 	wi := uint32(pa) / mem.WordBytes
-	if g.bitsetDemux() {
-		m := g.maskAt(wi) & g.eccMask & g.liveMask
-		for w := m; w != 0; {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			g.members[b].intentClear(wi)
-		}
-		g.maskClear(wi, m)
-		return
-	}
-	for i, tw := range g.members {
-		if !g.live[i] || tw.intent == nil {
-			continue
-		}
-		if gm, ok := tw.mech.(*gangMech); ok && !gm.ecc {
-			continue // breakpoints live in mach, untouched by ECC destruction
-		}
-		tw.intentClear(wi)
-		if !g.wide {
-			g.maskClear(wi, 1<<uint(i))
+	e := g.maskAt(wi)
+	for j := range e {
+		m := e[j] & g.eccMask[j] & g.liveMask[j]
+		e[j] &^= m
+		for ; m != 0; m &= m - 1 {
+			g.members[j<<6+bits.TrailingZeros64(m)].intentClear(wi)
 		}
 	}
 }
@@ -375,73 +417,67 @@ func (tw *Tapeworm) usesBreakpoints() bool {
 	return false
 }
 
-// --- gangMech: the reference-counted trap mechanism wrapper ---
+// --- gangMech: the union trap mechanism wrapper ---
 
 // gangMech wraps a member's trapMech so tw_set_trap/tw_clear_trap maintain
-// the member's intent bitset and the machine's union reference counts. No
-// host-line flush on arm: in ledgered-trap mode delivery is per-referenced-
-// word, and flushing would perturb the host cache shared by all members.
+// the member's intent bitset and the gang's member masks, arming and
+// disarming the union a 64-word chunk at a time. No host-line flush on
+// arm: in ledgered-trap mode delivery is per-referenced-word, and flushing
+// would perturb the host cache shared by all members.
 type gangMech struct {
 	tw    *Tapeworm
 	inner trapMech
 	ecc   bool
 }
 
-// SetTrap arms each word the member does not already hold, bumping the
-// union refcount (ECC) or the breakpoint refcount. Words carrying a true
-// memory error refuse the trap (AddTrapRef returns false), matching the
-// solo mechanism's inability to distinguish its own syndrome there.
-// Ownership of the acquired refs lives in the member's intent set until
-// ClearTrap or Detach.
-//
-//twvet:transfer
-func (gm *gangMech) SetTrap(pa mem.PAddr, size int) {
+// trapSpan returns the first and last word index tw_set_trap and
+// tw_clear_trap cover: ⌈size/4⌉ words from the word containing pa.
+func trapSpan(pa mem.PAddr, size int) (first, last uint32) {
 	if size <= 0 {
 		size = mem.WordBytes
 	}
-	for off := 0; off < size; off += mem.WordBytes {
-		w := (pa + mem.PAddr(off)) &^ 3
-		wi := uint32(w) / mem.WordBytes
-		if gm.tw.intentHas(wi) {
-			continue
-		}
-		if gm.ecc {
-			if !gm.tw.m.Controller().AddTrapRef(w) {
-				continue
-			}
-		} else {
-			gm.tw.m.SetBreakpoint(w)
-		}
-		gm.tw.intentSet(wi)
-		if g := gm.tw.gang; !g.wide {
-			g.maskSet(wi, 1<<uint(gm.tw.gangIdx))
+	first = uint32(pa) / mem.WordBytes
+	return first, first + uint32((size+mem.WordBytes-1)/mem.WordBytes) - 1
+}
+
+// chunkCover returns the words of chunk ch inside [first, last]; the tail
+// shift wraps to all-ones when last is the chunk's final word.
+func chunkCover(ch, first, last uint32) uint64 {
+	m := ^uint64(0)
+	if ch == first>>6 {
+		m &= ^uint64(0) << (first & 63)
+	}
+	if ch == last>>6 {
+		m &= uint64(1)<<((last&63)+1) - 1
+	}
+	return m
+}
+
+// SetTrap adds the words of [pa, pa+size) the member does not already
+// hold to its intent and the masks, a chunk at a time (Gang.hold).
+func (gm *gangMech) SetTrap(pa mem.PAddr, size int) {
+	tw := gm.tw
+	first, last := trapSpan(pa, size)
+	for ch := first >> 6; ch <= last>>6; ch++ {
+		if add := chunkCover(ch, first, last) &^ tw.intent[ch]; add != 0 {
+			tw.intent[ch] |= tw.gang.hold(ch, add, tw.gangIdx, gm.ecc)
 		}
 	}
 }
 
-// ClearTrap releases each word the member holds; the physical trap
-// disappears only when the last holder releases.
-//
-//twvet:transfer
+// ClearTrap releases the words of [pa, pa+size) the member holds, a chunk
+// at a time (Gang.release); a physical trap disappears only when its last
+// holder releases it.
 func (gm *gangMech) ClearTrap(pa mem.PAddr, size int) {
-	if size <= 0 {
-		size = mem.WordBytes
-	}
-	for off := 0; off < size; off += mem.WordBytes {
-		w := (pa + mem.PAddr(off)) &^ 3
-		wi := uint32(w) / mem.WordBytes
-		if !gm.tw.intentHas(wi) {
+	tw := gm.tw
+	first, last := trapSpan(pa, size)
+	for ch := first >> 6; ch <= last>>6; ch++ {
+		rm := chunkCover(ch, first, last) & tw.intent[ch]
+		if rm == 0 {
 			continue
 		}
-		gm.tw.intentClear(wi)
-		if g := gm.tw.gang; !g.wide {
-			g.maskClear(wi, 1<<uint(gm.tw.gangIdx))
-		}
-		if gm.ecc {
-			gm.tw.m.Controller().ReleaseTrapRef(w)
-		} else {
-			gm.tw.m.ClearBreakpoint(w)
-		}
+		tw.intent[ch] &^= rm
+		tw.gang.release(ch, rm, tw.gangIdx, gm.ecc)
 	}
 }
 
@@ -501,35 +537,19 @@ func (g *Gang) TaskExited(t mem.TaskID) {
 }
 
 // ECCTrap demultiplexes a memory-error trap: classified once, then
-// delivered to every live ECC member whose intent set covers the word.
-// True errors go back to the kernel. A Tapeworm-syndrome word no live
-// member claims (all holders detached) is cleared so it cannot fire again.
+// delivered to every live ECC member whose intent set covers the word, in
+// ascending member order. True errors go back to the kernel. A
+// Tapeworm-syndrome word no live member claims (an orphan no member holds)
+// is cleared so it cannot fire again.
 func (g *Gang) ECCTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKind) bool {
 	w := pa &^ 3
 	if g.m.Phys().Classify(w) != mem.SynTapeworm {
 		return false
 	}
-	wi := uint32(w) / mem.WordBytes
 	handled := false
-	if g.bitsetDemux() {
-		// One word load yields every interested member; the bit walk
-		// visits them in ascending index order, exactly like the linear
-		// probe loop below.
-		for m := g.maskAt(wi) & g.eccMask & g.liveMask; m != 0; {
-			b := bits.TrailingZeros64(m)
-			m &^= 1 << uint(b)
-			g.members[b].deliverTrap(t, va, w, kind)
-			handled = true
-		}
-	} else {
-		for i, tw := range g.members {
-			if !g.live[i] || tw.intent == nil || !tw.intentHas(wi) {
-				continue
-			}
-			if gm, ok := tw.mech.(*gangMech); ok && !gm.ecc {
-				continue
-			}
-			tw.deliverTrap(t, va, w, kind)
+	for j, held := range g.maskAt(uint32(w) / mem.WordBytes) {
+		for m := held & g.eccMask[j] & g.liveMask[j]; m != 0; m &= m - 1 {
+			g.members[j<<6+bits.TrailingZeros64(m)].deliverTrap(t, va, w, kind)
 			handled = true
 		}
 	}
@@ -542,20 +562,10 @@ func (g *Gang) ECCTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKin
 // BreakpointTrap demultiplexes an instruction breakpoint to every live
 // breakpoint member holding the word.
 func (g *Gang) BreakpointTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr) {
-	wi := uint32(pa&^3) / mem.WordBytes
-	if g.bitsetDemux() {
-		for m := g.maskAt(wi) & g.bpMask & g.liveMask; m != 0; {
-			b := bits.TrailingZeros64(m)
-			m &^= 1 << uint(b)
-			g.members[b].BreakpointTrap(t, va, pa)
+	for j, held := range g.maskAt(uint32(pa&^3) / mem.WordBytes) {
+		for m := held & g.bpMask[j] & g.liveMask[j]; m != 0; m &= m - 1 {
+			g.members[j<<6+bits.TrailingZeros64(m)].BreakpointTrap(t, va, pa)
 		}
-		return
-	}
-	for i, tw := range g.members {
-		if !g.live[i] || tw.intent == nil || !tw.intentHas(wi) {
-			continue
-		}
-		tw.BreakpointTrap(t, va, pa)
 	}
 }
 
@@ -565,69 +575,50 @@ func (g *Gang) BreakpointTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr) {
 func (g *Gang) InvalidPageTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKind) bool {
 	key := vkey{t, uint32(va) >> g.pageBits}
 	handled := false
-	if g.bitsetDemux() {
-		for m := g.invalidMask[key] & g.liveMask; m != 0; {
-			b := bits.TrailingZeros64(m)
-			m &^= 1 << uint(b)
-			if g.members[b].InvalidPageTrap(t, va, pa, kind) {
+	for j, inv := range g.invalidMask {
+		for m := inv[key] & g.liveMask[j]; m != 0; m &= m - 1 {
+			if g.members[j<<6+bits.TrailingZeros64(m)].InvalidPageTrap(t, va, pa, kind) {
 				handled = true
 			}
-		}
-		return handled
-	}
-	for i, tw := range g.members {
-		if !g.live[i] || tw.cfg.Mode != ModeTLB || !tw.tlbInvalid[key] {
-			continue
-		}
-		if tw.InvalidPageTrap(t, va, pa, kind) {
-			handled = true
 		}
 	}
 	return handled
 }
 
+// holdsInvalid reports whether member tw holds (task, page) key invalid.
+func (g *Gang) holdsInvalid(tw *Tapeworm, key vkey) bool {
+	j, b := memberBit(tw.gangIdx)
+	return g.invalidMask[j][key]&b != 0
+}
+
 // memberSetPageValid routes one member's page-valid-bit flip through the
-// union refcounts: the physical pte bit changes only when the count of
-// members holding the page invalid transitions between zero and nonzero,
-// so tw_set_trap from one TLB simulator never revalidates a page another
-// still holds invalid. mach.Machine.InvalidatePage (the PR 3 micro-cache
+// union: the physical pte bit changes only when the mask of members
+// holding the page invalid empties or stops being empty, so tw_set_trap
+// from one TLB simulator never revalidates a page another still holds
+// invalid. mach.Machine.InvalidatePage (the translation micro-cache
 // protocol) therefore fires exactly on union transitions.
 func (g *Gang) memberSetPageValid(tw *Tapeworm, t mem.TaskID, va mem.VAddr, valid bool) error {
 	key := vkey{t, uint32(va) >> g.pageBits}
-	if valid {
-		if !tw.tlbInvalid[key] {
-			return nil // member holds no invalid-intent; nothing to release
-		}
-		if g.invalid[key] == 1 {
-			if err := g.k.SetPageValid(t, va, true); err != nil {
-				return err
-			}
-			delete(g.invalid, key)
-		} else {
-			g.invalid[key]--
-		}
-		delete(tw.tlbInvalid, key)
-		if !g.wide {
-			if m := g.invalidMask[key] &^ (1 << uint(tw.gangIdx)); m == 0 {
-				delete(g.invalidMask, key)
-			} else {
-				g.invalidMask[key] = m
-			}
-		}
-		return nil
+	j, b := memberBit(tw.gangIdx)
+	held := g.invalidMask[j][key]
+	if (held&b == 0) == valid {
+		return nil // nothing to release, or already held invalid
 	}
-	if tw.tlbInvalid[key] {
-		return nil // already held invalid by this member
+	others := held&^b != 0
+	for jj, inv := range g.invalidMask {
+		if jj != j && inv[key] != 0 {
+			others = true
+		}
 	}
-	if g.invalid[key] == 0 {
-		if err := g.k.SetPageValid(t, va, false); err != nil {
+	if !others {
+		if err := g.k.SetPageValid(t, va, valid); err != nil {
 			return err
 		}
 	}
-	g.invalid[key]++
-	tw.tlbInvalid[key] = true
-	if !g.wide {
-		g.invalidMask[key] |= 1 << uint(tw.gangIdx)
+	if held ^= b; held == 0 {
+		delete(g.invalidMask[j], key)
+	} else {
+		g.invalidMask[j][key] = held
 	}
 	return nil
 }

@@ -11,7 +11,8 @@ import (
 // wideGangConfigs builds n diverse member configurations: a rotating mix
 // of cache geometries (sizes, associativities, line sizes, indexing,
 // sampling) with every fifth member a TLB simulator, so wide gangs
-// exercise both trap mechanisms and the mixed demux paths.
+// exercise both trap mechanisms and the mixed demux paths. Member i's
+// configuration does not depend on n.
 func wideGangConfigs(n int) []Config {
 	out := make([]Config, 0, n)
 	for i := 0; i < n; i++ {
@@ -45,15 +46,15 @@ func wideGangConfigs(n int) []Config {
 	return out
 }
 
-// runDemuxGang boots a fresh machine, attaches cfgs as one gang with the
-// chosen demux strategy, optionally detaches members mid-run, finishes the
+// runDemuxGang boots a fresh machine, attaches cfgs as one gang,
+// optionally detaches members after detachAt instructions, finishes the
 // workload, and returns every member's results (detached members' frozen)
-// plus the final cycle count.
-func runDemuxGang(t *testing.T, cfgs []Config, wl string, seed uint64, linear bool, detachAt uint64, detachIdx []int) ([]memberResult, uint64) {
+// plus the final cycle count. After the detach it checks the gang's union
+// state (checkGangUnion).
+func runDemuxGang(t *testing.T, cfgs []Config, wl string, seed uint64, detachAt uint64, detachIdx []int) ([]memberResult, uint64) {
 	t.Helper()
 	k := bootDEC(t, 11, 13)
 	g := MustAttachGang(k, cfgs)
-	g.SetLinearDemux(linear)
 	spawnWorkload(t, k, wl, seed, true)
 	if detachAt > 0 {
 		if err := k.Run(detachAt); err != nil {
@@ -63,6 +64,9 @@ func runDemuxGang(t *testing.T, cfgs []Config, wl string, seed uint64, linear bo
 			if err := g.Detach(g.Members()[i]); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := checkGangUnion(g); err != nil {
+			t.Errorf("after detach: %v", err)
 		}
 	}
 	if err := k.Run(0); err != nil {
@@ -75,62 +79,85 @@ func runDemuxGang(t *testing.T, cfgs []Config, wl string, seed uint64, linear bo
 	return out, k.Machine().Cycles()
 }
 
-// TestGangDemuxByteIdentityWide checks byte-identity of wide gangs under
-// the member-intent bitset demux: at 16 and 32 members, every member's
-// statistics must be identical under the bitset walk and the linear probe
-// walk, the shared stream must not dilate, and sampled members must match
-// their gang-of-1 runs.
+// probeMembers lists the members worth comparing in an n-member gang: the
+// first and last, and those on either side of each 64-bit mask-word
+// boundary.
+func probeMembers(n int) []int {
+	var out []int
+	for _, i := range []int{0, 63, 64, 127, 128} {
+		if i < n-1 {
+			out = append(out, i)
+		}
+	}
+	return append(out, n-1)
+}
+
+// TestGangDemuxByteIdentityWide checks that the bit-walk demux delivers
+// exactly each member's own traps at every gang width, including widths
+// whose member masks span two and three words: the members on either side
+// of each mask-word boundary must match their gang-of-1 runs, and the
+// shared stream must not dilate.
 func TestGangDemuxByteIdentityWide(t *testing.T) {
-	for _, n := range []int{16, 32} {
+	cfgs := wideGangConfigs(130)
+	type soloRun struct {
+		res    memberResult
+		cycles uint64
+	}
+	solos := map[int]soloRun{}
+	solo := func(i int) soloRun {
+		if s, ok := solos[i]; ok {
+			return s
+		}
+		res, cycles := runDemuxGang(t, cfgs[i:i+1], "eqntott", 42, 0, nil)
+		solos[i] = soloRun{res[0], cycles}
+		return solos[i]
+	}
+	for _, n := range []int{16, 32, 64, 65, 130} {
 		t.Run(fmt.Sprintf("members=%d", n), func(t *testing.T) {
-			cfgs := wideGangConfigs(n)
-			bitset, bitsetCycles := runDemuxGang(t, cfgs, "eqntott", 42, false, 0, nil)
-			linear, linearCycles := runDemuxGang(t, cfgs, "eqntott", 42, true, 0, nil)
-			if bitsetCycles != linearCycles {
-				t.Errorf("shared stream dilated: bitset %d cycles, linear %d", bitsetCycles, linearCycles)
-			}
-			for i := range cfgs {
-				if !reflect.DeepEqual(bitset[i], linear[i]) {
-					t.Errorf("member %d diverged between demux strategies:\nbitset: %+v\nlinear: %+v",
-						i, bitset[i], linear[i])
-				}
-			}
-			for _, i := range []int{0, n / 2, n - 1} {
-				solo, soloCycles := runDemuxGang(t, cfgs[i:i+1], "eqntott", 42, false, 0, nil)
-				if !reflect.DeepEqual(solo[0], bitset[i]) {
+			ganged, gangCycles := runDemuxGang(t, cfgs[:n], "eqntott", 42, 0, nil)
+			for _, i := range probeMembers(n) {
+				s := solo(i)
+				if !reflect.DeepEqual(s.res, ganged[i]) {
 					t.Errorf("member %d diverged from solo run:\nsolo:   %+v\nganged: %+v",
-						i, solo[0], bitset[i])
+						i, s.res, ganged[i])
 				}
-				if soloCycles != bitsetCycles {
-					t.Errorf("member %d: solo %d cycles, ganged %d", i, soloCycles, bitsetCycles)
+				if s.cycles != gangCycles {
+					t.Errorf("member %d: solo %d cycles, ganged %d", i, s.cycles, gangCycles)
 				}
 			}
 		})
 	}
 }
 
-// TestGangDemuxDetachMidRun detaches a cache member and a TLB member
-// partway through a 16-member run under the bitset demux: the mask pages
-// and invalid-intent masks must shed exactly the detached members' bits,
-// so the survivors finish byte-identical to the linear-demux run with the
-// same detach schedule, and to their solo runs.
+// TestGangDemuxDetachMidRun detaches members 63 (a cache member, last of
+// the first mask word) and 64 (a TLB member, first of the second) partway
+// through a 130-member run: the masks must shed exactly their bits, so
+// the survivors finish identical to their solo runs, and each detached
+// member's frozen statistics equal its solo run detached at the same
+// point.
 func TestGangDemuxDetachMidRun(t *testing.T) {
-	cfgs := wideGangConfigs(16)
-	detach := []int{3, 4} // an ICache member and a TLB member
-	bitset, bitsetCycles := runDemuxGang(t, cfgs, "espresso", 7, false, 2500, detach)
-	linear, linearCycles := runDemuxGang(t, cfgs, "espresso", 7, true, 2500, detach)
-	if bitsetCycles != linearCycles {
-		t.Errorf("shared stream dilated: bitset %d cycles, linear %d", bitsetCycles, linearCycles)
+	cfgs := wideGangConfigs(130)
+	const at = 2500
+	detach := []int{63, 64}
+	if cfgs[63].Mode == ModeTLB || cfgs[64].Mode != ModeTLB {
+		t.Fatal("wideGangConfigs no longer puts a cache member at 63 and a TLB member at 64")
 	}
-	for i := range cfgs {
-		if !reflect.DeepEqual(bitset[i], linear[i]) {
-			t.Errorf("member %d diverged between demux strategies after detach:\nbitset: %+v\nlinear: %+v",
-				i, bitset[i], linear[i])
+	ganged, gangCycles := runDemuxGang(t, cfgs, "espresso", 7, at, detach)
+	for _, i := range []int{0, 62, 65, 69, 127, 128, 129} {
+		solo, soloCycles := runDemuxGang(t, cfgs[i:i+1], "espresso", 7, 0, nil)
+		if !reflect.DeepEqual(solo[0], ganged[i]) {
+			t.Errorf("survivor %d diverged from solo run after detach:\nsolo:   %+v\nganged: %+v",
+				i, solo[0], ganged[i])
+		}
+		if soloCycles != gangCycles {
+			t.Errorf("survivor %d: solo %d cycles, ganged %d", i, soloCycles, gangCycles)
 		}
 	}
-	solo, _ := runDemuxGang(t, cfgs[:1], "espresso", 7, false, 0, nil)
-	if !reflect.DeepEqual(solo[0], bitset[0]) {
-		t.Errorf("survivor diverged from solo run after detach:\nsolo:   %+v\nganged: %+v",
-			solo[0], bitset[0])
+	for _, i := range detach {
+		solo, _ := runDemuxGang(t, cfgs[i:i+1], "espresso", 7, at, []int{0})
+		if !reflect.DeepEqual(solo[0], ganged[i]) {
+			t.Errorf("detached member %d diverged from its solo run detached at %d:\nsolo:   %+v\nganged: %+v",
+				i, at, solo[0], ganged[i])
+		}
 	}
 }

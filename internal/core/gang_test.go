@@ -176,9 +176,10 @@ func TestGangDetachMidRun(t *testing.T) {
 	}
 }
 
-// TestGangSharedWordRefcounts exercises the satellite edge cases directly:
-// two members arming the same word, one clearing while the other holds,
-// and the micro-cache invalidation firing only on union transitions.
+// TestGangSharedWordRefcounts exercises the shared-word edge cases
+// directly: two members arming the same word, one clearing while the other
+// holds, and the physical bit flipping only when the first holder arrives
+// and the last one leaves. The holder count is read from the member masks.
 func TestGangSharedWordRefcounts(t *testing.T) {
 	k := bootDEC(t, 3, 3)
 	g := MustAttachGang(k, gangConfigs()[:2])
@@ -191,11 +192,15 @@ func TestGangSharedWordRefcounts(t *testing.T) {
 	pa := mem.PAddr(phys.Bytes() - 4096)
 
 	ma.SetTrap(pa, 16)
-	mb.SetTrap(pa, 16) // overlapping arm: refcount 2, one physical set
-	if got := phys.TrapRefCount(pa); got != 2 {
-		t.Fatalf("refcount %d after two arms, want 2", got)
+	setA, _ := phys.Stats()
+	mb.SetTrap(pa, 16) // overlapping arm: two holders, one physical set
+	if got := eccHolders(g, pa); got != 2 {
+		t.Fatalf("%d holders after two arms, want 2", got)
 	}
 	set0, cleared0 := phys.Stats()
+	if set0 != setA {
+		t.Fatalf("second holder's arm flipped %d bits", set0-setA)
+	}
 
 	ma.ClearTrap(pa, 16) // clear while the other holds
 	if !phys.Trapped(pa, 16) {
@@ -207,13 +212,13 @@ func TestGangSharedWordRefcounts(t *testing.T) {
 	if !b.trapArmed(pa, 16) {
 		t.Fatal("member B lost its trap to member A's clear")
 	}
-	ma.ClearTrap(pa, 16) // double clear: must not release B's reference
-	if got := phys.TrapRefCount(pa); got != 1 {
-		t.Fatalf("refcount %d after A's redundant clear, want 1", got)
+	ma.ClearTrap(pa, 16) // double clear: must not release B's hold
+	if got := eccHolders(g, pa); got != 1 {
+		t.Fatalf("%d holders after A's redundant clear, want 1", got)
 	}
 
 	mb.ClearTrap(pa, 16) // last holder releases: physical trap goes
-	if phys.Trapped(pa, 16) || phys.TrapRefCount(pa) != 0 {
+	if phys.Trapped(pa, 16) || eccHolders(g, pa) != 0 {
 		t.Fatal("trap survived the last holder's release")
 	}
 	set1, cleared1 := phys.Stats()
@@ -249,7 +254,7 @@ func TestGangUnionPageValid(t *testing.T) {
 		found bool
 	)
 	for kk := range a.mapVP {
-		if kk.t == mem.KernelTask || a.tlbInvalid[kk] || b.tlbInvalid[kk] {
+		if kk.t == mem.KernelTask || g.holdsInvalid(a, kk) || g.holdsInvalid(b, kk) {
 			continue
 		}
 		if _, ok := b.mapVP[kk]; ok {

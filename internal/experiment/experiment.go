@@ -62,11 +62,6 @@ type Options struct {
 	// `make verify-compiled` gate); this exists for that gate, as its
 	// oracle, and for benchmarking the replay paths against it.
 	NoCompile bool
-	// LinearGangDemux forces the gang trap demultiplexer onto the
-	// per-member linear probe walk instead of the member-intent bitset
-	// walk. Results are byte-identical either way (the
-	// `make verify-gang-demux` gate).
-	LinearGangDemux bool
 	// NoGang suppresses the grouping of gang-eligible runs into shared
 	// executions; each then runs as a gang of one. Results are
 	// byte-identical either way (the `make verify-gang` gate); this exists

@@ -104,8 +104,8 @@ type intervalProfile struct {
 }
 
 // profileKey identifies one profiling pass. Execution-path toggles that
-// provably do not change results (fastpath, demux, boot checkpointing)
-// are excluded: the marks and base they produce are identical.
+// provably do not change results (fastpath, boot checkpointing) are
+// excluded: the marks and base they produce are identical.
 type profileKey struct {
 	spec     workload.Spec
 	seed     uint64
@@ -497,7 +497,6 @@ func replayRep(o Options, rcs []runConfig, rc0 runConfig, kcfg kernel.Config,
 	if err != nil {
 		return err
 	}
-	g.SetLinearDemux(rc0.linearDemux)
 
 	// The profiling pass spawned the workload unsimulated; each member
 	// flips the live user tasks to its own attributes before the resident

@@ -45,7 +45,7 @@ func ResetResultCache() { resultStore.Reset() }
 // runConfig must already be normalized (the option-derived flags folded
 // in, as runAll's workers do), so the digest never depends on where a
 // flag was spelled. Execution-path flags that provably do not change
-// results (fastpath, compile, demux, checkpoint, ganging) are hashed
+// results (fastpath, compile, checkpoint, ganging) are hashed
 // anyway: the cache's contract is "same digest, same bytes", and keying
 // conservatively means a flag-flipping verify run exercises fresh
 // simulations instead of trusting the equivalence it is trying to prove.
@@ -68,7 +68,6 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 	h.WriteBool(rc.simKernel)
 	h.WriteBool(rc.noFastPath)
 	h.WriteBool(rc.noCompile)
-	h.WriteBool(rc.linearDemux)
 	h.WriteBool(rc.checkpoint)
 	h.WriteBool(rc.gang)
 	h.WriteBool(o.NoGang)

@@ -23,13 +23,12 @@ type runConfig struct {
 	pageSeed uint64 // frame allocator seed (the Table 9 variance knob)
 	frames   int
 
-	tw          *core.Config // nil: no Tapeworm attached
-	simUser     bool         // register workload fork tree
-	simServers  bool         // register X/BSD server pages
-	simKernel   bool         // register kernel pages
-	noFastPath  bool         // force the per-reference execution path
-	noCompile   bool         // force the reference interpreter
-	linearDemux bool         // force the per-member linear gang trap demux
+	tw         *core.Config // nil: no Tapeworm attached
+	simUser    bool         // register workload fork tree
+	simServers bool         // register X/BSD server pages
+	simKernel  bool         // register kernel pages
+	noFastPath bool         // force the per-reference execution path
+	noCompile  bool         // force the reference interpreter
 
 	checkpoint bool // fork the kernel from a cached boot checkpoint
 	//twvet:nohash storage-location — where checkpoints persist cannot change results
@@ -205,7 +204,6 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.SetLinearDemux(rc0.linearDemux)
 	prog, err := newWorkloadProgram(rc0)
 	if err != nil {
 		return nil, err
@@ -417,7 +415,6 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 				rcs[mi] = jobs[i].cfg
 				rcs[mi].noFastPath = o.NoFastPath
 				rcs[mi].noCompile = o.NoCompile
-				rcs[mi].linearDemux = o.LinearGangDemux
 				rcs[mi].checkpoint = o.Checkpoint
 				rcs[mi].checkpointDir = o.CheckpointDir
 				rcs[mi].tel = o.Telemetry.StartRun(fmt.Sprintf("run%d", i))

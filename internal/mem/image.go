@@ -6,8 +6,8 @@ package mem
 // image's arrays copy-on-write: NewPhysFromImage aliases them directly, so
 // the branch-free hot-path reads (Trapped, TrappedWord) are untouched, and
 // the first mutation materializes private copies of exactly the chunks
-// the image marks dirty. Trap reference counts are never part of an
-// image; gang forks rebuild them through EnableTrapRefs as usual.
+// the image marks dirty. Which gang members hold a trap is never part of
+// an image: that lives in the gang attached to each fork.
 
 import (
 	"bytes"

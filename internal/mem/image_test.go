@@ -150,59 +150,54 @@ func TestForkWriteMidFaultService(t *testing.T) {
 	}
 }
 
-// TestForkTrapRefsRebuiltPerFork: refcounts are never part of an image —
-// each fork arms its own, and counts on one fork are invisible to its
-// siblings.
+// TestForkTrapRefsRebuiltPerFork: which gang members hold a trap is never
+// part of an image, so each fork's gang arms and disarms its own words —
+// adopting the imaged traps — and nothing it does reaches its siblings.
 func TestForkTrapRefsRebuiltPerFork(t *testing.T) {
 	_, _, img := imageSource()
 	f1 := NewPhysFromImage(img)
 	f2 := NewPhysFromImage(img)
-	f1.EnableTrapRefs()
-	f2.EnableTrapRefs()
-	pa := PAddr(0x1000)
-
 	c1 := NewController(f1)
-	if !c1.AddTrapRef(pa) {
-		t.Fatal("adopting the imaged trap failed")
+	const ch = 0x1000 / WordBytes / chunkWords
+
+	// Adopting the imaged run of traps writes nothing, so it copies nothing.
+	if refused := c1.ArmWords(ch, 0xffff); refused != 0 {
+		t.Fatalf("adopting the imaged traps refused %#x", refused)
 	}
-	if !c1.AddTrapRef(pa) {
-		t.Fatal("second reference failed")
+	if !f1.Shared() {
+		t.Fatal("adopting imaged traps materialized the fork")
 	}
-	if got := f1.TrapRefCount(pa); got != 2 {
-		t.Fatalf("f1 refcount %d, want 2", got)
-	}
-	if got := f2.TrapRefCount(pa); got != 0 {
-		t.Fatalf("f2 refcount %d leaked from f1, want 0", got)
-	}
-	// Arming references counts as a write (it may flip check bits), so the
-	// arming fork materialized; its sibling must still alias the image.
+	// Arming a fresh word flips a check bit: the arming fork materializes,
+	// its sibling still aliases the image.
+	c1.ArmWords(ch, 1<<20)
 	if f1.Shared() {
-		t.Fatal("AddTrapRef did not materialize the arming fork")
+		t.Fatal("ArmWords did not materialize the arming fork")
 	}
-	if !f2.Shared() {
-		t.Fatal("sibling fork materialized without writing")
+	if !f2.Shared() || f2.TrappedWord(0x1000+20*WordBytes) {
+		t.Fatal("f1's arm reached its sibling")
 	}
-	c1.ReleaseTrapRef(pa)
-	c1.ReleaseTrapRef(pa) // last release clears the physical trap
-	if f1.TrappedWord(pa) {
-		t.Fatal("trap survived the last reference release")
+	c1.DisarmWords(ch, 0xffff) // the last holder releases the imaged traps
+	if f1.TrappedWord(0x1000) {
+		t.Fatal("trap survived DisarmWords")
 	}
-	if !f2.TrappedWord(pa) {
-		t.Fatal("f1's release destroyed f2's trap")
+	if !f2.TrappedWord(0x1000) {
+		t.Fatal("f1's disarm destroyed f2's trap")
+	}
+	if err := f1.CheckSummaries(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestForkReleaseUnmaterialized: a fork dropped without ever writing
-// never copies the image, even with gang trap refcounts enabled (those
-// arrays are always private), and leaves the image fully serviceable.
+// never copies the image and leaves the image fully serviceable.
 func TestForkReleaseUnmaterialized(t *testing.T) {
 	_, _, img := imageSource()
 	want := dense(NewPhysFromImage(img))
 
 	fr := NewPhysFromImage(img)
-	fr.EnableTrapRefs()
+	fr.SetTrapDestroyedHook(func(PAddr) {})
 	if !fr.Shared() {
-		t.Fatal("enabling trap refcounts materialized the fork")
+		t.Fatal("installing the destroyed hook materialized the fork")
 	}
 	if err := fr.CheckSummaries(); err != nil {
 		t.Fatal(err)

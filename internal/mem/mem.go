@@ -116,18 +116,8 @@ type Phys struct {
 	// carrying true-error corruption; Tapeworm's own bit is in twBits.
 	ecc map[uint32]uint64
 
-	// trapRef, when non-nil, holds a per-word trap reference count for
-	// gang-attached simulators: the physical check bit is flipped on the
-	// 0→1 transition and restored on the last release, so tw_clear_trap
-	// from one simulator never destroys another's trap. Allocated only by
-	// EnableTrapRefs; solo simulators pay nothing. refChunk counts the
-	// words with a nonzero refcount per chunk, so the bulk clear paths
-	// skip chunks holding no references.
-	trapRef  []uint8
-	refChunk []uint8
-
-	// destroyed, if set, is called with the word-aligned address whenever
-	// something other than ReleaseTrapRef removes a refcounted trap (DMA
+	// destroyed, if set, is called with the word-aligned address of every
+	// Tapeworm trap that something other than DisarmWords removes (DMA
 	// writes, silent write-around clears, true-error correction). The gang
 	// layer uses it to drop every member's intent for the word.
 	destroyed func(pa PAddr)
@@ -376,23 +366,6 @@ func (p *Phys) CheckSummaries() error {
 			return fmt.Errorf("mem: ecc[%d] set but trap bit clear", w)
 		}
 	}
-	if p.trapRef != nil {
-		refNZ := make([]uint8, len(p.refChunk))
-		for w, r := range p.trapRef {
-			if r == 0 {
-				continue
-			}
-			refNZ[w/chunkWords]++
-			if !p.twSet(uint32(w)) {
-				return fmt.Errorf("mem: word %d refcounted (%d) but Tapeworm bit clear", w, r)
-			}
-		}
-		for c, want := range refNZ {
-			if p.refChunk[c] != want {
-				return fmt.Errorf("mem: chunk %d: refChunk %d, want %d", c, p.refChunk[c], want)
-			}
-		}
-	}
 	return nil
 }
 
@@ -401,116 +374,68 @@ func popcount(x uint64) int { return bits.OnesCount64(x) }
 // Stats reports cumulative counts of trap set/clear word operations.
 func (p *Phys) Stats() (set, cleared uint64) { return p.trapsSet, p.trapsCleared }
 
-// --- Trap reference counts (gang attach) ---
-
-// EnableTrapRefs allocates the per-word trap reference counts used when
-// several simulators share one machine. Idempotent.
-func (p *Phys) EnableTrapRefs() {
-	if p.trapRef == nil {
-		words := p.bytes / WordBytes
-		p.trapRef = make([]uint8, words)
-		p.refChunk = make([]uint8, (words+chunkWords-1)/chunkWords)
-	}
-}
-
-// TrapRefsEnabled reports whether per-word reference counting is active.
-func (p *Phys) TrapRefsEnabled() bool { return p.trapRef != nil }
+// --- Union arming (gang attach) ---
 
 // SetTrapDestroyedHook registers fn to be called (with a word-aligned
-// address) whenever a refcounted trap is destroyed by something other than
-// ReleaseTrapRef: DMA overwrites, silent write-around clears, true-error
+// address) for every Tapeworm trap destroyed by something other than
+// DisarmWords: DMA overwrites, silent write-around clears, true-error
 // correction. Pass nil to unregister.
 func (p *Phys) SetTrapDestroyedHook(fn func(pa PAddr)) { p.destroyed = fn }
 
-// TrapRefCount returns the reference count of the word containing pa
-// (0 when refcounting is disabled). For tests and assertions.
-func (p *Phys) TrapRefCount(pa PAddr) int {
-	if p.trapRef == nil {
-		return 0
-	}
-	return int(p.trapRef[p.wordIndex(pa)])
-}
-
-// refChunkInc records word w's refcount going 0→nonzero in the refcount
-// summary. Paired with refChunkDec: every increment must be balanced by
-// exactly one decrement when the word's count returns to zero, or the
-// summary diverges from trapRef and a bulk clear skips a chunk that
-// still holds references, leaving a gang member's intent dangling.
-func (p *Phys) refChunkInc(w uint32) { p.refChunk[w/chunkWords]++ }
-
-// refChunkDec records word w's refcount going nonzero→0; see refChunkInc.
-func (p *Phys) refChunkDec(w uint32) { p.refChunk[w/chunkWords]-- }
-
-// noteDestroyed zeroes the word's reference count and notifies the gang
-// layer. Called from every non-ReleaseTrapRef path that removes the
-// Tapeworm check bit of a word while references are outstanding.
-//
-//twvet:transfer
+// noteDestroyed reports the destruction of word w's Tapeworm trap to the
+// destroyed hook, if one is installed.
 func (p *Phys) noteDestroyed(w uint32) {
-	if p.trapRef == nil || p.trapRef[w] == 0 {
-		return
-	}
-	p.trapRef[w] = 0
-	p.refChunkDec(w)
 	if p.destroyed != nil {
 		p.destroyed(PAddr(w) * WordBytes)
 	}
 }
 
-// AddTrapRef takes one reference on the trap of the single word containing
-// pa, flipping the physical check bit on the 0→1 transition. It reports
-// false — and takes no reference — when the word carries a true memory
-// error, mirroring SetTrap's refusal to stack corruption on real faults.
-// EnableTrapRefs must have been called.
-func (c *Controller) AddTrapRef(pa PAddr) bool {
+// ArmWords arms the words m of 64-word chunk ch for their first holder in
+// a gang: the caller tracks which simulators hold each word and calls this
+// only when a word gains its first one. A word already carrying the
+// Tapeworm bit (an orphan left by an earlier run) is adopted without a
+// second flip. Words carrying a true memory error are refused — never
+// stack corruption on a real fault — and returned, unarmed.
+func (c *Controller) ArmWords(ch uint32, m uint64) (refused uint64) {
 	p := c.phys
-	if p.trapRef == nil {
-		panic("mem: AddTrapRef without EnableTrapRefs")
+	if len(p.ecc) != 0 {
+		// Only words with some corruption can carry a true error.
+		for rem := m & p.trapBits[ch]; rem != 0; rem &= rem - 1 {
+			b := bits.TrailingZeros64(rem)
+			if p.ecc[ch<<6+uint32(b)] != 0 {
+				refused |= 1 << uint(b)
+			}
+		}
+	}
+	add := m &^ refused &^ p.twBits[ch]
+	if add == 0 {
+		return refused
 	}
 	p.ensureOwned()
-	w := p.wordIndex(pa)
-	if p.trapRef[w] == 0 {
-		if p.ecc[w] != 0 {
-			return false // true error; never stack corruption
-		}
-		if !p.twSet(w) {
-			p.twBits[w>>6] |= 1 << (w & 63)
-			p.syncTrapBit(w)
-			p.trapsSet++
-		}
-		// An already-set bit is an orphaned trap (armed before
-		// refcounting began); adopt it without flipping again.
-		p.refChunkInc(w)
-	}
-	if p.trapRef[w] == ^uint8(0) {
-		panic("mem: trap reference count overflow")
-	}
-	p.trapRef[w]++
-	return true
+	p.twBits[ch] |= add
+	p.writeChunk(ch, p.trapBits[ch]|add)
+	p.trapsSet += uint64(popcount(add))
+	return refused
 }
 
-// ReleaseTrapRef drops one reference on the word containing pa, restoring
-// correct ECC when the last reference goes away. Releasing a word whose
-// trap was already destroyed (count zero) is a no-op.
-func (c *Controller) ReleaseTrapRef(pa PAddr) {
+// DisarmWords restores correct ECC to the words m of chunk ch as their
+// last holder in a gang releases them. It is the holders' own release, so
+// it does not call the destroyed hook. True-error state is preserved.
+func (c *Controller) DisarmWords(ch uint32, m uint64) {
 	p := c.phys
-	if p.trapRef == nil {
-		panic("mem: ReleaseTrapRef without EnableTrapRefs")
-	}
-	w := p.wordIndex(pa)
-	if p.trapRef[w] == 0 {
+	remove := m & p.twBits[ch]
+	if remove == 0 {
 		return
 	}
 	p.ensureOwned()
-	p.trapRef[w]--
-	if p.trapRef[w] != 0 {
+	p.twBits[ch] &^= remove
+	p.trapsCleared += uint64(popcount(remove))
+	if len(p.ecc) == 0 {
+		p.writeChunk(ch, p.trapBits[ch]&^remove)
 		return
 	}
-	p.refChunkDec(w)
-	if p.twSet(w) {
-		p.twBits[w>>6] &^= 1 << (w & 63)
-		p.syncTrapBit(w)
-		p.trapsCleared++
+	for rem := remove; rem != 0; rem &= rem - 1 {
+		p.syncTrapBit(ch<<6 + uint32(bits.TrailingZeros64(rem)))
 	}
 }
 
@@ -584,6 +509,7 @@ func (p *Phys) InjectError(pa PAddr, bit uint) {
 	}
 	p.ensureOwned()
 	w := p.wordIndex(pa)
+	hadTrap := p.twSet(w)
 	if bit == twCheckBit {
 		p.twBits[w>>6] ^= 1 << (w & 63)
 	} else {
@@ -593,7 +519,7 @@ func (p *Phys) InjectError(pa PAddr, bit uint) {
 		}
 	}
 	p.syncTrapBit(w)
-	if !p.twSet(w) {
+	if hadTrap && !p.twSet(w) {
 		p.noteDestroyed(w)
 	}
 }
@@ -657,7 +583,7 @@ func (c *Controller) FlipTapewormBit(pa PAddr, size int) {
 			wasSet := p.twBits[ch] & m
 			p.twBits[ch] ^= m
 			p.writeChunk(ch, p.trapBits[ch]&^m|p.twBits[ch]&m)
-			if p.trapRef != nil && p.refChunk[ch] != 0 {
+			if p.destroyed != nil {
 				for rem := wasSet; rem != 0; rem &= rem - 1 {
 					p.noteDestroyed(ch<<6 + uint32(bits.TrailingZeros64(rem)))
 				}
@@ -737,7 +663,7 @@ func (c *Controller) ClearTrap(pa PAddr, size int) {
 			p.twBits[ch] &^= remove
 			p.writeChunk(ch, p.trapBits[ch]&^remove)
 			p.trapsCleared += uint64(popcount(remove))
-			if p.trapRef != nil && p.refChunk[ch] != 0 {
+			if p.destroyed != nil {
 				for rem := remove; rem != 0; rem &= rem - 1 {
 					p.noteDestroyed(ch<<6 + uint32(bits.TrailingZeros64(rem)))
 				}

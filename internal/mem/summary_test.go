@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-// TestSummariesMatchBitsets drives random trap/refcount operations —
+// TestSummariesMatchBitsets drives random trap and union-arming operations —
 // including multi-word ranges that exercise the bulk chunk paths — and
 // checks the two-level occupancy summaries against the backing arrays
 // after every batch, plus TrapCount against a brute-force bit count.
@@ -18,7 +18,7 @@ func TestSummariesMatchBitsets(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		p := NewPhys(16, 4096) // 64 KB = 16K words
-		p.EnableTrapRefs()
+		p.SetTrapDestroyedHook(func(PAddr) {})
 		c := NewController(p)
 		words := uint32(p.Bytes() / WordBytes)
 		for _, o := range ops {
@@ -37,9 +37,9 @@ func TestSummariesMatchBitsets(t *testing.T) {
 			case 3:
 				p.InjectError(pa, uint(o.Bit%39))
 			case 4:
-				c.AddTrapRef(pa)
+				c.ArmWords(uint32(pa)/WordBytes/chunkWords, chunkMask(o.Len, o.Bit))
 			case 5:
-				c.ReleaseTrapRef(pa)
+				c.DisarmWords(uint32(pa)/WordBytes/chunkWords, chunkMask(o.Len, o.Bit))
 			case 6:
 				p.CorrectWord(pa)
 			case 7:
@@ -63,6 +63,11 @@ func TestSummariesMatchBitsets(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// chunkMask spreads two random bytes over a 64-word chunk mask.
+func chunkMask(a, b uint8) uint64 {
+	return (uint64(a)<<8 | uint64(b)) * 0x9e3779b97f4a7c15
 }
 
 // TestBulkRangeOpsMatchWordOps checks that a multi-chunk range operation

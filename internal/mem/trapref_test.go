@@ -2,134 +2,163 @@ package mem
 
 import "testing"
 
-func newRefPhys(t *testing.T) (*Phys, *Controller) {
+// Union arming: ArmWords and DisarmWords are the chunk-mask calls a gang
+// makes when a word gains its first holder and loses its last one.
+
+func newArmPhys(t *testing.T) (*Phys, *Controller) {
 	t.Helper()
 	p := NewPhys(64, 4096)
-	p.EnableTrapRefs()
 	return p, NewController(p)
 }
 
-func TestTrapRefOverlappingSetClear(t *testing.T) {
-	p, c := newRefPhys(t)
-	pa := PAddr(0x1000)
-
-	if !c.AddTrapRef(pa) {
-		t.Fatal("first AddTrapRef refused")
+func TestArmDisarmWordsFlipOncePerWord(t *testing.T) {
+	p, c := newArmPhys(t)
+	const ch = 0x1000 / WordBytes / chunkWords
+	m := uint64(0xf0f0)
+	if refused := c.ArmWords(ch, m); refused != 0 {
+		t.Fatalf("clean words refused: %#x", refused)
 	}
-	set0, _ := p.Stats()
-	if set0 != 1 || !p.TrappedWord(pa) {
-		t.Fatalf("first arm: set=%d trapped=%v", set0, p.TrappedWord(pa))
+	if set, _ := p.Stats(); set != 8 {
+		t.Fatalf("arming 8 words counted %d sets", set)
 	}
-	if !c.AddTrapRef(pa) {
-		t.Fatal("second AddTrapRef refused")
+	for w := uint32(0); w < chunkWords; w++ {
+		pa := PAddr(ch*chunkWords+w) * WordBytes
+		if p.TrappedWord(pa) != (m&(1<<w) != 0) || (p.TrappedWord(pa) && p.Classify(pa) != SynTapeworm) {
+			t.Fatalf("word %d: trapped %v, syndrome %v", w, p.TrappedWord(pa), p.Classify(pa))
+		}
 	}
-	if set1, _ := p.Stats(); set1 != 1 {
-		t.Fatalf("second arm flipped the bit again: set=%d", set1)
+	c.DisarmWords(ch, 0xf000)
+	if _, cleared := p.Stats(); cleared != 4 || p.TrapCount() != 4 {
+		t.Fatalf("disarming 4 words: cleared %d, %d still trapped", cleared, p.TrapCount())
 	}
-	if got := p.TrapRefCount(pa); got != 2 {
-		t.Fatalf("refcount %d, want 2", got)
+	c.DisarmWords(ch, 0xffff) // the four still armed, plus four already clear
+	if _, cleared := p.Stats(); cleared != 8 || p.TrapCount() != 0 {
+		t.Fatalf("disarm of clear words counted flips: cleared %d, %d trapped", cleared, p.TrapCount())
 	}
-
-	// Clear while the other holds: trap survives the first release.
-	c.ReleaseTrapRef(pa)
-	if !p.TrappedWord(pa) {
-		t.Fatal("trap destroyed while a reference remains")
-	}
-	if _, cleared := p.Stats(); cleared != 0 {
-		t.Fatal("first release flipped the physical bit")
-	}
-	c.ReleaseTrapRef(pa)
-	if p.TrappedWord(pa) || p.TrapRefCount(pa) != 0 {
-		t.Fatal("trap survived the last release")
-	}
-	if _, cleared := p.Stats(); cleared != 1 {
-		t.Fatal("last release did not flip the physical bit once")
-	}
-
-	// Releasing an unheld word is a no-op, not an underflow.
-	c.ReleaseTrapRef(pa)
-	if p.TrapRefCount(pa) != 0 {
-		t.Fatal("release below zero")
+	if err := p.CheckSummaries(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestTrapRefRefusesTrueError(t *testing.T) {
-	p, c := newRefPhys(t)
+	p, c := newArmPhys(t)
 	pa := PAddr(0x2000)
-	p.InjectError(pa, 3) // a real single-bit error, not the Tapeworm bit
-	if c.AddTrapRef(pa) {
-		t.Fatal("AddTrapRef armed a word carrying a true error")
+	ch := uint32(pa) / WordBytes / chunkWords
+	p.InjectError(pa, 3)   // a real single-bit error, not the Tapeworm bit
+	p.InjectError(pa+4, 0) // an orphaned Tapeworm bit...
+	p.InjectError(pa+4, 5) // ...under a true error: double-bit
+	if refused := c.ArmWords(ch, 0b111); refused != 0b011 {
+		t.Fatalf("refused %#b, want the two words carrying true errors (0b11)", refused)
 	}
-	if p.TrapRefCount(pa) != 0 {
-		t.Fatal("refused arm still recorded a reference")
+	if got := p.ECCState(pa); got != 1<<3 {
+		t.Fatalf("refused word's ECC state %#x, want only the true error", got)
+	}
+	if p.Classify(pa+8) != SynTapeworm {
+		t.Fatal("the clean word beside the errors was not armed")
+	}
+	if set, _ := p.Stats(); set != 1 {
+		t.Fatalf("%d sets, want 1", set)
 	}
 }
 
 func TestTrapRefAdoptsOrphan(t *testing.T) {
-	p, c := newRefPhys(t)
+	p, c := newArmPhys(t)
 	pa := PAddr(0x3000)
-	c.SetTrap(pa, WordBytes) // unrefcounted arm (legacy path)
+	c.SetTrap(pa, WordBytes) // a trap no gang member holds
 	set0, _ := p.Stats()
-	if !c.AddTrapRef(pa) {
-		t.Fatal("AddTrapRef refused an orphaned Tapeworm trap")
+	if refused := c.ArmWords(uint32(pa)/WordBytes/chunkWords, 1); refused != 0 {
+		t.Fatal("ArmWords refused an orphaned Tapeworm trap")
 	}
 	if set1, _ := p.Stats(); set1 != set0 {
 		t.Fatal("adopting an orphan flipped the bit again")
 	}
-	if p.TrapRefCount(pa) != 1 {
-		t.Fatalf("refcount %d after adoption, want 1", p.TrapRefCount(pa))
+	if p.Classify(pa) != SynTapeworm {
+		t.Fatal("adopted orphan lost its trap")
 	}
 }
 
-func TestTrapRefDestructionZeroesCountAndFiresHook(t *testing.T) {
-	p, c := newRefPhys(t)
+// TestTrapRefDestructionFiresHook: every hardware path that destroys a
+// Tapeworm bit reports it to the destroyed hook; the holders' own disarm
+// does not.
+func TestTrapRefDestructionFiresHook(t *testing.T) {
+	p, c := newArmPhys(t)
 	var destroyed []PAddr
 	p.SetTrapDestroyedHook(func(pa PAddr) { destroyed = append(destroyed, pa) })
+	arm := func(pa PAddr, words uint) {
+		t.Helper()
+		if c.ArmWords(uint32(pa)/WordBytes/chunkWords, (1<<words-1)<<(uint32(pa)/WordBytes%chunkWords)) != 0 {
+			t.Fatal("clean words refused")
+		}
+	}
+	want := func(label string, pas ...PAddr) {
+		t.Helper()
+		if len(destroyed) != len(pas) {
+			t.Fatalf("%s: hook calls %#x, want %#x", label, destroyed, pas)
+		}
+		for i := range pas {
+			if destroyed[i] != pas[i] {
+				t.Fatalf("%s: hook calls %#x, want %#x", label, destroyed, pas)
+			}
+		}
+		destroyed = destroyed[:0]
+	}
 
 	pa := PAddr(0x4000)
-	c.AddTrapRef(pa)
-	c.AddTrapRef(pa)
-
+	arm(pa, 4)
+	c.DisarmWords(uint32(pa)/WordBytes/chunkWords, 0b11)
+	want("disarm")
 	// CorrectWord is the scrubbing path: hardware destroys the trap no
-	// matter how many simulators hold it.
-	p.CorrectWord(pa)
-	if p.TrappedWord(pa) {
-		t.Fatal("trap survived CorrectWord")
-	}
-	if p.TrapRefCount(pa) != 0 {
-		t.Fatalf("refcount %d after destruction, want 0", p.TrapRefCount(pa))
-	}
-	if len(destroyed) != 1 || destroyed[0] != pa {
-		t.Fatalf("destroyed-hook calls: %v, want [%#x]", destroyed, pa)
-	}
-
-	// A silent controller clear (DMA write path) behaves the same way.
-	pb := PAddr(0x5000)
-	c.AddTrapRef(pb)
-	c.ClearTrap(pb, WordBytes)
-	if p.TrapRefCount(pb) != 0 {
-		t.Fatalf("refcount %d after ClearTrap destruction, want 0", p.TrapRefCount(pb))
-	}
-	if len(destroyed) != 2 || destroyed[1] != pb {
-		t.Fatalf("destroyed-hook calls: %v, want second %#x", destroyed, pb)
-	}
-
-	// The freed word can be re-armed cleanly.
-	if !c.AddTrapRef(pb) {
-		t.Fatal("re-arm after destruction refused")
-	}
-	if p.TrapRefCount(pb) != 1 || !p.TrappedWord(pb) {
-		t.Fatal("re-arm after destruction did not take")
+	// matter who holds it.
+	p.CorrectWord(pa + 8)
+	want("scrub", pa+8)
+	// A silent controller clear — the DMA write and no-allocate store
+	// write-around path — reports every word it clears, bulk or not.
+	c.ClearTrap(pa, 16)
+	want("clear", pa+12)
+	arm(pa, 8)
+	c.ClearTrap(pa+4, 24)
+	want("bulk clear", pa+4, pa+8, pa+12, pa+16, pa+20, pa+24)
+	c.FlipTapewormBit(pa, 8)
+	want("flip", pa)
+	// A true error elsewhere forces the per-word paths.
+	p.InjectError(0x8000, 9)
+	arm(pa+0x40, 2)
+	c.ClearTrap(pa+0x40, 8)
+	want("per-word clear", pa+0x40, pa+0x44)
+	// Injecting over the Tapeworm bit clears it; injecting any other bit
+	// destroys nothing.
+	arm(pa+0x80, 1)
+	p.InjectError(pa+0x80, 4)
+	want("inject beside")
+	p.InjectError(pa+0x80, 0)
+	want("inject over", pa+0x80)
+	// Without a hook, destruction is silent.
+	p.SetTrapDestroyedHook(nil)
+	arm(pa+0x100, 1)
+	p.CorrectWord(pa + 0x100)
+	want("no hook")
+	if err := p.CheckSummaries(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestTrapRefRequiresEnable(t *testing.T) {
-	p := NewPhys(4, 4096)
-	c := NewController(p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddTrapRef without EnableTrapRefs did not panic")
-		}
-	}()
-	c.AddTrapRef(0)
+func TestDisarmWordsPreservesTrueError(t *testing.T) {
+	p, c := newArmPhys(t)
+	pa := PAddr(0x5000)
+	ch := uint32(pa) / WordBytes / chunkWords
+	c.ArmWords(ch, 1)
+	p.InjectError(pa, 6) // a true error lands on a held word: double-bit
+	if p.Classify(pa) != SynDoubleBit {
+		t.Fatalf("syndrome %v, want double-bit", p.Classify(pa))
+	}
+	c.DisarmWords(ch, 1)
+	if got := p.ECCState(pa); got != 1<<6 {
+		t.Fatalf("after disarm ECC state %#x, want only the true error", got)
+	}
+	if !p.TrappedWord(pa) {
+		t.Fatal("disarm masked a genuine fault")
+	}
+	if err := p.CheckSummaries(); err != nil {
+		t.Fatal(err)
+	}
 }
