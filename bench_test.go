@@ -8,6 +8,7 @@
 package tapeworm_test
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -320,6 +321,39 @@ func BenchmarkSoloRun(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCompile times workload.Compile, generating one paper stream
+// and recording it into a compiled image, for each workload at scale 400,
+// where all eight compile. The "refused" case is xlisp at the standard
+// scale, beyond the compile budget: Compile refuses it from the spec,
+// before generating anything.
+func BenchmarkCompile(b *testing.B) {
+	const seed = 1994
+	for _, name := range workload.Names() {
+		spec, err := workload.ByName(name, 400)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := workload.Compile(spec, seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	spec, err := workload.ByName("xlisp", workload.DefaultScale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("refused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := workload.Compile(spec, seed); !errors.Is(err, workload.ErrStreamTooLarge) {
+				b.Fatalf("xlisp@%d: err = %v, want ErrStreamTooLarge", workload.DefaultScale, err)
+			}
+		}
+	})
 }
 
 // BenchmarkGangSweep times one cold mpeg_play cache-geometry sweep at

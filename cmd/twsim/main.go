@@ -158,7 +158,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, s := range tapeworm.Workloads(*scale) {
+		for _, s := range tapeworm.Workloads(workload.DefaultScale) {
 			fmt.Printf("%-11s %s\n", s.Name, s.Description)
 		}
 		return
@@ -438,8 +438,8 @@ func validateRunFlags(parallel, frames int, scale float64) error {
 	if err := mem.CheckPhysSize(frames, 4096); err != nil {
 		return fmt.Errorf("-frames invalid: %w", err)
 	}
-	if !(scale > 0) {
-		return fmt.Errorf("-scale must be positive, got %v", scale)
+	if err := workload.CheckScale(scale); err != nil {
+		return fmt.Errorf("-scale invalid: %w", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,11 @@ func TestValidateRunFlags(t *testing.T) {
 		{"frames beyond 32-bit space", 0, 1 << 21, 400, "-frames"},
 		{"zero scale", 0, 8192, 0, "-scale"},
 		{"negative scale", 0, 8192, -5, "-scale"},
+		{"NaN scale", 0, 8192, math.NaN(), "-scale"},
+		{"infinite scale", 0, 8192, math.Inf(1), "-scale"},
+		{"scale leaving no instructions", 0, 8192, 1e12, "-scale"},
+		{"scale past 2^53 instructions", 0, 8192, 1e-300, "-scale"},
+		{"scale leaving a workload no user instruction", 0, 8192, 1e8, "-scale"},
 	} {
 		err := validateRunFlags(tc.parallel, tc.frames, tc.scale)
 		if err == nil {

@@ -1,6 +1,7 @@
 package tapeworm_test
 
 import (
+	"math"
 	"testing"
 
 	"tapeworm"
@@ -57,6 +58,11 @@ func TestFacadeMachinePresets(t *testing.T) {
 	}
 	if _, err := tapeworm.WorkloadByName("nope", 100); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), 1e12, 1e-300} {
+		if _, err := tapeworm.WorkloadByName("kenbus", scale); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
 	}
 }
 

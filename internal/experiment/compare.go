@@ -104,12 +104,12 @@ func parseCell(s string) (float64, bool) {
 // carry an error bound instead of byte-exactness. replayed is the
 // IntervalStats groups delta over the run the footer describes; when it
 // is zero, no group was extrapolated — every one fell back to exhaustive
-// replay (a stream beyond the compile budget cannot be checkpointed) or
-// came from the result cache — and the note says so instead. Empty when
-// interval replay is off.
+// replay or came from the result cache — and the note says so instead.
+// A group falls back when its stream is beyond the compile budget, which
+// the spec alone decides: such a stream has no image to checkpoint. Empty
+// when interval replay is off.
 //
-//twvet:allow gate — pure formatter over already-validated options; no
-// error channel and nothing here can panic on bad values.
+//twvet:allow gate — pure formatter over already-validated options; no error channel and nothing here can panic on bad values
 func PhaseNote(o Options, replayed uint64) string {
 	if o.PhaseIntervals <= 0 {
 		return ""

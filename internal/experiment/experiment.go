@@ -12,13 +12,13 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strings"
 
 	"tapeworm/internal/mem"
 	"tapeworm/internal/telemetry"
+	"tapeworm/internal/workload"
 )
 
 // Options control experiment scale. Paper-faithful settings are expensive
@@ -122,8 +122,8 @@ type Options struct {
 // reaching mem.NewPhys). Every experiment driver calls it before
 // scheduling any run.
 func (o Options) Validate() error {
-	if !(o.Scale > 0) || math.IsInf(o.Scale, 0) || math.IsNaN(o.Scale) {
-		return fmt.Errorf("experiment: Scale must be a positive finite number, got %v", o.Scale)
+	if err := workload.CheckScale(o.Scale); err != nil {
+		return fmt.Errorf("experiment: Scale invalid: %w", err)
 	}
 	if o.Trials < 1 {
 		return fmt.Errorf("experiment: Trials must be at least 1, got %d", o.Trials)

@@ -55,9 +55,10 @@ import (
 	"tapeworm/internal/workload"
 )
 
-// errIntervalFallback marks a group that cannot take the interval path
-// (stream beyond the compile budget); execGang falls back to the
-// exhaustive gang.
+// errIntervalFallback marks a group that cannot take the interval path:
+// its stream is beyond the compile budget, which workload decides from
+// the spec without generating the stream, so falling back costs nothing
+// before execGang runs the exhaustive gang.
 var errIntervalFallback = errors.New("experiment: interval replay unavailable")
 
 // phaseGeom folds the option triple into the checkpoint cache's geometry

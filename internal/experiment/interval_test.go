@@ -26,9 +26,9 @@ func phaseOptions(parallelism int, seed uint64) Options {
 
 func TestOptionsValidatePhase(t *testing.T) {
 	cases := []struct {
-		name                   string
-		intervals, k, warmup   int
-		wantErr                string
+		name                 string
+		intervals, k, warmup int
+		wantErr              string
 	}{
 		{"off", 0, 0, 0, ""},
 		{"on", 8, 2, 1000, ""},

@@ -297,8 +297,8 @@ func simulateSystem(k *kernel.Kernel, tw *core.Tapeworm, rc runConfig) error {
 // newWorkloadProgram builds the run's workload program: the compiled
 // replay by default (cached across the trials, gang members and
 // fast/baseline pairs that share a (spec, seed) stream; decode-ahead for a
-// stream beyond the compile budget), or the reference interpreter when
-// the run opts out. They are stream-identical, so every table is
+// stream whose spec is beyond the compile budget, with no compile
+// attempted), or the reference interpreter when the run opts out. They are stream-identical, so every table is
 // byte-identical either way; the verify-compiled gate enforces it.
 func newWorkloadProgram(rc runConfig) (kernel.Program, error) {
 	if rc.noCompile {

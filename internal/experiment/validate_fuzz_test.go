@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tapeworm/internal/mem"
+	"tapeworm/internal/workload"
 )
 
 // FuzzOptionsValidate feeds Validate arbitrary option values — NaN,
@@ -27,6 +28,9 @@ func FuzzOptionsValidate(f *testing.F) {
 	f.Add(math.Inf(1), 1, 4096, 0, false, "", false, "", 0, 0, 0)
 	f.Add(math.Inf(-1), 1, 4096, 0, false, "", false, "", 0, 0, 0)
 	f.Add(-1.0, 0, -8, -2, false, "", false, "", -1, -1, -1)
+	f.Add(0.0, 1, 4096, 0, false, "", false, "", 0, 0, 0)
+	f.Add(1e12, 1, 4096, 0, false, "", false, "", 0, 0, 0)
+	f.Add(1e-300, 1, 4096, 0, false, "", false, "", 0, 0, 0)
 	f.Add(1.0, 1, 1<<22, 0, false, dir, false, dir, 0, 1, 0)
 	f.Add(1.0, 1, 1<<20, 0, true, " ", true, "\t", 4, 5, 0)
 	f.Add(1.0, 1, 1, 0, true, file, true, file, 0, 0, 3)
@@ -45,6 +49,7 @@ func FuzzOptionsValidate(f *testing.F) {
 		if !(scale > 0) || math.IsInf(scale, 0) {
 			t.Fatalf("accepted scale %v", scale)
 		}
+		workload.Specs(scale) // panics on a scale the drivers cannot run
 		if trials < 1 || parallelism < 0 {
 			t.Fatalf("accepted %d trials, parallelism %d", trials, parallelism)
 		}

@@ -197,9 +197,9 @@ func interleave(root workload.OpTree, intervalLen uint64) (total uint64, vecs []
 	tasks := []*walker{{node: root}}
 	cur := 0
 
-	var u uint64          // retired user instructions
-	var refIdx uint64     // reference index, for sampling
-	var sampled uint64    // references sampled this interval
+	var u uint64       // retired user instructions
+	var refIdx uint64  // reference index, for sampling
+	var sampled uint64 // references sampled this interval
 	var boundary = intervalLen
 
 	stride := uint64(1)
@@ -319,8 +319,9 @@ func totalUser(t workload.OpTree) uint64 {
 // Analyze cuts the compiled stream of (spec, seed) into cfg.Intervals
 // intervals, clusters their fingerprints into at most K phases and
 // returns the replay plan. Streams beyond the compile budget return
-// workload.ErrStreamTooLarge — such runs cannot use interval replay
-// (their checkpoints carry no resumable cursors either).
+// workload.ErrStreamTooLarge at once, decided from the spec before any
+// op is generated — such runs cannot use interval replay (their
+// checkpoints carry no resumable cursors either).
 func Analyze(spec workload.Spec, seed uint64, cfg Config) (Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return Plan{}, err

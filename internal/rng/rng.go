@@ -54,17 +54,17 @@ func (r *Source) Reseed(seed uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. It is the reference xoshiro256**
+// step (s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= s1<<17 with the
+// old s1; s3 = rotl(s3, 45)) with the state loaded into locals and stored
+// once, which keeps it, Float64 and Bool within the inliner's budget: the
+// generators' draws are inlined, not called.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Split derives an independent child Source from this Source's current
@@ -147,9 +147,11 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
+// Bool returns true with probability p. It is Float64() < p with both
+// sides scaled by 2^53, which is exact for every p (NaN included), so it
+// saves the division without changing a single outcome.
 func (r *Source) Bool(p float64) bool {
-	return r.Float64() < p
+	return float64(r.Uint64()>>11) < p*(1<<53)
 }
 
 // Perm returns a random permutation of the integers [0, n).

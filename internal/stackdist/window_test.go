@@ -27,7 +27,7 @@ func TestWindowPartitionsTotals(t *testing.T) {
 	for win := 0; win < 5; win++ {
 		n := 500 + win*137 // uneven window lengths
 		for i := 0; i < n; i++ {
-			e := entry(uint32(r.Intn(1 << 11)) &^ 15)
+			e := entry(uint32(r.Intn(1<<11)) &^ 15)
 			s.Process(e)
 			whole.Process(e)
 			refs++

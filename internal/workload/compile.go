@@ -14,9 +14,11 @@ package workload
 // Compile records through the same recorder as a decode-ahead stream
 // (stream.go): into chunks that start at firstChunkOps and double up to
 // maxCompileChunkOps, copied once into the image's flat op array, so no
-// garbage generations of a growing slice are left behind. A stream beyond
-// the compile budget is not compiled; NewPlanned runs it decode-ahead
-// instead, through the same kernel replay loop.
+// garbage generations of a growing slice are left behind. Whether a
+// stream compiles is decided from its spec alone, before anything is
+// generated: a stream beyond the compile budget is refused at once, and
+// NewPlanned runs it decode-ahead instead, through the same kernel replay
+// loop.
 //
 // The compiler is seed-pure: it consumes randomness only through the
 // generator it records, so a compiled replay is bit-identical to the
@@ -34,15 +36,32 @@ import (
 	"tapeworm/internal/mem"
 )
 
-// maxCompiledOps bounds the total op count of one workload's fork tree.
-// Beyond it (roughly 50 MB of ops; only reached far above the bench and
-// verification scales), Compile refuses and NewPlanned returns a
-// decode-ahead stream.
-const maxCompiledOps = 4 << 20
+// maxCompiledInstr bounds the user instructions (Spec.UserInstructions,
+// the whole fork tree's) of a stream that compiles. Images measure 0.74
+// (kenbus) to 0.92 (eqntott) ops per user instruction, so the largest
+// admissible image is about 4.84M ops, 58 MB. At the standard scale 100,
+// xlisp, eqntott, mpeg_play and jpeg_play exceed it and run decode-ahead;
+// from scale 400 up, all eight paper streams compile. mpeg_play must
+// compile at scale 125 (5,077,264 user instructions): interval sampling
+// of its sweeps needs the image.
+const maxCompiledInstr = 5 << 20
 
 // ErrStreamTooLarge reports a workload whose stream exceeds the compile
-// op budget; run it decode-ahead (New) instead.
-var ErrStreamTooLarge = fmt.Errorf("workload: stream exceeds the %d-op compile budget", maxCompiledOps)
+// budget; run it decode-ahead (New) instead.
+var ErrStreamTooLarge = fmt.Errorf("workload: stream exceeds the %d-user-instruction compile budget", maxCompiledInstr)
+
+// compilable validates spec and decides, from the spec alone, whether its
+// stream fits the compile budget, so a refusal costs nothing: no
+// generator runs and no cache entry is made.
+func compilable(spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if spec.UserInstructions() > maxCompiledInstr {
+		return ErrStreamTooLarge
+	}
+	return nil
+}
 
 // image is the compiled form of one task's program: its op stream plus the
 // images of the children it forks, in fork order. Images are immutable
@@ -118,51 +137,37 @@ func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 			Child:     newCompiled(c.img.children[op.Arg], childPath, 0),
 			ShareText: op.N != 0,
 		}
-	default: // OpExit is sticky, like the interpreter's exited state.
+	default: // OpExit is sticky, like the interpreter's exit.
 		return 0, 0, kernel.Event{Kind: kernel.EvExit}
 	}
 }
 
 // compileImage records gen's full stream into an image, compiling the
 // children it forks, in fork order, as each chunk hands them over.
-// budget is the remaining op allowance across the whole fork tree.
-func compileImage(gen *program, budget *int) (*image, error) {
+func compileImage(gen *program) *image {
 	r := recorder{gen: gen}
 	img := &image{}
 	var chunks [][]kernel.CompiledOp
 	for size := firstChunkOps; !r.exited; size = min(2*size, maxCompileChunkOps) {
 		c := &chunk{ops: make([]kernel.CompiledOp, 0, size)}
 		r.fill(c)
-		if *budget -= len(c.ops); *budget < 0 {
-			return nil, ErrStreamTooLarge
-		}
 		chunks = append(chunks, c.ops)
 		for _, g := range c.children {
-			child, err := compileImage(g, budget)
-			if err != nil {
-				return nil, err
-			}
-			img.children = append(img.children, child)
+			img.children = append(img.children, compileImage(g))
 		}
 	}
 	img.ops = slices.Concat(chunks...)
-	return img, nil
+	return img
 }
 
 // Compile lowers spec's reference stream into a fresh compiled program,
-// bypassing the cache. Returns ErrStreamTooLarge when the stream exceeds
-// the op budget.
+// bypassing the cache. It returns ErrStreamTooLarge, having generated
+// nothing, when the stream exceeds the compile budget.
 func Compile(spec Spec, seed uint64) (*Compiled, error) {
-	gen, err := newGenerator(spec, seed)
-	if err != nil {
+	if err := compilable(spec); err != nil {
 		return nil, err
 	}
-	budget := maxCompiledOps
-	img, err := compileImage(gen, &budget)
-	if err != nil {
-		return nil, err
-	}
-	return newCompiled(img, nil, 0), nil
+	return newCompiled(compileImage(newGenerator(spec, seed)), nil, 0), nil
 }
 
 // --- Process-wide image cache ---
@@ -170,12 +175,12 @@ func Compile(spec Spec, seed uint64) (*Compiled, error) {
 // opBytes is the in-memory size of one compiled op.
 const opBytes = int64(unsafe.Sizeof(kernel.CompiledOp{}))
 
-// maxCachedImageBytes bounds the compile cache by image bytes: room for
-// four streams at the compile budget, the worst case of the entry-count
-// bound it replaces, and for the whole paper workload set at bench scales
-// (Table 6 alone revisits all eight streams). Sweeps revisit the same few
-// (spec, seed) pairs thousands of times.
-const maxCachedImageBytes = 4 * maxCompiledOps * opBytes
+// maxCachedImageBytes bounds the compile cache by image bytes: 16M ops,
+// about 201 MB, room for three images at the compile budget and for the
+// whole paper workload set at bench scales (Table 6 alone revisits all
+// eight streams). Sweeps revisit the same few (spec, seed) pairs
+// thousands of times.
+const maxCachedImageBytes = 16 << 20 * opBytes
 
 type cacheKey struct {
 	spec Spec
@@ -185,7 +190,6 @@ type cacheKey struct {
 type cacheEntry struct {
 	once  sync.Once
 	img   *image
-	err   error
 	bytes int64  // image size, set under cacheMu once compiled
 	gen   uint64 // LRU clock, updated under cacheMu
 }
@@ -197,23 +201,24 @@ var (
 	cacheBytes int64 // sum of the entries' bytes
 
 	imageHits     atomic.Uint64 // requests served by an existing entry
-	imageCompiles atomic.Uint64 // compilations run, refused ones included
+	imageCompiles atomic.Uint64 // compilations run
 )
 
 // ImageCacheStats reports process-wide compiled-image cache activity:
 // hits is the number of requests served by an existing entry (including
-// one still compiling, and a refusal remembered for a stream beyond the
-// budget), compiles the number of compilations run.
+// one still compiling), compiles the number of compilations run. A stream
+// refused for the compile budget never reaches the cache and counts as
+// neither.
 func ImageCacheStats() (hits, compiles uint64) {
 	return imageHits.Load(), imageCompiles.Load()
 }
 
-// cachedImage memoizes Compile by (spec, seed). Concurrent requests for
-// the same key compile once and share the immutable result; distinct keys
-// compile in parallel. Least-recently-used images are evicted while the
-// cached images exceed maxCachedImageBytes. A stream refused for the
-// compile budget costs no bytes and is remembered, never recompiled.
-func cachedImage(spec Spec, seed uint64) (*image, error) {
+// cachedImage memoizes Compile by (spec, seed), for a spec that compilable
+// accepted. Concurrent requests for the same key compile once and share
+// the immutable result; distinct keys compile in parallel.
+// Least-recently-used images are evicted while the cached images exceed
+// maxCachedImageBytes.
+func cachedImage(spec Spec, seed uint64) *image {
 	key := cacheKey{spec: spec, seed: seed}
 	cacheMu.Lock()
 	e := imageCache[key]
@@ -228,26 +233,21 @@ func cachedImage(spec Spec, seed uint64) (*image, error) {
 	cacheMu.Unlock()
 	e.once.Do(func() {
 		imageCompiles.Add(1)
-		c, err := Compile(spec, seed)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.img = c.img
+		e.img = compileImage(newGenerator(spec, seed))
 		cacheMu.Lock()
-		e.bytes = c.img.bytes()
+		e.bytes = e.img.bytes()
 		cacheBytes += e.bytes
 		evictImages(e)
 		cacheMu.Unlock()
 	})
-	return e.img, e.err
+	return e.img
 }
 
 // evictImages drops least-recently-used images, never keep, until the
 // cache fits its byte budget; called under cacheMu. Generation numbers
 // are unique, so the minimum is the same victim at any iteration order;
 // eviction never changes simulation results either way (images are
-// pure). Entries still compiling or refused hold no bytes and stay.
+// pure). Entries still compiling hold no bytes and stay.
 func evictImages(keep *cacheEntry) {
 	for cacheBytes > maxCachedImageBytes {
 		var victimKey cacheKey
@@ -276,21 +276,18 @@ func (img *image) bytes() int64 {
 }
 
 // NewPlanned returns the fastest available Program for (spec, seed): a
-// replay of the cached compiled stream when it fits the op budget, else a
-// decode-ahead stream (New). Both replay through the kernel's compiled
-// loop, and the emitted event stream is identical either way.
+// replay of the cached compiled stream when it fits the compile budget,
+// else a decode-ahead stream (New). Both replay through the kernel's
+// compiled loop, and the emitted event stream is identical either way.
 func NewPlanned(spec Spec, seed uint64) (kernel.Program, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	img, err := cachedImage(spec, seed)
-	if err == ErrStreamTooLarge {
+	switch err := compilable(spec); err {
+	case nil:
+		return newCompiled(cachedImage(spec, seed), nil, 0), nil
+	case ErrStreamTooLarge:
 		return New(spec, seed)
-	}
-	if err != nil {
+	default:
 		return nil, err
 	}
-	return newCompiled(img, nil, 0), nil
 }
 
 // NewPlannedAt rebuilds a compiled replay of (spec, seed) positioned at a
@@ -299,14 +296,10 @@ func NewPlanned(spec Spec, seed uint64) (kernel.Program, error) {
 // replays, so a stream too large to compile is an error here, not a
 // decode-ahead fallback: a decode-ahead stream cannot seek.
 func NewPlannedAt(spec Spec, seed uint64, cur kernel.ProgramCursor) (kernel.Program, error) {
-	if err := spec.Validate(); err != nil {
+	if err := compilable(spec); err != nil {
 		return nil, err
 	}
-	img, err := cachedImage(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	node := img
+	node := cachedImage(spec, seed)
 	for i, arg := range cur.Path {
 		if arg < 0 || int(arg) >= len(node.children) {
 			return nil, fmt.Errorf("workload: cursor path %v invalid at step %d for %s/seed %#x",
@@ -340,15 +333,12 @@ func (t OpTree) NumChildren() int { return len(t.img.children) }
 func (t OpTree) Child(i int) OpTree { return OpTree{img: t.img.children[i]} }
 
 // PlannedOps exposes the cached compiled fork tree of (spec, seed).
-// Returns ErrStreamTooLarge (wrapped by nothing) when the stream exceeds
-// the compile budget, exactly as NewPlanned's fallback condition.
+// Returns ErrStreamTooLarge (wrapped by nothing), having generated
+// nothing, when the stream exceeds the compile budget, exactly as
+// NewPlanned's fallback condition.
 func PlannedOps(spec Spec, seed uint64) (OpTree, error) {
-	if err := spec.Validate(); err != nil {
+	if err := compilable(spec); err != nil {
 		return OpTree{}, err
 	}
-	img, err := cachedImage(spec, seed)
-	if err != nil {
-		return OpTree{}, err
-	}
-	return OpTree{img: img}, nil
+	return OpTree{img: cachedImage(spec, seed)}, nil
 }

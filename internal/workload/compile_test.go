@@ -234,8 +234,9 @@ func TestNewPlannedCacheSharesImages(t *testing.T) {
 }
 
 // TestRefusedStreamNotRecompiled: a stream beyond the compile budget is
-// refused once and remembered, at no cost to the cache's byte budget;
-// later requests fall back to the interpreter without compiling again.
+// refused from its spec before the image cache is consulted. The refusal
+// makes no cache entry and counts as neither a compile nor a hit, and
+// NewPlanned still returns a decode-ahead stream for it, every time.
 func TestRefusedStreamNotRecompiled(t *testing.T) {
 	spec, err := ByName("espresso", 1)
 	if err != nil {
@@ -247,19 +248,85 @@ func TestRefusedStreamNotRecompiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := prog.(*Compiled); ok {
-			t.Fatal("oversized stream compiled")
+		if _, ok := prog.(*stream); !ok {
+			t.Fatalf("request %d: NewPlanned returned %T, want a decode-ahead stream", i, prog)
+		}
+		if _, err := PlannedOps(spec, 43); err != ErrStreamTooLarge {
+			t.Fatalf("request %d: PlannedOps err = %v, want ErrStreamTooLarge", i, err)
 		}
 		hits, compiles := ImageCacheStats()
-		if want := uint64(1 - i); compiles-compiles0 != want || hits-hits0 != uint64(i) {
-			t.Fatalf("request %d: %d compiles, %d hits; want %d compiles", i, compiles-compiles0, hits-hits0, want)
+		if compiles != compiles0 || hits != hits0 {
+			t.Fatalf("request %d: %d compiles, %d hits; want none", i, compiles-compiles0, hits-hits0)
 		}
 	}
 	cacheMu.Lock()
-	e, bytes := imageCache[cacheKey{spec, 43}], cacheBytes
+	_, cached := imageCache[cacheKey{spec, 43}]
 	cacheMu.Unlock()
-	if e == nil || e.bytes != 0 || bytes > maxCachedImageBytes {
-		t.Fatalf("refused entry %+v, cache %d bytes", e, bytes)
+	if cached {
+		t.Fatal("refused stream has an image cache entry")
+	}
+}
+
+// TestRefusalAllocatesNothing: the refusal precedes generation, so
+// refusing xlisp at the standard scale (its stream is about 10M ops)
+// allocates nothing on any entry point that can refuse. Every call uses a
+// fresh seed, so no earlier request for the same stream can answer it.
+func TestRefusalAllocatesNothing(t *testing.T) {
+	spec, err := ByName("xlisp", DefaultScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(1 << 40)
+	for _, c := range []struct {
+		name string
+		call func(seed uint64) error
+	}{
+		{"Compile", func(seed uint64) error { _, err := Compile(spec, seed); return err }},
+		{"PlannedOps", func(seed uint64) error { _, err := PlannedOps(spec, seed); return err }},
+		{"NewPlannedAt", func(seed uint64) error {
+			_, err := NewPlannedAt(spec, seed, kernel.ProgramCursor{})
+			return err
+		}},
+	} {
+		var err error
+		if allocs := testing.AllocsPerRun(3, func() { seed++; err = c.call(seed) }); allocs != 0 {
+			t.Errorf("%s allocated %v times refusing xlisp@%d", c.name, allocs, DefaultScale)
+		}
+		if err != ErrStreamTooLarge {
+			t.Errorf("%s err = %v, want ErrStreamTooLarge", c.name, err)
+		}
+	}
+}
+
+// TestCompileSet pins which paper streams compile at the scales the
+// benchmark, CI and the command-line defaults use. Scale 125 must compile
+// mpeg_play: the sampled sweep's interval path needs its image.
+func TestCompileSet(t *testing.T) {
+	all := Names()
+	for _, c := range []struct {
+		scale float64
+		want  []string
+	}{
+		{100, []string{"espresso", "ousterhout", "sdet", "kenbus"}},
+		{125, []string{"espresso", "mpeg_play", "ousterhout", "sdet", "kenbus"}},
+		{400, all},
+		{800, all},
+		{1000, all},
+		{4000, all},
+	} {
+		var got []string
+		for _, spec := range Specs(c.scale) {
+			switch err := compilable(spec); err {
+			case nil:
+				got = append(got, spec.Name)
+			case ErrStreamTooLarge:
+			default:
+				t.Fatalf("%s@%v: %v", spec.Name, c.scale, err)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("scale %v compiles %v, want %v", c.scale, got, c.want)
+		}
 	}
 }
 

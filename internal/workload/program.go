@@ -20,7 +20,6 @@ type program struct {
 	r    *rng.Source
 
 	remaining uint64 // user instructions still to emit
-	exited    bool
 
 	// Text walk: one walker per procedure, Zipf-selected per visit, with
 	// a per-phase permutation so working sets drift over time.
@@ -31,19 +30,25 @@ type program struct {
 	visitLeft int
 	phaseLeft uint64
 
-	// Data references.
+	// Data references. pendingData defers the data reference in evRef,
+	// drawn after a run's last fetch, to the next step.
 	dataR       *rng.Source
 	pendingData bool
-	pending     mem.Ref
 	streamPos   uint32
 
-	// Current pre-drawn walker run (see NextRun): the walker has already
+	// Current pre-drawn walker run (see step): the walker has already
 	// committed to these sequential fetches; slots consume them one
 	// address at a time. pendingSvc defers a syscall event whose
 	// probability draw fired while a run was open.
 	runBase    mem.VAddr
 	runLeft    int
 	pendingSvc bool
+
+	// The payload of the event step last returned: EvRef's reference,
+	// EvSyscall's service, EvFork's child (cleared by whoever takes it).
+	evRef   mem.Ref
+	evSvc   kernel.ServiceID
+	evChild *program
 
 	// Syscalls occur with probability syscallProb per user instruction —
 	// probabilistic rather than counted, so tasks shorter than the mean
@@ -70,11 +75,10 @@ type program struct {
 // NewReference's. A producer stops at the stream's exit, or once its
 // program is garbage.
 func New(spec Spec, seed uint64) (kernel.Program, error) {
-	gen, err := newGenerator(spec, seed)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return newStream(gen, firstChunkOps, maxRingChunkOps), nil
+	return newStream(newGenerator(spec, seed), firstChunkOps, maxRingChunkOps), nil
 }
 
 // MustNew is New, a decode-ahead stream, but panics on error.
@@ -92,14 +96,14 @@ func MustNew(spec Spec, seed uint64) kernel.Program {
 // decode-ahead paths are checked against (Options.NoCompile, twbench
 // -compile=false and tests); simulations should use NewPlanned or New.
 func NewReference(spec Spec, seed uint64) (kernel.Program, error) {
-	return newGenerator(spec, seed)
-}
-
-// newGenerator builds the root generator for spec, seeded by seed.
-func newGenerator(spec Spec, seed uint64) (*program, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	return newGenerator(spec, seed), nil
+}
+
+// newGenerator builds the root generator for a valid spec, seeded by seed.
+func newGenerator(spec Spec, seed uint64) *program {
 	s := spec // private copy
 	userTotal := s.UserInstructions()
 	rootInstr := uint64(float64(userTotal) * s.RootWorkFrac)
@@ -163,7 +167,7 @@ func newGenerator(spec Spec, seed uint64) (*program, error) {
 			return c
 		}
 	}
-	return root, nil
+	return root
 }
 
 func isqrt(n int) int {
@@ -256,48 +260,67 @@ func (p *program) Next() kernel.Event {
 	return ev
 }
 
-// NextRun implements kernel.BatchProgram. The stream is identical to
-// driving the program through Next: every per-instruction draw (syscall,
-// data reference) stays in slot order on its own source, and walker runs
-// are pre-committed from the walker's private source, whose draw sequence
-// batching does not reorder. Runs end at taken branches, visit switches,
-// pending data references and events, so the returned fetches are
-// sequential and the interleaving with data references is preserved
-// exactly.
+// NextRun implements kernel.BatchProgram: it is step, with the event
+// built from the payload step leaves behind.
 func (p *program) NextRun(max int) (mem.VAddr, int, kernel.Event) {
+	base, n, kind := p.step(max)
+	switch {
+	case n > 0:
+		return base, n, kernel.Event{}
+	case kind == kernel.EvRef:
+		return 0, 0, kernel.Event{Kind: kernel.EvRef, Ref: p.evRef}
+	case kind == kernel.EvSyscall:
+		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: p.evSvc}
+	case kind == kernel.EvFork:
+		child := p.evChild
+		p.evChild = nil
+		return 0, 0, kernel.Event{Kind: kernel.EvFork, Child: child, ShareText: p.spec.ChildShareText}
+	}
+	return 0, 0, kernel.Event{Kind: kernel.EvExit}
+}
+
+// step is the generator's one body, which the reference interpreter
+// (NextRun) and the recorder both drive. It returns a run of n > 0
+// sequential fetches from base, at most max, or, with n == 0, the kind of
+// the next event, whose payload it leaves in evRef, evSvc or evChild (a
+// fork's ShareText is the spec's ChildShareText).
+//
+// The stream is identical to driving the program through Next: every
+// per-instruction draw (syscall, data reference) stays in slot order on
+// its own source, and walker runs are pre-committed from the walker's
+// private source, whose draw sequence batching does not reorder. Runs end
+// at taken branches, visit switches, pending data references and events,
+// so the returned fetches are sequential and the interleaving with data
+// references is preserved exactly.
+func (p *program) step(max int) (mem.VAddr, int, kernel.EventKind) {
 	if p.pendingData {
 		p.pendingData = false
-		return 0, 0, kernel.Event{Kind: kernel.EvRef, Ref: p.pending}
+		return 0, 0, kernel.EvRef
 	}
 	if p.pendingSvc {
 		p.pendingSvc = false
-		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: p.pickService()}
+		p.evSvc = p.pickService()
+		return 0, 0, kernel.EvSyscall
 	}
 	var base mem.VAddr
 	n := 0
 	for n < max {
 		if p.remaining == 0 {
 			if n > 0 {
-				return base, n, kernel.Event{}
+				return base, n, kernel.EvRef
 			}
-			if !p.exited {
-				p.exited = true
-			}
-			return 0, 0, kernel.Event{Kind: kernel.EvExit}
+			return 0, 0, kernel.EvExit
 		}
 		if p.forksLeft > 0 && p.sinceFork >= p.forkEvery {
 			if n > 0 {
-				return base, n, kernel.Event{}
+				return base, n, kernel.EvRef
 			}
 			p.sinceFork = 0
 			p.forksLeft--
 			i := p.childIndex
 			p.childIndex++
-			return 0, 0, kernel.Event{
-				Kind:      kernel.EvFork,
-				Child:     p.makeChild(i),
-				ShareText: p.spec.ChildShareText,
-			}
+			p.evChild = p.makeChild(i)
+			return 0, 0, kernel.EvFork
 		}
 		if p.syscallProb > 0 && p.dataR.Bool(p.syscallProb) {
 			if n > 0 {
@@ -305,9 +328,10 @@ func (p *program) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 				// draw happens there, after this Bool on the same source —
 				// the same order Next alone would produce.
 				p.pendingSvc = true
-				return base, n, kernel.Event{}
+				return base, n, kernel.EvRef
 			}
-			return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: p.pickService()}
+			p.evSvc = p.pickService()
+			return 0, 0, kernel.EvSyscall
 		}
 
 		// One user instruction.
@@ -345,16 +369,16 @@ func (p *program) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 		n++
 
 		if p.spec.DataRefsPerInstr > 0 && p.dataR.Bool(p.spec.DataRefsPerInstr) {
-			p.pending = p.dataRef()
+			p.evRef = p.dataRef()
 			p.pendingData = true
-			return base, n, kernel.Event{}
+			return base, n, kernel.EvRef
 		}
 		if p.runLeft == 0 {
 			// Taken branch or visit end: the next fetch is non-sequential.
-			return base, n, kernel.Event{}
+			return base, n, kernel.EvRef
 		}
 	}
-	return base, n, kernel.Event{}
+	return base, n, kernel.EvRef
 }
 
 // pickService draws a service from the workload's syscall mix.

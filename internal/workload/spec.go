@@ -12,7 +12,9 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"tapeworm/internal/kernel"
 )
@@ -66,12 +68,22 @@ func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("workload: unnamed spec")
 	}
-	if s.PaperInstructions <= 0 || s.Scale <= 0 {
-		return fmt.Errorf("workload %s: non-positive instruction count or scale", s.Name)
+	if !(s.PaperInstructions > 0) || !(s.Scale > 0) {
+		return fmt.Errorf("workload %s: instruction count %v and scale %v must be positive",
+			s.Name, s.PaperInstructions, s.Scale)
 	}
 	f := s.FracKernel + s.FracBSD + s.FracX + s.FracUser
-	if f < 0.99 || f > 1.01 {
+	if !(f >= 0.99 && f <= 1.01) {
 		return fmt.Errorf("workload %s: component fractions sum to %v, want 1", s.Name, f)
+	}
+	// The instruction targets are float quotients converted to integers:
+	// from 2^53 up the conversion is inexact or undefined, and a stream
+	// without a user instruction simulates nothing. The user target also
+	// picks the execution path (the compile budget), so a garbage target
+	// must not reach a run.
+	if total := s.PaperInstructions * 1e6 / s.Scale; !(total < 1<<53) || math.Floor(total)*s.FracUser < 1 {
+		return fmt.Errorf("workload %s: scale %v gives %.4g instructions, %.4g of them user; want at least one user instruction and fewer than 2^53 in all",
+			s.Name, s.Scale, total, math.Floor(total)*s.FracUser)
 	}
 	if s.TextBytes < 1024 || s.Procs < 1 {
 		return fmt.Errorf("workload %s: text too small or no procedures", s.Name)
@@ -82,7 +94,7 @@ func (s Spec) Validate() error {
 	if s.ForkDepth < 1 || s.ForkDepth > 2 {
 		return fmt.Errorf("workload %s: fork depth %d unsupported", s.Name, s.ForkDepth)
 	}
-	if s.RootWorkFrac <= 0 || s.RootWorkFrac > 1 {
+	if !(s.RootWorkFrac > 0 && s.RootWorkFrac <= 1) {
 		return fmt.Errorf("workload %s: root work fraction %v", s.Name, s.RootWorkFrac)
 	}
 	// The rate solver attributes KernelSvc cost entirely to the kernel;
@@ -176,16 +188,39 @@ func (s Spec) rates() (prob float64, cum [3]float64, svcs [3]kernel.ServiceID) {
 	return total, cum, svcs
 }
 
+// ErrBadScale reports an instruction-scale divisor CheckScale rejects.
+var ErrBadScale = errors.New("workload: bad scale")
+
+// CheckScale reports whether scale is a valid instruction-scale divisor:
+// finite and positive, with every paper workload's instruction targets in
+// range (see Spec.Validate). It returns an error wrapping ErrBadScale
+// otherwise. ByName, experiment.Options.Validate and twsim's flag checks
+// refuse scales through it.
+func CheckScale(scale float64) error {
+	for _, s := range paperSpecs(scale) {
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("%w %v (%v)", ErrBadScale, scale, err)
+		}
+	}
+	return nil
+}
+
 // Specs returns the paper's eight workloads (Table 3/Table 4) at the given
-// scale divisor (use DefaultScale for the standard evaluation).
+// scale divisor (use DefaultScale for the standard evaluation). It panics
+// on a scale CheckScale rejects.
 func Specs(scale float64) []Spec {
+	if err := CheckScale(scale); err != nil {
+		panic(err)
+	}
+	return paperSpecs(scale)
+}
+
+// paperSpecs returns the paper's eight workloads at scale, unvalidated.
+func paperSpecs(scale float64) []Spec {
 	mk := func(s Spec) Spec {
 		s.Scale = scale
 		if s.KernelSvc == kernel.SvcNull {
 			s.KernelSvc = kernel.SvcRead // default kernel-only service
-		}
-		if err := s.Validate(); err != nil {
-			panic(err)
 		}
 		return s
 	}
@@ -292,9 +327,13 @@ func Specs(scale float64) []Spec {
 	}
 }
 
-// ByName returns the named spec at the given scale.
+// ByName returns the named spec at the given scale, or an error for an
+// unknown name or a scale CheckScale rejects.
 func ByName(name string, scale float64) (Spec, error) {
-	for _, s := range Specs(scale) {
+	if err := CheckScale(scale); err != nil {
+		return Spec{}, err
+	}
+	for _, s := range paperSpecs(scale) {
 		if s.Name == name {
 			return s, nil
 		}

@@ -12,14 +12,13 @@ package workload
 // second core.
 //
 // Decode-ahead is byte-identical to the interpreter by construction: the
-// producer records the generator's own NextRun(CompiledRunCap) stream
+// producer records the generator's own step(CompiledRunCap) stream
 // through the same recorder as Compile, one op per call, so ops never
 // merge and an op never straddles two chunks. A fork's child generator
 // travels in the chunk that holds its OpFork and runs as a decode-ahead
 // stream of its own, started when the child is first driven.
 
 import (
-	"fmt"
 	"runtime"
 
 	"tapeworm/internal/kernel"
@@ -51,9 +50,9 @@ type chunk struct {
 	firstChild int32
 }
 
-// recorder lowers a generator's event stream into CompiledOps, one op per
-// NextRun(CompiledRunCap) call. It is the only event-to-op lowering; both
-// Compile and decode-ahead streams record through it.
+// recorder lowers a generator's stream into CompiledOps, one op per
+// step(CompiledRunCap) call. It is the only lowering to ops; both Compile
+// and decode-ahead streams record through it.
 type recorder struct {
 	gen    *program
 	forks  int32 // OpFork ops lowered so far: the next one's Arg
@@ -61,34 +60,36 @@ type recorder struct {
 }
 
 // fill lowers the stream into c until c.ops reaches its capacity or the
-// stream exits, replacing c's previous contents.
+// stream exits, replacing c's previous contents. Each op is written in
+// place in c.ops, straight from step's results and the generator's
+// payload fields.
 func (r *recorder) fill(c *chunk) {
 	clear(c.children)
 	c.ops, c.children, c.firstChild = c.ops[:0], c.children[:0], r.forks
+	g := r.gen
 	for len(c.ops) < cap(c.ops) && !r.exited {
-		base, n, ev := r.gen.NextRun(kernel.CompiledRunCap)
-		op := kernel.CompiledOp{Kind: kernel.OpRun, VA: base, N: uint16(n)}
-		if n == 0 {
-			switch ev.Kind {
-			case kernel.EvRef:
-				op = kernel.CompiledOp{Kind: kernel.OpData, VA: ev.Ref.VA, Ref: ev.Ref.Kind}
-			case kernel.EvSyscall:
-				op = kernel.CompiledOp{Kind: kernel.OpSyscall, Arg: int32(ev.Service)}
-			case kernel.EvFork:
-				op = kernel.CompiledOp{Kind: kernel.OpFork, Arg: r.forks}
-				if ev.ShareText {
-					op.N = 1
-				}
-				c.children = append(c.children, ev.Child.(*program))
-				r.forks++
-			case kernel.EvExit:
-				op = kernel.CompiledOp{Kind: kernel.OpExit}
-				r.exited = true
-			default:
-				panic(fmt.Sprintf("workload: generator emitted unknown event kind %d", ev.Kind))
+		base, n, kind := g.step(kernel.CompiledRunCap)
+		c.ops = c.ops[:len(c.ops)+1]
+		op := &c.ops[len(c.ops)-1]
+		switch {
+		case n > 0:
+			*op = kernel.CompiledOp{Kind: kernel.OpRun, VA: base, N: uint16(n)}
+		case kind == kernel.EvRef:
+			*op = kernel.CompiledOp{Kind: kernel.OpData, VA: g.evRef.VA, Ref: g.evRef.Kind}
+		case kind == kernel.EvSyscall:
+			*op = kernel.CompiledOp{Kind: kernel.OpSyscall, Arg: int32(g.evSvc)}
+		case kind == kernel.EvFork:
+			*op = kernel.CompiledOp{Kind: kernel.OpFork, Arg: r.forks}
+			if g.spec.ChildShareText {
+				op.N = 1
 			}
+			c.children = append(c.children, g.evChild)
+			g.evChild = nil
+			r.forks++
+		default:
+			*op = kernel.CompiledOp{Kind: kernel.OpExit}
+			r.exited = true
 		}
-		c.ops = append(c.ops, op)
 	}
 }
 

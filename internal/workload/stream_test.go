@@ -15,11 +15,10 @@ import (
 // few ops.
 func tinyStream(t *testing.T, spec Spec, seed uint64, first, max int) *stream {
 	t.Helper()
-	gen, err := newGenerator(spec, seed)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return newStream(gen, first, max)
+	return newStream(newGenerator(spec, seed), first, max)
 }
 
 // TestDecodeAheadChunkBoundaries checks decode-ahead against the reference

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"tapeworm/internal/kernel"
@@ -82,18 +84,56 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		func(s *Spec) { s.Name = "" },
 		func(s *Spec) { s.PaperInstructions = 0 },
 		func(s *Spec) { s.Scale = 0 },
+		func(s *Spec) { s.Scale = math.NaN() },
+		func(s *Spec) { s.Scale = 1e12 },                      // under one instruction
+		func(s *Spec) { s.PaperInstructions = math.Inf(1) },   // beyond 2^53
+		func(s *Spec) { s.FracUser, s.FracKernel = 0, 0.981 }, // no user instruction
+		func(s *Spec) { s.FracUser = math.NaN() },
 		func(s *Spec) { s.FracUser = 0.5 }, // fractions no longer sum to 1
 		func(s *Spec) { s.TextBytes = 100 },
 		func(s *Spec) { s.Procs = 0 },
 		func(s *Spec) { s.Tasks = 0 },
 		func(s *Spec) { s.ForkDepth = 3 },
 		func(s *Spec) { s.RootWorkFrac = 0 },
+		func(s *Spec) { s.RootWorkFrac = math.NaN() },
 	}
 	for i, mutate := range bads {
 		s := good
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
+		}
+	}
+}
+
+// TestBadScalesRefused: every entry point that takes a scale refuses a bad
+// one with an error, never a panic, and no run is built from it. The bad
+// scales are not positive, not finite, so large that a workload has no
+// user instruction, or so small that the targets pass 2^53.
+func TestBadScalesRefused(t *testing.T) {
+	good, err := ByName("kenbus", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e12, 1e-300} {
+		if err := CheckScale(scale); !errors.Is(err, ErrBadScale) {
+			t.Errorf("CheckScale(%v) = %v, want ErrBadScale", scale, err)
+		}
+		if _, err := ByName("xlisp", scale); !errors.Is(err, ErrBadScale) {
+			t.Errorf("ByName(xlisp, %v) err = %v, want ErrBadScale", scale, err)
+		}
+		s := good
+		s.Scale = scale
+		if _, err := NewPlanned(s, 1); err == nil {
+			t.Errorf("NewPlanned at scale %v accepted", scale)
+		}
+		if _, err := NewReference(s, 1); err == nil {
+			t.Errorf("NewReference at scale %v accepted", scale)
+		}
+	}
+	for _, scale := range []float64{1, DefaultScale, 1e5} {
+		if err := CheckScale(scale); err != nil {
+			t.Errorf("CheckScale(%v): %v", scale, err)
 		}
 	}
 }
