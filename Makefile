@@ -1,7 +1,7 @@
 GO ?= go
 TWVET = /tmp/twvet-bin
 
-.PHONY: build test twvet vet verify verify-race verify-telemetry verify-fastpath verify-compiled verify-gang verify-checkpoint verify-resultcache verify-intervals bench bench-json clean
+.PHONY: build test twvet vet verify verify-race verify-telemetry verify-fastpath verify-compiled verify-gang verify-resultcache verify-intervals bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -32,9 +32,9 @@ vet: twvet
 	$(GO) vet ./...
 
 ## verify: the tier-1 gate (see ROADMAP.md): build, stock vet, the twvet
-## invariant suite, the full test run, and the checkpoint and
-## result-cache byte-identity gates.
-verify: build vet test verify-checkpoint verify-resultcache
+## invariant suite, the full test run, and the result-cache byte-identity
+## gate.
+verify: build vet test verify-resultcache
 
 ## verify-race: tier-1 plus the race detector. The run scheduler fans
 ## independent simulations across goroutines; this target is the
@@ -129,35 +129,6 @@ verify-gang:
 		diff /tmp/vg-ref.flt /tmp/$$f.flt || exit 1; done
 	@echo "verify-gang: tables byte-identical, ganged vs solo, telemetry on/off"
 
-## verify-checkpoint: render the gang-eligible experiments fresh-booted
-## and forked from checkpointed boot images — fastpath on/off, gang
-## on/off, serial and parallel, plus a persisted -checkpoint-dir reload —
-## and diff every table: the byte-identity gate for checkpoint forks.
-## Timing lines ("completed in") are nondeterministic and filtered out.
-verify-checkpoint:
-	$(GO) build -o /tmp/twbench-vk ./cmd/twbench
-	rm -rf /tmp/vk-ckpt && mkdir -p /tmp/vk-ckpt
-	/tmp/twbench-vk -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 1 \
-		> /tmp/vk-boot-p1.txt
-	/tmp/twbench-vk -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 1 \
-		-checkpoint > /tmp/vk-fork-p1.txt
-	/tmp/twbench-vk -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 8 \
-		-checkpoint > /tmp/vk-fork-p8.txt
-	/tmp/twbench-vk -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 8 \
-		-checkpoint -fastpath=false > /tmp/vk-fork-p8nf.txt
-	/tmp/twbench-vk -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 8 \
-		-checkpoint -gang=false > /tmp/vk-fork-p8ng.txt
-	/tmp/twbench-vk -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 8 \
-		-checkpoint -checkpoint-dir /tmp/vk-ckpt > /tmp/vk-fork-dir1.txt
-	/tmp/twbench-vk -run $(VG_EXPS) -scale 4000 -trials 2 -q -parallel 8 \
-		-checkpoint -checkpoint-dir /tmp/vk-ckpt > /tmp/vk-fork-dir2.txt
-	ls /tmp/vk-ckpt/*.ckpt > /dev/null
-	grep -v 'completed in' /tmp/vk-boot-p1.txt > /tmp/vk-ref.flt
-	for f in vk-fork-p1 vk-fork-p8 vk-fork-p8nf vk-fork-p8ng vk-fork-dir1 vk-fork-dir2; do \
-		grep -v 'completed in' /tmp/$$f.txt > /tmp/$$f.flt && \
-		diff /tmp/vk-ref.flt /tmp/$$f.flt || exit 1; done
-	@echo "verify-checkpoint: tables byte-identical, boot vs checkpoint fork"
-
 ## verify-resultcache: run the twsweep design-space grid with the result
 ## cache off, on (cold then warm in one process), solo, serial and
 ## parallel, plus a persisted -result-cache-dir store written and then
@@ -221,11 +192,11 @@ bench:
 ## the bench_test.go conditions, the ganged accuracy-sweep suite
 ## (figure3/table8/table9 ganged vs solo, with allocation counts), the
 ## gang member-count scaling curve, the per-workload hot loop, the
-## boot-amortization section (boot vs checkpoint fork), the result-cache
-## section (cold vs warm sweep), and the interval-sampling section
-## (exhaustive vs representative-interval replay with the worst
-## extrapolation error), writing BENCH_<label>.json (label defaults to
-## "pr9"; override with BENCH_LABEL=...).
+## boot-amortization section (boot vs checkpoint fork microbenchmark),
+## the result-cache section (cold vs warm sweep), and the
+## interval-sampling section (exhaustive vs representative-interval
+## replay with the worst extrapolation error), writing BENCH_<label>.json
+## (label defaults to "pr9"; override with BENCH_LABEL=...).
 BENCH_LABEL ?= pr9
 bench-json:
 	$(GO) build -o /tmp/twbench-bj ./cmd/twbench

@@ -37,7 +37,11 @@ import (
 // Version 7 drops every pool field (experiments[].pool_gets/pool_reuses,
 // gang.experiments[].ganged_mallocs_no_pool/pool_gets/pool_reuses) along
 // with the backing-array pools they described.
-const benchVersion = 7
+// Version 8 drops boot_amortization's sweep comparison (fresh_seconds,
+// forked_seconds, sweep_speedup, images, forks, forks_per_image,
+// sweep_experiment) along with the boot checkpoint option it timed; the
+// boot-vs-fork microbenchmark stays.
+const benchVersion = 8
 
 // benchReport is the machine-readable perf trajectory emitted by
 // -bench-json: wall-clock per experiment with the fast path on and off,
@@ -78,26 +82,15 @@ type benchResultCache struct {
 	Joins       uint64  `json:"joins"`
 }
 
-// benchBootAmortization measures what checkpointed boot images buy: the
-// microbenchmark times a fresh kernel boot against a fork from a captured
-// checkpoint (the BenchmarkBootVsFork numbers), and the sweep comparison
-// reruns an accuracy sweep with -checkpoint at a setup-dominated
-// configuration (near-zero simulated work, ganging off) so the ratio
-// measures per-run setup — fresh boots versus forks — rather than
-// simulation time. Outputs are byte-identical either way (the
-// `make verify-checkpoint` gate), so both speedups are pure setup cost.
+// benchBootAmortization times a fresh kernel boot against a fork from a
+// captured post-boot checkpoint (the BenchmarkBootVsFork numbers). Fork
+// starts every representative replay of interval sampling (ForkRun), so
+// its cost against a boot is what a fork saves.
 type benchBootAmortization struct {
-	Frames          int     `json:"frames"`
-	BootMicros      float64 `json:"boot_micros"`
-	ForkMicros      float64 `json:"fork_micros"`
-	ForkSpeedup     float64 `json:"fork_speedup"`
-	FreshSeconds    float64 `json:"fresh_seconds"`
-	ForkedSeconds   float64 `json:"forked_seconds"`
-	SweepSpeedup    float64 `json:"sweep_speedup"`
-	Images          uint64  `json:"images"`
-	Forks           uint64  `json:"forks"`
-	ForksPerImage   float64 `json:"forks_per_image"`
-	SweepExperiment string  `json:"sweep_experiment"`
+	Frames      int     `json:"frames"`
+	BootMicros  float64 `json:"boot_micros"`
+	ForkMicros  float64 `json:"fork_micros"`
+	ForkSpeedup float64 `json:"fork_speedup"`
 }
 
 // benchExperiment times one experiment's full regeneration. Baseline is
@@ -414,17 +407,14 @@ func benchHot(wl string, seed uint64) (benchHotLoop, error) {
 	}, nil
 }
 
-// benchBootAmortizationRun times boot against checkpoint fork. The
-// microbenchmark isolates kernel setup: fresh boots against forks from
-// one captured checkpoint. The sweep comparison reruns an accuracy-sweep experiment
-// with checkpointing on, counting the forks each captured image served.
+// benchBootAmortizationRun times boot against checkpoint fork, isolating
+// kernel setup: fresh boots against forks from one captured checkpoint.
 func benchBootAmortizationRun(opts experiment.Options) (benchBootAmortization, error) {
-	const sweepID = "figure3"
 	// 8192 frames is the evaluation default (and BenchmarkBootVsFork's
 	// geometry); the boot-side frame shuffle scales with frames while the
 	// fork cost is flat, so the ratio is only meaningful at the frame
 	// count the evaluation actually boots.
-	out := benchBootAmortization{Frames: 8192, SweepExperiment: sweepID}
+	out := benchBootAmortization{Frames: 8192}
 
 	kcfg := kernel.DefaultConfig(tapeworm.DECstation(out.Frames), opts.Seed)
 	const iters = 2000
@@ -447,65 +437,8 @@ func benchBootAmortizationRun(opts experiment.Options) (benchBootAmortization, e
 	out.ForkMicros = time.Since(start).Seconds() / iters * 1e6
 	out.ForkSpeedup = out.BootMicros / out.ForkMicros
 
-	fn, err := experiment.ByID(sweepID)
-	if err != nil {
-		return out, err
-	}
-	// The sweep comparison isolates setup cost. At evaluation scale the
-	// sweep is simulation-dominated — a few ganged executions spend
-	// hundreds of milliseconds simulating against tens of microseconds
-	// of boot, so the fresh/forked ratio degenerates to 1.0 and the
-	// measurement is pure timing noise (which is exactly how the PR 7
-	// ensureOwned copy-on-write regression hid inside it: the forked
-	// path's per-write tax and the boot saving were both invisible).
-	// Downscaling the simulated work to ~nothing and disabling ganging
-	// makes every run pay its own kernel setup, so the ratio measures
-	// what the section is named for: fresh boots against forks, plus any
-	// residual copy-on-write tax the forked runs carry.
-	timeSweep := func(checkpoint bool) (float64, error) {
-		o := opts
-		o.Progress = nil
-		o.Telemetry = nil
-		o.Scale = 1e6 // ~zero simulated instructions: setup is the run
-		o.Frames = out.Frames
-		o.NoGang = true // every run boots (or forks) for itself
-		o.Checkpoint = checkpoint
-		start := time.Now()
-		if _, err := fn(o); err != nil {
-			return 0, fmt.Errorf("%s: %w", sweepID, err)
-		}
-		return time.Since(start).Seconds(), nil
-	}
-	// Image/fork counts come from the first forked run only: the later
-	// attempts fork from the images this run captured.
-	img0, fk0, _ := experiment.CheckpointStats()
-	runtime.GC()
-	if out.ForkedSeconds, err = timeSweep(true); err != nil {
-		return out, err
-	}
-	img1, fk1, _ := experiment.CheckpointStats()
-	out.Images, out.Forks = img1-img0, fk1-fk0
-	// Fresh and forked attempts alternate so machine drift lands on both
-	// sides equally; each side keeps its minimum.
-	out.FreshSeconds = math.Inf(1)
-	for i := 0; i < 4; i++ {
-		f, err := bestOf(1, func() (float64, error) { return timeSweep(false) })
-		if err != nil {
-			return out, err
-		}
-		out.FreshSeconds = math.Min(out.FreshSeconds, f)
-		k, err := bestOf(1, func() (float64, error) { return timeSweep(true) })
-		if err != nil {
-			return out, err
-		}
-		out.ForkedSeconds = math.Min(out.ForkedSeconds, k)
-	}
-	out.SweepSpeedup = out.FreshSeconds / out.ForkedSeconds
-	if out.Images > 0 {
-		out.ForksPerImage = float64(out.Forks) / float64(out.Images)
-	}
-	fmt.Fprintf(os.Stderr, "  bench boot-amortization  boot %.1fµs  fork %.1fµs  speedup %.2fx  (%s: %d forks / %d images)\n",
-		out.BootMicros, out.ForkMicros, out.ForkSpeedup, sweepID, out.Forks, out.Images)
+	fmt.Fprintf(os.Stderr, "  bench boot-amortization  boot %.1fµs  fork %.1fµs  speedup %.2fx\n",
+		out.BootMicros, out.ForkMicros, out.ForkSpeedup)
 	return out, nil
 }
 

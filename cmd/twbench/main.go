@@ -13,7 +13,6 @@
 //	twbench -fastpath=false         # force the per-reference execution path
 //	twbench -compile=false          # run the workloads on the reference interpreter
 //	twbench -gang=false             # run every configuration as its own execution
-//	twbench -checkpoint             # fork runs from cached post-boot images
 //	twbench -result-cache           # serve repeated identical runs from the result cache
 //	twbench -result-cache-dir /tmp/rc   # persist results across invocations
 //	twbench -bench-json pr4         # time fast vs. baseline and ganged vs. solo, write BENCH_pr4.json
@@ -53,9 +52,6 @@ func main() {
 		tracePath   = flag.String("trace", "", "write a JSONL trap-event trace to this file")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 
-		checkpoint    = flag.Bool("checkpoint", false, "fork runs from cached post-boot images instead of booting fresh (results are byte-identical either way)")
-		checkpointDir = flag.String("checkpoint-dir", "", "persist boot images to this directory and reload them across invocations (requires -checkpoint)")
-
 		resultCache    = flag.Bool("result-cache", false, "serve repeated identical runs from the content-addressed result cache (results are byte-identical either way)")
 		resultCacheDir = flag.String("result-cache-dir", "", "persist results to this directory and reload them across invocations (requires -result-cache)")
 
@@ -81,8 +77,7 @@ func main() {
 	opts := experiment.Options{
 		Scale: *scale, Seed: *seed, Trials: *trials, Frames: *frames,
 		Parallelism: *parallel, NoFastPath: !*fastpath, NoCompile: !*compile,
-		NoGang: !*gang, Checkpoint: *checkpoint, CheckpointDir: *checkpointDir,
-		ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
+		NoGang: !*gang, ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
 		PhaseIntervals: *phaseIntervals, PhaseK: *phaseK, PhaseWarmup: *phaseWarmup,
 	}
 	if err := opts.Validate(); err != nil {

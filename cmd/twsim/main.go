@@ -8,7 +8,7 @@
 //	twsim -workload sdet -size 4K -kernel -servers
 //	twsim -workload ousterhout -mode tlb -tlb-entries 64
 //	twsim -workload espresso -size 1K -sample 1/8 -indexing virtual
-//	twsim -workload espresso -checkpoint -warmup 100000 -measure 500000
+//	twsim -workload espresso -warmup 100000 -measure 500000
 //	twsim -workload sdet -result-cache -result-cache-dir /tmp/rc
 //
 // The uninstrumented baseline and the instrumented run are independent
@@ -69,17 +69,16 @@ func decodeSimResult(b []byte) (any, error) {
 // can steer the event stream, plus the physics version so persisted
 // results go stale when simulation semantics change.
 func simDigest(spec workload.Spec, machine string, frames int,
-	seed, pageSeed uint64, checkpoint, instrumented bool,
+	seed, pageSeed uint64, instrumented bool,
 	cfg tapeworm.SimConfig, simServers, simKernel bool) resultcache.Digest {
 	h := resultcache.NewHasher()
-	h.WriteString("twsim.run/v1")
+	h.WriteString("twsim.run/v2")
 	h.WriteUint64(core.PhysicsVersion)
 	h.WriteString(machine)
 	h.WriteInt(frames)
 	spec.HashInto(h)
 	h.WriteUint64(seed)
 	h.WriteUint64(pageSeed)
-	h.WriteBool(checkpoint)
 	h.WriteBool(instrumented)
 	if instrumented {
 		cfg.HashInto(h)
@@ -139,9 +138,6 @@ func main() {
 		baseline   = flag.Bool("baseline", true, "also run uninstrumented for slowdown")
 		parallel   = flag.Int("parallel", 0, "worker pool size for the baseline/instrumented runs (0 = GOMAXPROCS, 1 = serial)")
 
-		checkpoint    = flag.Bool("checkpoint", false, "fork the baseline/instrumented runs from one cached post-boot image (results are byte-identical either way)")
-		checkpointDir = flag.String("checkpoint-dir", "", "persist boot images to this directory and reload them across invocations (requires -checkpoint)")
-
 		resultCache    = flag.Bool("result-cache", false, "serve a previously simulated identical run from the content-addressed result cache (results are byte-identical either way)")
 		resultCacheDir = flag.String("result-cache-dir", "", "persist results to this directory and reload them across invocations (requires -result-cache)")
 		warmup         = flag.Uint64("warmup", 0, "retired instructions of warm-up before misses count")
@@ -165,7 +161,6 @@ func main() {
 	}
 
 	check(validateRunFlags(*parallel, *frames, *scale))
-	check(validateCheckpointFlags(*checkpoint, *checkpointDir))
 	check(validateResultCacheFlags(*resultCache, *resultCacheDir))
 	check(validatePhaseFlags(*phaseIntervals, *phaseK, *phaseWarmup, *machine,
 		*metricsPath != "" || *tracePath != "" || *debugAddr != "", *warmup, *measure))
@@ -227,15 +222,14 @@ func main() {
 	if *baseline {
 		tels = append(tels, nil)
 		i := len(tels) - 1
-		d := simDigest(spec, mc.Name, *frames, *seed, *pageSeed, *checkpoint,
+		d := simDigest(spec, mc.Name, *frames, *seed, *pageSeed,
 			false, cfg, false, false)
 		jobs = append(jobs, func() (simResult, error) {
 			return cachedSim(store, *resultCacheDir, d, func() (simResult, error) {
 				tel := coll.StartRun("baseline")
 				tels[i] = tel
 				sys, err := tapeworm.NewSystem(tapeworm.SystemConfig{
-					Machine: mc, Seed: *seed, PageSeed: *pageSeed, Telemetry: tel,
-					Checkpoint: *checkpoint, CheckpointDir: *checkpointDir})
+					Machine: mc, Seed: *seed, PageSeed: *pageSeed, Telemetry: tel})
 				if err != nil {
 					return simResult{}, err
 				}
@@ -257,7 +251,6 @@ func main() {
 	if *phaseIntervals > 0 {
 		phaseOpts = experiment.Options{
 			Scale: *scale, Seed: *seed, Trials: 1, Frames: *frames,
-			Checkpoint: *checkpoint, CheckpointDir: *checkpointDir,
 			ResultCache: store != nil, ResultCacheDir: *resultCacheDir,
 			PhaseIntervals: *phaseIntervals, PhaseK: *phaseK, PhaseWarmup: *phaseWarmup,
 		}
@@ -273,8 +266,8 @@ func main() {
 		})
 	} else {
 		jobs = append(jobs, instrumentedJob(&tels, coll, store, spec, mc, cfg,
-			*wl, *scale, *seed, *pageSeed, *frames, *checkpoint, *checkpointDir,
-			*resultCacheDir, *simServers, *simKernel))
+			*wl, *scale, *seed, *pageSeed, *frames, *resultCacheDir,
+			*simServers, *simKernel))
 	}
 	_, groups0 := experiment.IntervalStats()
 	outs, err := sched.Run(*parallel, jobs, nil)
@@ -332,19 +325,17 @@ func main() {
 func instrumentedJob(tels *[]*telemetry.Run, coll *telemetry.Collector,
 	store *resultcache.Store, spec workload.Spec, mc tapeworm.MachineConfig,
 	cfg tapeworm.SimConfig, wl string, scale float64, seed, pageSeed uint64,
-	frames int, checkpoint bool, checkpointDir, resultCacheDir string,
-	simServers, simKernel bool) sched.Job[simResult] {
+	frames int, resultCacheDir string, simServers, simKernel bool) sched.Job[simResult] {
 	*tels = append(*tels, nil)
 	instIdx := len(*tels) - 1
-	instDigest := simDigest(spec, mc.Name, frames, seed, pageSeed, checkpoint,
+	instDigest := simDigest(spec, mc.Name, frames, seed, pageSeed,
 		true, cfg, simServers, simKernel)
 	return func() (simResult, error) {
 		return cachedSim(store, resultCacheDir, instDigest, func() (simResult, error) {
 			tel := coll.StartRun("instrumented")
 			(*tels)[instIdx] = tel
 			sys, err := tapeworm.NewSystem(tapeworm.SystemConfig{
-				Machine: mc, Seed: seed, PageSeed: pageSeed, Telemetry: tel,
-				Checkpoint: checkpoint, CheckpointDir: checkpointDir})
+				Machine: mc, Seed: seed, PageSeed: pageSeed, Telemetry: tel})
 			if err != nil {
 				return simResult{}, err
 			}
@@ -444,29 +435,10 @@ func validateRunFlags(parallel, frames int, scale float64) error {
 	return nil
 }
 
-// validateCheckpointFlags rejects checkpoint flag combinations that would
-// otherwise fail deep inside the first run (or worse, silently boot
-// fresh): a directory without the feature enabled, a blank path, or a
-// path that exists but is not a directory.
-func validateCheckpointFlags(checkpoint bool, dir string) error {
-	if dir == "" {
-		return nil
-	}
-	if !checkpoint {
-		return fmt.Errorf("-checkpoint-dir %q requires -checkpoint", dir)
-	}
-	if strings.TrimSpace(dir) == "" {
-		return fmt.Errorf("-checkpoint-dir must not be blank")
-	}
-	if st, err := os.Stat(dir); err == nil && !st.IsDir() {
-		return fmt.Errorf("-checkpoint-dir %q is not a directory", dir)
-	}
-	return nil
-}
-
-// validateResultCacheFlags mirrors validateCheckpointFlags for the
-// result cache: a persist directory without the feature enabled, a blank
-// path, or a path that exists but is not a directory all fail up front.
+// validateResultCacheFlags rejects result-cache flag combinations that
+// would otherwise fail deep inside the first run: a persist directory
+// without the feature enabled, a blank path, or a path that exists but is
+// not a directory all fail up front.
 func validateResultCacheFlags(resultCache bool, dir string) error {
 	if dir == "" {
 		return nil

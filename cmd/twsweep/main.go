@@ -46,9 +46,7 @@ func main() {
 		resultCache    = flag.Bool("result-cache", true, "serve repeated identical configurations from the content-addressed result cache (results are byte-identical either way)")
 		resultCacheDir = flag.String("result-cache-dir", "", "persist results to this directory and reload them across invocations (requires -result-cache)")
 
-		gang          = flag.Bool("gang", true, "share one execution across the grid (results are byte-identical either way)")
-		checkpoint    = flag.Bool("checkpoint", false, "fork runs from cached post-boot images (results are byte-identical either way)")
-		checkpointDir = flag.String("checkpoint-dir", "", "persist boot images to this directory (requires -checkpoint)")
+		gang = flag.Bool("gang", true, "share one execution across the grid (results are byte-identical either way)")
 
 		phaseIntervals = flag.Int("phase-intervals", 0, "slice the workload into this many intervals and simulate one representative per phase (0 = exhaustive; results are extrapolated and error-bound-gated, not exact)")
 		phaseK         = flag.Int("phase-k", 0, "number of behavioral phases (k-means clusters); requires -phase-intervals")
@@ -66,7 +64,6 @@ func main() {
 	opts := experiment.Options{
 		Scale: *scale, Seed: *seed, Trials: 1, Frames: *frames,
 		Parallelism: *parallel, NoGang: !*gang,
-		Checkpoint: *checkpoint, CheckpointDir: *checkpointDir,
 		ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
 		PhaseIntervals: *phaseIntervals, PhaseK: *phaseK, PhaseWarmup: *phaseWarmup,
 	}

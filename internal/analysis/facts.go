@@ -193,7 +193,9 @@ func encodeFacts(facts factSet) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeFacts deserializes one package's fact file.
+// decodeFacts deserializes one package's fact file. It accepts only what
+// encodeFacts writes: every record names its analyzer and object, carries
+// a fact, and appears once.
 func decodeFacts(data []byte) (factSet, error) {
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	var header string
@@ -209,7 +211,17 @@ func decodeFacts(data []byte) (factSet, error) {
 	}
 	facts := make(factSet, len(gfs))
 	for _, gf := range gfs {
-		facts[factKey{gf.Analyzer, gf.Object}] = gf.Fact
+		key := factKey{gf.Analyzer, gf.Object}
+		if key.analyzer == "" || key.object == "" {
+			return nil, fmt.Errorf("fact file record has an empty key (analyzer %q, object %q)", key.analyzer, key.object)
+		}
+		if gf.Fact == nil {
+			return nil, fmt.Errorf("fact file record %s/%s has no fact", key.analyzer, key.object)
+		}
+		if _, dup := facts[key]; dup {
+			return nil, fmt.Errorf("fact file repeats record %s/%s", key.analyzer, key.object)
+		}
+		facts[key] = gf.Fact
 	}
 	return facts, nil
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/gob"
+	"reflect"
 	"testing"
 )
 
@@ -86,4 +88,92 @@ func TestFactsRejectForeignFile(t *testing.T) {
 	if fs, err := decodeFacts(data); err != nil || len(fs) != 0 {
 		t.Errorf("empty set round-trip: %v, %d facts", err, len(fs))
 	}
+}
+
+// factFile encodes records as a fact file exactly as encodeFacts frames
+// them, without its guarantees: records may be empty, nil or repeated.
+func factFile(tb testing.TB, records []gobFact) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(vetxHeader); err != nil {
+		tb.Fatal(err)
+	}
+	if err := enc.Encode(records); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// malformedFactFile is a well-framed fact file whose records encodeFacts
+// never writes.
+type malformedFactFile struct {
+	name string
+	data []byte
+}
+
+func malformedFactFiles(tb testing.TB) []malformedFactFile {
+	fact := &roundtripFact{Note: "x"}
+	return []malformedFactFile{
+		{"empty record", factFile(tb, []gobFact{{}})},
+		{"empty analyzer", factFile(tb, []gobFact{{Object: "Drop", Fact: fact}})},
+		{"empty object", factFile(tb, []gobFact{{Analyzer: "roundtrip", Fact: fact}})},
+		{"nil fact", factFile(tb, []gobFact{{Analyzer: "roundtrip", Object: "Drop"}})},
+		{"duplicate record", factFile(tb, []gobFact{{"roundtrip", "Drop", fact}, {"roundtrip", "Drop", fact}})},
+	}
+}
+
+// TestFactsRejectMalformedRecords: a record with an empty key, no fact, or
+// a key already seen must fail the decode instead of entering the store.
+func TestFactsRejectMalformedRecords(t *testing.T) {
+	RegisterFactTypes(factAnalyzers)
+	for _, c := range malformedFactFiles(t) {
+		if fs, err := decodeFacts(c.data); err == nil {
+			t.Errorf("%s: decodeFacts accepted %d facts", c.name, len(fs))
+		}
+	}
+}
+
+// FuzzDecodeFacts feeds arbitrary bytes to the .vetx decoder. It must
+// return a set or an error, never panic, and a set it accepts must
+// survive encode→decode unchanged.
+func FuzzDecodeFacts(f *testing.F) {
+	RegisterFactTypes(factAnalyzers)
+	for _, fs := range []factSet{
+		{},
+		{{analyzer: "roundtrip", object: "Drop"}: &roundtripFact{}},
+		{
+			{analyzer: "roundtrip", object: "MustClaim"}: &roundtripFact{
+				Deltas: map[string]int{"result cache claim": 1}, Note: "transfer"},
+			{analyzer: "roundtrip", object: "(*Claim).Release"}: &roundtripFact{
+				Deltas: map[string]int{"result cache claim": -1}},
+		},
+	} {
+		data, err := encodeFacts(fs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, c := range malformedFactFiles(f) {
+		f.Add(c.data)
+	}
+	f.Add([]byte("not a fact file"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs, err := decodeFacts(data)
+		if err != nil {
+			return
+		}
+		again, err := encodeFacts(fs)
+		if err != nil {
+			t.Fatalf("accepted set does not encode: %v", err)
+		}
+		back, err := decodeFacts(again)
+		if err != nil {
+			t.Fatalf("re-encoded set does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(back, fs) {
+			t.Fatalf("set changed across encode→decode:\n  got  %v\n  want %v", back, fs)
+		}
+	})
 }

@@ -371,14 +371,38 @@ func Table9(o Options) (*Table, error) {
 			"variance peaks when cache size is near the workload's text size [Kessler91]",
 		},
 	}
+	rows, err := table9Rows(o, spec, trials)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{
+			r.indexing.String(), sizeKB(r.size), millions(r.misses.Mean),
+			millions(r.misses.Stddev), pct(r.misses.StddevPct()),
+		})
+	}
+	return t, nil
+}
+
+// table9Row is one Table 9 configuration: its estimated misses summarized
+// over the page-allocation trials.
+type table9Row struct {
+	indexing cache.Indexing
+	size     int
+	misses   stats.Summary
+}
+
+// table9Rows runs Table 9's configurations, trials runs each with a
+// different page allocation, and summarizes each configuration's trials.
+func table9Rows(o Options, spec workload.Spec, trials int) ([]table9Row, error) {
 	sub := o
 	sub.Trials = trials
-	indexings := []cache.Indexing{cache.PhysIndexed, cache.VirtIndexed}
-	sizes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
+	var rows []table9Row
 	var jobs []runJob
-	for _, indexing := range indexings {
-		for _, size := range sizes {
+	for _, indexing := range []cache.Indexing{cache.PhysIndexed, cache.VirtIndexed} {
+		for _, size := range []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10} {
 			indexing, size := indexing, size
+			rows = append(rows, table9Row{indexing: indexing, size: size})
 			jobs = append(jobs, trialJobs(sub, spec, func(int) *core.Config {
 				return dmICache(size, indexing, core.FullSampling())
 			}, false, fmt.Sprintf("table9: %s %s done", indexing, sizeKB(size)))...)
@@ -388,18 +412,10 @@ func Table9(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	group := 0
-	for _, indexing := range indexings {
-		for _, size := range sizes {
-			sum := stats.Summarize(twEsts(results[group*trials : (group+1)*trials]))
-			group++
-			t.Rows = append(t.Rows, []string{
-				indexing.String(), sizeKB(size), millions(sum.Mean),
-				millions(sum.Stddev), pct(sum.StddevPct()),
-			})
-		}
+	for i := range rows {
+		rows[i].misses = stats.Summarize(twEsts(results[i*trials : (i+1)*trials]))
 	}
-	return t, nil
+	return rows, nil
 }
 
 // Table10 repeats Table 7's measurement with both variance sources

@@ -67,19 +67,6 @@ type Options struct {
 	// byte-identical either way (the `make verify-gang` gate); this exists
 	// for that gate and for benchmarking the ganged speedup.
 	NoGang bool
-	// Checkpoint forks every run's kernel from a process-wide cached
-	// post-boot checkpoint (one per (seed, pageSeed, frames) identity)
-	// instead of booting fresh. Results are byte-identical either way
-	// (the `make verify-checkpoint` gate); the win is boot amortization —
-	// the frame-allocator shuffle and walker construction happen once per
-	// identity instead of once per run.
-	Checkpoint bool
-	// CheckpointDir, when set (requires Checkpoint), persists captured
-	// boot checkpoints as gob files in that directory and loads matching
-	// ones instead of re-capturing, so the boot cost amortizes across
-	// processes as well as runs. Files that do not match the requested
-	// identity are rejected with a wrapped kernel.ErrCheckpointMismatch.
-	CheckpointDir string
 	// ResultCache serves runs whose full execution identity has been
 	// seen before from the process-wide content-addressed result store
 	// instead of re-simulating them. Results are byte-identical either
@@ -133,17 +120,6 @@ func (o Options) Validate() error {
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("experiment: Parallelism must be non-negative, got %d", o.Parallelism)
-	}
-	if o.CheckpointDir != "" {
-		if !o.Checkpoint {
-			return fmt.Errorf("experiment: CheckpointDir %q requires Checkpoint", o.CheckpointDir)
-		}
-		if strings.TrimSpace(o.CheckpointDir) == "" {
-			return fmt.Errorf("experiment: CheckpointDir must not be blank")
-		}
-		if st, err := os.Stat(o.CheckpointDir); err == nil && !st.IsDir() {
-			return fmt.Errorf("experiment: CheckpointDir %q is not a directory", o.CheckpointDir)
-		}
 	}
 	if o.ResultCacheDir != "" {
 		if !o.ResultCache {

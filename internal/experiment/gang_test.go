@@ -130,12 +130,11 @@ func TestGangTelemetryKeepsTablesIdentical(t *testing.T) {
 }
 
 // TestTable6SharesExecutions: Table 6's four component configurations of
-// a workload share one gang execution (each execution forks the boot
-// checkpoint once; single-task workloads add their trace-driven run), and
-// a repeated render reuses every cached compiled stream.
+// a workload share one gang execution (each execution boots one kernel;
+// single-task workloads add their trace-driven run), and a repeated
+// render reuses every cached compiled stream.
 func TestTable6SharesExecutions(t *testing.T) {
 	o := parallelOptions(1)
-	o.Checkpoint = true
 	want := uint64(0)
 	for _, spec := range workload.Specs(o.Scale) {
 		want++
@@ -143,12 +142,12 @@ func TestTable6SharesExecutions(t *testing.T) {
 			want++
 		}
 	}
-	_, forks0, _ := CheckpointStats()
+	boots0 := executions.Load()
 	if _, err := Table6(o); err != nil {
 		t.Fatal(err)
 	}
-	if _, forks, _ := CheckpointStats(); forks-forks0 != want {
-		t.Errorf("Table6 ran %d executions, want %d", forks-forks0, want)
+	if boots := executions.Load() - boots0; boots != want {
+		t.Errorf("Table6 ran %d executions, want %d", boots, want)
 	}
 	_, compiles0 := workload.ImageCacheStats()
 	if _, err := Table6(o); err != nil {

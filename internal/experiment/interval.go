@@ -42,9 +42,9 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"tapeworm/internal/core"
 	"tapeworm/internal/kernel"
@@ -65,6 +65,109 @@ var errIntervalFallback = errors.New("experiment: interval replay unavailable")
 // stamp.
 func phaseGeom(o Options) ckGeom {
 	return ckGeom{intervals: o.PhaseIntervals, k: o.PhaseK, warmup: o.PhaseWarmup}
+}
+
+// maxCachedIntervalCheckpoints bounds the interval checkpoint cache: one
+// interval-replay sweep parks one mid-run image per representative.
+const maxCachedIntervalCheckpoints = 16
+
+// ckKey identifies one cached mid-run checkpoint: the execution identity
+// and the index of the interval it freezes the stream at.
+type ckKey struct {
+	seed     uint64
+	pageSeed uint64
+	frames   int
+	spec     workload.Spec
+	interval int
+}
+
+// ckGeom is the phase geometry an interval checkpoint was captured
+// under. It is deliberately NOT part of ckKey: a sweep that changes its
+// phase parameters mid-process re-uses the same (identity, interval)
+// keys, so entries captured under the old geometry are stale — they
+// freeze the stream at different positions — and are evicted (counted by
+// CheckpointStats) rather than silently replayed.
+type ckGeom struct {
+	intervals int
+	k         int
+	warmup    int
+}
+
+type ckEntry struct {
+	cp   *kernel.Checkpoint
+	gen  uint64 // LRU clock, updated under ckMu
+	geom ckGeom
+}
+
+var (
+	ckMu    sync.Mutex
+	ckCache = map[ckKey]*ckEntry{}
+	ckGen   uint64
+
+	ckImages    atomic.Uint64 // interval checkpoints captured, incl. evicted
+	ckForks     atomic.Uint64 // lookups served from the cache
+	ckEvictions atomic.Uint64 // entries evicted as geometry-stale
+)
+
+// CheckpointStats reports process-wide interval checkpoint cache
+// activity: images is the number of mid-run checkpoints captured, forks
+// the number of lookups served from them, and evictions the number of
+// entries dropped because the sweep's phase geometry changed
+// mid-process.
+func CheckpointStats() (images, forks, evictions uint64) {
+	return ckImages.Load(), ckForks.Load(), ckEvictions.Load()
+}
+
+// lookupIntervalCheckpoint serves a mid-run checkpoint for (key, geom)
+// from the process-wide cache. A cached entry whose geometry disagrees
+// is stale (see ckGeom) and is evicted on sight.
+func lookupIntervalCheckpoint(key ckKey, geom ckGeom) (*kernel.Checkpoint, bool) {
+	ckMu.Lock()
+	defer ckMu.Unlock()
+	e := ckCache[key]
+	if e == nil {
+		return nil, false
+	}
+	if e.geom != geom {
+		delete(ckCache, key)
+		ckEvictions.Add(1)
+		return nil, false
+	}
+	ckGen++
+	e.gen = ckGen
+	ckForks.Add(1)
+	return e.cp, true
+}
+
+// storeIntervalCheckpoint publishes a freshly captured mid-run checkpoint.
+// Entries under any other geometry are unreachable by this sweep's keys
+// and are evicted now rather than aging out one lookup at a time; past
+// the bound, the least-recently-used entry goes.
+func storeIntervalCheckpoint(key ckKey, geom ckGeom, cp *kernel.Checkpoint) {
+	ckMu.Lock()
+	defer ckMu.Unlock()
+	//twvet:allow maporder — deleting every mismatch is order-insensitive
+	for k, v := range ckCache {
+		if v.geom != geom {
+			delete(ckCache, k)
+			ckEvictions.Add(1)
+		}
+	}
+	ckGen++
+	e := &ckEntry{cp: cp, gen: ckGen, geom: geom}
+	ckCache[key] = e
+	ckImages.Add(1)
+	if len(ckCache) > maxCachedIntervalCheckpoints {
+		var victimKey ckKey
+		var victim *ckEntry
+		//twvet:allow maporder — unique-minimum selection is order-insensitive
+		for k, v := range ckCache {
+			if v != e && (victim == nil || v.gen < victim.gen) {
+				victimKey, victim = k, v
+			}
+		}
+		delete(ckCache, victimKey)
+	}
 }
 
 // execGang runs one gang-eligible group: through representative-interval
@@ -96,17 +199,17 @@ type intervalMark struct {
 // intervalProfile is everything one profiling pass learns: the phase
 // plan, the per-representative marks, and the exhaustive uninstrumented
 // base result. The checkpoints themselves live in the process-wide
-// checkpoint cache (interval-keyed); if one is evicted, the profile is
-// re-run to recapture.
+// interval checkpoint cache; if one is evicted, the profile is re-run to
+// recapture.
 type intervalProfile struct {
 	plan  phase.Plan
 	marks []intervalMark
 	base  runResult
 }
 
-// profileKey identifies one profiling pass. Execution-path toggles that
-// provably do not change results (fastpath, boot checkpointing) are
-// excluded: the marks and base they produce are identical.
+// profileKey identifies one profiling pass. The fast-path toggle, which
+// provably does not change results, is excluded: the marks and base it
+// produces are identical.
 type profileKey struct {
 	spec     workload.Spec
 	seed     uint64
@@ -260,13 +363,10 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	profileRuns++
 	profileMu.Unlock()
 
-	// The profiling kernel boots exactly like a run's (including the boot
-	// checkpoint fork when enabled) but carries no telemetry and spawns
-	// the workload unsimulated: the pass must observe the undilated
-	// machine timeline the ledgered gang shares.
-	prc := rc
-	prc.tel = nil
-	k, err := bootKernel(prc, kcfg)
+	// The profiling kernel boots exactly like a run's but carries no
+	// telemetry and spawns the workload unsimulated: the pass must
+	// observe the undilated machine timeline the ledgered gang shares.
+	k, err := bootKernel(kcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +392,7 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 		if err := k.RunUntilUser(capTarget); err != nil {
 			return nil, err
 		}
-		cp, err := repCheckpointAt(o, rc, kcfg, k, rep.Index)
+		cp, err := kernel.CaptureAt(k, fmt.Sprintf("interval-%d", rep.Index))
 		if err != nil {
 			return nil, err
 		}
@@ -325,34 +425,6 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	base.tasks = k.Stats().UserSpawned
 
 	return &intervalProfile{plan: plan, marks: marks, base: base}, nil
-}
-
-// repCheckpointAt produces the checkpoint at the kernel's current
-// position: loaded from the checkpoint directory when a valid file
-// exists (a stale one — wrong stream position for this plan — is a
-// wrapped kernel.ErrCheckpointMismatch), otherwise captured and, with a
-// directory configured, persisted.
-func repCheckpointAt(o Options, rc runConfig, kcfg kernel.Config, k *kernel.Kernel, interval int) (*kernel.Checkpoint, error) {
-	mark := fmt.Sprintf("interval-%d", interval)
-	if !rc.checkpoint || rc.checkpointDir == "" {
-		return kernel.CaptureAt(k, mark)
-	}
-	path := intervalCheckpointPath(rc.checkpointDir, kcfg, rc.spec, interval)
-	cp, err := loadIntervalCheckpoint(path, kcfg, k.UserInstructions())
-	if err == nil {
-		return cp, nil
-	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
-	}
-	cp, err = kernel.CaptureAt(k, mark)
-	if err != nil {
-		return nil, err
-	}
-	if err := saveCheckpoint(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
 }
 
 //twvet:digest ckKey

@@ -2,7 +2,7 @@ package experiment
 
 // Content-addressed result caching. Every run's runResult is a pure
 // function of its execution identity — the byte-identity verify gates
-// (fastpath/gang/compiled/checkpoint) prove it — so results are cached by
+// (fastpath/gang/compiled) prove it — so results are cached by
 // a canonical digest of that identity and served without simulating.
 // Integration happens at the execution-group level in runAll: a gang
 // group simulates only the members whose digests miss (a partial gang,
@@ -28,8 +28,8 @@ import (
 const maxCachedResults = 4096
 
 // resultStore is the process-wide result cache, mirroring the compiled
-// image and checkpoint caches: one instance, shared by every experiment
-// in the process, safe for concurrent groups.
+// image and interval checkpoint caches: one instance, shared by every
+// experiment in the process, safe for concurrent groups.
 var resultStore = resultcache.New(maxCachedResults, encodeResult, decodeResult)
 
 // ResultCacheStats reports process-wide result cache activity (bench
@@ -45,15 +45,15 @@ func ResetResultCache() { resultStore.Reset() }
 // runConfig must already be normalized (the option-derived flags folded
 // in, as runAll's workers do), so the digest never depends on where a
 // flag was spelled. Execution-path flags that provably do not change
-// results (fastpath, compile, checkpoint, ganging) are hashed
-// anyway: the cache's contract is "same digest, same bytes", and keying
-// conservatively means a flag-flipping verify run exercises fresh
-// simulations instead of trusting the equivalence it is trying to prove.
+// results (fastpath, compile, ganging) are hashed anyway: the cache's
+// contract is "same digest, same bytes", and keying conservatively means
+// a flag-flipping verify run exercises fresh simulations instead of
+// trusting the equivalence it is trying to prove.
 //
 //twvet:digest runConfig
 func resultDigest(o Options, rc runConfig) resultcache.Digest {
 	h := resultcache.NewHasher()
-	h.WriteString("experiment.run/v3")
+	h.WriteString("experiment.run/v4")
 	h.WriteUint64(core.PhysicsVersion)
 	rc.spec.HashInto(h)
 	h.WriteUint64(rc.seed)
@@ -68,7 +68,6 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 	h.WriteBool(rc.simKernel)
 	h.WriteBool(rc.noFastPath)
 	h.WriteBool(rc.noCompile)
-	h.WriteBool(rc.checkpoint)
 	h.WriteBool(rc.gang)
 	h.WriteBool(o.NoGang)
 	// Interval replay produces extrapolated (not byte-identical) results,

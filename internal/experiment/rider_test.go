@@ -91,44 +91,42 @@ func TestBaselineRidesGang(t *testing.T) {
 	}
 }
 
-// TestBaselineSharesExecution: with checkpointing on, a cold Sweep and a
-// cold Figure3 fork one kernel — the gang's, which the baseline rides —
-// instead of one for the gang and one for the baseline. Under NoGang and
-// under telemetry the baseline keeps its own execution.
+// TestBaselineSharesExecution: a cold Sweep and a cold Figure3 boot one
+// kernel — the gang's, which the baseline rides — instead of one for the
+// gang and one for the baseline. Under NoGang and under telemetry the
+// baseline keeps its own execution.
 func TestBaselineSharesExecution(t *testing.T) {
-	forks := func(o Options, fn func(Options) (*Table, error)) uint64 {
+	boots := func(o Options, fn func(Options) (*Table, error)) uint64 {
 		t.Helper()
-		_, before, _ := CheckpointStats()
+		before := executions.Load()
 		if _, err := fn(o); err != nil {
 			t.Fatal(err)
 		}
-		_, after, _ := CheckpointStats()
-		return after - before
+		return executions.Load() - before
 	}
 	sweep := func(o Options) (*Table, error) {
 		return Sweep(o, SweepConfig{Workload: "mpeg_play",
 			Sizes: []int{1 << 10, 4 << 10}, Assocs: []int{1, 2}, Lines: []int{16}})
 	}
 	o := parallelOptions(1)
-	o.Checkpoint = true
 	for _, c := range []struct {
 		name string
 		fn   func(Options) (*Table, error)
 	}{{"sweep", sweep}, {"figure3", Figure3}} {
-		if got := forks(o, c.fn); got != 1 {
-			t.Errorf("%s forked %d kernels, want 1 (the baseline rides the gang)", c.name, got)
+		if got := boots(o, c.fn); got != 1 {
+			t.Errorf("%s booted %d kernels, want 1 (the baseline rides the gang)", c.name, got)
 		}
 		tel := o
 		tel.Telemetry = telemetry.New(telemetry.Config{})
-		if got := forks(tel, c.fn); got != 2 {
-			t.Errorf("%s with telemetry forked %d kernels, want 2 (gang + solo baseline)", c.name, got)
+		if got := boots(tel, c.fn); got != 2 {
+			t.Errorf("%s with telemetry booted %d kernels, want 2 (gang + solo baseline)", c.name, got)
 		}
 	}
-	// NoGang runs every member solo too: one fork per configuration plus
+	// NoGang runs every member solo too: one boot per configuration plus
 	// the baseline's.
 	ng := o
 	ng.NoGang = true
-	if got := forks(ng, sweep); got != 5 {
-		t.Errorf("sweep under NoGang forked %d kernels, want 5 (4 solo members + baseline)", got)
+	if got := boots(ng, sweep); got != 5 {
+		t.Errorf("sweep under NoGang booted %d kernels, want 5 (4 solo members + baseline)", got)
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tapeworm/internal/cache"
 	"tapeworm/internal/cache2000"
@@ -29,10 +30,6 @@ type runConfig struct {
 	simKernel  bool         // register kernel pages
 	noFastPath bool         // force the per-reference execution path
 	noCompile  bool         // force the reference interpreter
-
-	checkpoint bool // fork the kernel from a cached boot checkpoint
-	//twvet:nohash storage-location — where checkpoints persist cannot change results
-	checkpointDir string // persist/load checkpoints here (requires checkpoint)
 
 	// gang opts this run into the ganged execution path: it runs as a
 	// core.AttachGang member (ledgered traps) even when alone, so its
@@ -78,7 +75,7 @@ func run(rc runConfig) (runResult, error) {
 	kcfg.PageSeed = rc.pageSeed
 	kcfg.Telemetry = rc.tel
 	kcfg.Machine.NoFastPath = rc.noFastPath
-	k, err := bootKernel(rc, kcfg)
+	k, err := bootKernel(kcfg)
 	if err != nil {
 		return res, err
 	}
@@ -155,18 +152,15 @@ func run(rc runConfig) (runResult, error) {
 	return res, nil
 }
 
-// bootKernel produces the run's kernel: a fresh Boot, or — when the run
-// opts into checkpointing — a Fork from the process-wide cached boot
-// checkpoint for kcfg's (seed, pageSeed, frames) identity.
-func bootKernel(rc runConfig, kcfg kernel.Config) (*kernel.Kernel, error) {
-	if !rc.checkpoint {
-		return kernel.Boot(kcfg)
-	}
-	cp, err := cachedCheckpoint(kcfg, rc.checkpointDir)
-	if err != nil {
-		return nil, err
-	}
-	return kernel.Fork(cp, kcfg)
+// executions counts the kernels booted for executions — solo runs, gangs
+// and interval profiling passes — so tests can check how many executions
+// an experiment shares.
+var executions atomic.Uint64
+
+// bootKernel boots a fresh kernel for one execution.
+func bootKernel(kcfg kernel.Config) (*kernel.Kernel, error) {
+	executions.Add(1)
+	return kernel.Boot(kcfg)
 }
 
 // runGang executes a group of runs that share one workload execution: one
@@ -191,7 +185,7 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	// describe the shared execution; they ride on the first member's run.
 	kcfg.Telemetry = rc0.tel
 	kcfg.Machine.NoFastPath = rc0.noFastPath
-	k, err := bootKernel(rc0, kcfg)
+	k, err := bootKernel(kcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -415,8 +409,6 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 				rcs[mi] = jobs[i].cfg
 				rcs[mi].noFastPath = o.NoFastPath
 				rcs[mi].noCompile = o.NoCompile
-				rcs[mi].checkpoint = o.Checkpoint
-				rcs[mi].checkpointDir = o.CheckpointDir
 				rcs[mi].tel = o.Telemetry.StartRun(fmt.Sprintf("run%d", i))
 				tels[i] = rcs[mi].tel
 			}

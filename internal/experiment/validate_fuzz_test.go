@@ -22,24 +22,22 @@ func FuzzOptionsValidate(f *testing.F) {
 		f.Fatal(err)
 	}
 	q := QuickOptions()
-	f.Add(q.Scale, q.Trials, q.Frames, 0, false, "", false, "", 0, 0, 0)
-	f.Add(100.0, 16, 8192, 8, true, dir, true, dir, 16, 4, 1000)
-	f.Add(math.NaN(), 1, 4096, 0, false, "", false, "", 0, 0, 0)
-	f.Add(math.Inf(1), 1, 4096, 0, false, "", false, "", 0, 0, 0)
-	f.Add(math.Inf(-1), 1, 4096, 0, false, "", false, "", 0, 0, 0)
-	f.Add(-1.0, 0, -8, -2, false, "", false, "", -1, -1, -1)
-	f.Add(0.0, 1, 4096, 0, false, "", false, "", 0, 0, 0)
-	f.Add(1e12, 1, 4096, 0, false, "", false, "", 0, 0, 0)
-	f.Add(1e-300, 1, 4096, 0, false, "", false, "", 0, 0, 0)
-	f.Add(1.0, 1, 1<<22, 0, false, dir, false, dir, 0, 1, 0)
-	f.Add(1.0, 1, 1<<20, 0, true, " ", true, "\t", 4, 5, 0)
-	f.Add(1.0, 1, 1, 0, true, file, true, file, 0, 0, 3)
+	f.Add(q.Scale, q.Trials, q.Frames, 0, false, "", 0, 0, 0)
+	f.Add(100.0, 16, 8192, 8, true, dir, 16, 4, 1000)
+	f.Add(math.NaN(), 1, 4096, 0, false, "", 0, 0, 0)
+	f.Add(math.Inf(1), 1, 4096, 0, false, "", 0, 0, 0)
+	f.Add(math.Inf(-1), 1, 4096, 0, false, "", 0, 0, 0)
+	f.Add(-1.0, 0, -8, -2, false, "", -1, -1, -1)
+	f.Add(0.0, 1, 4096, 0, false, "", 0, 0, 0)
+	f.Add(1e12, 1, 4096, 0, false, "", 0, 0, 0)
+	f.Add(1e-300, 1, 4096, 0, false, "", 0, 0, 0)
+	f.Add(1.0, 1, 1<<22, 0, false, dir, 0, 1, 0)
+	f.Add(1.0, 1, 1<<20, 0, true, "\t", 4, 5, 0)
+	f.Add(1.0, 1, 1, 0, true, file, 0, 0, 3)
 	f.Fuzz(func(t *testing.T, scale float64, trials, frames, parallelism int,
-		checkpoint bool, checkpointDir string, resultCache bool, resultCacheDir string,
-		intervals, k, warmup int) {
+		resultCache bool, resultCacheDir string, intervals, k, warmup int) {
 		o := Options{
 			Scale: scale, Trials: trials, Frames: frames, Parallelism: parallelism,
-			Checkpoint: checkpoint, CheckpointDir: checkpointDir,
 			ResultCache: resultCache, ResultCacheDir: resultCacheDir,
 			PhaseIntervals: intervals, PhaseK: k, PhaseWarmup: warmup,
 		}
@@ -56,18 +54,12 @@ func FuzzOptionsValidate(f *testing.F) {
 		if err := mem.CheckPhysSize(frames, 4096); err != nil {
 			t.Fatalf("accepted frames %d: %v", frames, err)
 		}
-		for _, d := range []struct {
-			path string
-			on   bool
-		}{{checkpointDir, checkpoint}, {resultCacheDir, resultCache}} {
-			if d.path == "" {
-				continue
+		if resultCacheDir != "" {
+			if !resultCache || strings.TrimSpace(resultCacheDir) == "" {
+				t.Fatalf("accepted directory %q with its cache on = %v", resultCacheDir, resultCache)
 			}
-			if !d.on || strings.TrimSpace(d.path) == "" {
-				t.Fatalf("accepted directory %q with its cache on = %v", d.path, d.on)
-			}
-			if st, err := os.Stat(d.path); err == nil && !st.IsDir() {
-				t.Fatalf("accepted non-directory %q", d.path)
+			if st, err := os.Stat(resultCacheDir); err == nil && !st.IsDir() {
+				t.Fatalf("accepted non-directory %q", resultCacheDir)
 			}
 		}
 		if intervals < 0 || k < 0 || warmup < 0 {

@@ -1,31 +1,26 @@
 package kernel
 
-// Checkpointed boot images. Boot is the dominant fixed cost left per
-// trial: the Fisher-Yates shuffle over every allocatable frame plus a few
-// dozen walker constructions. A Checkpoint freezes the post-boot kernel —
-// serialized task tree, frame-allocator tables, the random-stream and
-// walker positions, and a copy-on-write image of physical memory — and
-// Fork rebuilds a ready-to-run kernel from it without rebooting: the
-// shuffled free list is copied, the dense trap tables are shared with the
-// image until first write (mem/image.go), and every random stream resumes
-// at its captured position, so a forked kernel is byte-for-byte
-// indistinguishable from a fresh boot of the same configuration.
+// In-memory kernel checkpoints. A Checkpoint freezes a kernel — its task
+// tree, frame-allocator tables, the random-stream and walker positions,
+// and a copy-on-write image of physical memory — and Fork rebuilds a
+// ready-to-run kernel from it without rebooting: the shuffled free list is
+// copied, the dense trap tables are shared with the image until first
+// write (mem/image.go), and every random stream resumes at its captured
+// position, so a forked kernel is byte-for-byte indistinguishable from a
+// fresh boot of the same configuration.
 //
-// Capture requires a quiesced kernel (nothing executed, no workload
-// spawned): the checkpoint identity is then a pure function of
-// (seed, pageSeed, machine geometry, server set), which is what lets the
-// experiment layer share one image across every trial and gang member
-// with that identity. CaptureAt (midrun.go) extends the same image with
-// a run state — scheduler, clock, page tables, compiled-program cursors —
-// so interval replay can fork a kernel back to an interval boundary;
-// within a fork, core.Window still owns warm-up/measure selection.
+// Capture takes a quiesced post-boot kernel (nothing executed, no
+// workload spawned), whose identity is a pure function of (seed,
+// pageSeed, machine geometry, server set). CaptureAt (midrun.go) extends
+// the same image with a run state — scheduler, clock, page tables,
+// compiled-program cursors — so interval replay can fork a kernel back to
+// an interval boundary (ForkRun); within a fork, core.Window still owns
+// warm-up/measure selection. Checkpoints live only in memory: every
+// experiment run boots fresh, and nothing is persisted.
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 
 	"tapeworm/internal/mach"
@@ -34,18 +29,13 @@ import (
 	"tapeworm/internal/textwalk"
 )
 
-// ErrCheckpointMismatch is wrapped by every Fork/LoadCheckpoint rejection
-// of a checkpoint whose identity does not match the requested
-// configuration (different seed, frame count, server set, ...).
+// ErrCheckpointMismatch is wrapped by every Fork/ForkRun rejection of a
+// checkpoint whose identity does not match the requested configuration
+// (different seed, frame count, server set, ...) or whose kind does not
+// fit the call (a post-boot image handed to ForkRun).
 var ErrCheckpointMismatch = errors.New("kernel: checkpoint does not match configuration")
 
-// ErrCheckpointCorrupt is wrapped by ReadCheckpoint when a checkpoint
-// file cannot be decoded at all — truncation, garbage, a torn write. It
-// is distinct from ErrCheckpointMismatch, which covers files that decode
-// but describe a different identity.
-var ErrCheckpointCorrupt = errors.New("kernel: checkpoint file corrupt")
-
-// taskRecord serializes one entry of the boot-time task tree.
+// taskRecord records one entry of the boot-time task tree.
 type taskRecord struct {
 	Name     string
 	Server   bool
@@ -53,7 +43,7 @@ type taskRecord struct {
 	Inherit  bool
 }
 
-// serverState serializes one server's mutable state: per-service walker
+// serverState records one server's mutable state: per-service walker
 // positions and the data generator's stream and hot-region size.
 type serverState struct {
 	Walkers map[ServiceID]textwalk.State
@@ -99,9 +89,8 @@ type Checkpoint struct {
 	// post-boot checkpoints.
 	run *runState
 
-	// Walker-shape template, built once per checkpoint and shared by all
-	// forks (see template). Not serialized; a decoded checkpoint rebuilds
-	// it from the boot recipe on first Fork.
+	// Walker-shape template, built from the boot recipe on first Fork and
+	// shared by all forks (see template).
 	tmplOnce sync.Once
 	tmpl     *ckTemplate
 }
@@ -119,9 +108,8 @@ type ckTemplate struct {
 }
 
 // template returns the checkpoint's shared shape template, building it on
-// first use. Capture pre-seeds it from the source kernel (sharing its
-// immutable regions); a checkpoint decoded from disk rebuilds it from the
-// boot recipe, which is a pure function of the checkpoint identity.
+// first use from the boot recipe, which is a pure function of the
+// checkpoint identity.
 func (cp *Checkpoint) template() *ckTemplate {
 	cp.tmplOnce.Do(func() {
 		tm := &ckTemplate{
@@ -155,15 +143,6 @@ func (cp *Checkpoint) template() *ckTemplate {
 	})
 	return cp.tmpl
 }
-
-// Mark returns the checkpoint's name ("post-boot" for Capture after Boot).
-func (cp *Checkpoint) Mark() string { return cp.mark }
-
-// Frames returns the physical frame count the checkpoint was captured at.
-func (cp *Checkpoint) Frames() int { return cp.frames }
-
-// Seeds returns the (seed, pageSeed) identity of the checkpoint.
-func (cp *Checkpoint) Seeds() (seed, pageSeed uint64) { return cp.seed, cp.pageSeed }
 
 // svcWalkerLabels holds the per-service walker labels, formatted once per
 // process instead of once per fork.
@@ -277,8 +256,7 @@ func captureState(k *Kernel, mark string) (*Checkpoint, error) {
 }
 
 // validateFork checks cfg against the checkpoint's identity, wrapping
-// ErrCheckpointMismatch so callers (and Options.Validate paths) can
-// classify the failure.
+// ErrCheckpointMismatch so callers can classify the failure.
 func (cp *Checkpoint) validateFork(cfg Config) error {
 	mismatch := func(what string, got, want any) error {
 		return fmt.Errorf("%w: %s %v, checkpoint %q captured with %v",
@@ -307,12 +285,6 @@ func (cp *Checkpoint) validateFork(cfg Config) error {
 	}
 	return nil
 }
-
-// ValidateConfig reports whether cfg could fork from this checkpoint,
-// wrapping ErrCheckpointMismatch on any identity difference. Fork runs
-// the same check; this is for callers that load checkpoints from disk
-// and want to reject a stale or foreign file up front.
-func (cp *Checkpoint) ValidateConfig(cfg Config) error { return cp.validateFork(cfg) }
 
 // Fork builds a ready-to-run kernel from a checkpoint without rebooting.
 // cfg must agree with the checkpoint on everything that shapes boot state
@@ -363,7 +335,7 @@ func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	}
 	k.kdata = newDataGen(rng.FromState(cp.kdataRNG), k.layout.data, cp.kdataHot, 0.35)
 
-	// Rebuild the task tree from the serialized records; IDs are
+	// Rebuild the task tree from the captured records; IDs are
 	// positional, exactly as Boot and newTask assign them.
 	for i, rec := range cp.tasks {
 		t := &Task{
@@ -426,196 +398,3 @@ func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 // allocations that the garbage collector reclaims. The method is kept
 // only because the benchmark runner in perfbench/ still calls it.
 func (k *Kernel) ReleaseCheckpoint() {}
-
-// --- Persistence (-checkpoint-dir) ---
-
-// checkpointWire is the gob representation of a Checkpoint. Maps are
-// flattened to sorted slices so the encoded bytes are deterministic.
-type checkpointWire struct {
-	Version int
-	Mark    string
-
-	Seed           uint64
-	PageSeed       uint64
-	Frames         int
-	PageSize       int
-	TapewormFrames int
-	WithXServer    bool
-	WithBSDServer  bool
-
-	Img      *mem.Image
-	Free     []uint32
-	Refcount []uint16
-
-	RNGKernel rng.State
-	RNGIntr   rng.State
-	RNGVM     rng.State
-
-	WalkerLabels []string
-	WalkerStates []textwalk.State
-
-	KdataRNG rng.State
-	KdataHot uint32
-
-	Tasks []taskRecord
-
-	ServerKinds  []ServerKind
-	ServerStates []serverWire
-
-	// Run carries mid-run state for CaptureAt checkpoints; nil for
-	// post-boot images. Gob omits nil pointers, so version 1 files
-	// written before the field existed still decode (to a nil Run) and
-	// old readers skip the field they don't know.
-	Run *runState
-}
-
-type serverWire struct {
-	Services []ServiceID
-	Walkers  []textwalk.State
-	Data     rng.State
-	DataHot  uint32
-}
-
-// checkpointWireVersion guards the on-disk format; bump on any layout
-// change so stale -checkpoint-dir files fail loudly instead of decoding
-// into garbage.
-const checkpointWireVersion = 1
-
-// Encode writes the checkpoint to f with gob.
-func (cp *Checkpoint) Encode(f io.Writer) error {
-	w := checkpointWire{
-		Version:        checkpointWireVersion,
-		Mark:           cp.mark,
-		Seed:           cp.seed,
-		PageSeed:       cp.pageSeed,
-		Frames:         cp.frames,
-		PageSize:       cp.pageSize,
-		TapewormFrames: cp.tapewormFrames,
-		WithXServer:    cp.withXServer,
-		WithBSDServer:  cp.withBSDServer,
-		Img:            cp.img,
-		Free:           cp.free,
-		Refcount:       cp.refcount,
-		RNGKernel:      cp.rngKernel,
-		RNGIntr:        cp.rngIntr,
-		RNGVM:          cp.rngVM,
-		KdataRNG:       cp.kdataRNG,
-		KdataHot:       cp.kdataHot,
-		Tasks:          cp.tasks,
-		Run:            cp.run,
-	}
-	for _, label := range sortedKeys(cp.walkers) {
-		w.WalkerLabels = append(w.WalkerLabels, label)
-		w.WalkerStates = append(w.WalkerStates, cp.walkers[label])
-	}
-	for _, kind := range []ServerKind{BSDServer, XServer} {
-		ss, ok := cp.servers[kind]
-		if !ok {
-			continue
-		}
-		sw := serverWire{Data: ss.Data, DataHot: ss.DataHot}
-		ids := make([]int, 0, len(ss.Walkers))
-		for id := range ss.Walkers {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			sw.Services = append(sw.Services, ServiceID(id))
-			sw.Walkers = append(sw.Walkers, ss.Walkers[ServiceID(id)])
-		}
-		w.ServerKinds = append(w.ServerKinds, kind)
-		w.ServerStates = append(w.ServerStates, sw)
-	}
-	return gob.NewEncoder(f).Encode(w)
-}
-
-// ReadCheckpoint decodes a checkpoint written by Encode.
-func ReadCheckpoint(f io.Reader) (*Checkpoint, error) {
-	var w checkpointWire
-	if err := gob.NewDecoder(f).Decode(&w); err != nil {
-		return nil, fmt.Errorf("%w: decoding: %v", ErrCheckpointCorrupt, err)
-	}
-	if w.Version != checkpointWireVersion {
-		return nil, fmt.Errorf("%w: checkpoint file version %d, want %d",
-			ErrCheckpointMismatch, w.Version, checkpointWireVersion)
-	}
-	if w.Img == nil {
-		return nil, fmt.Errorf("%w: checkpoint file has no memory image", ErrCheckpointMismatch)
-	}
-	if w.Img.Frames() != w.Frames || w.Img.PageSize() != w.PageSize {
-		return nil, fmt.Errorf("%w: image geometry %d×%d does not match header %d×%d",
-			ErrCheckpointMismatch, w.Img.Frames(), w.Img.PageSize(), w.Frames, w.PageSize)
-	}
-	if err := checkFrameTables(w.Frames, w.Free, w.Refcount); err != nil {
-		return nil, fmt.Errorf("%w: frame tables: %v", ErrCheckpointCorrupt, err)
-	}
-	// Data generators draw offsets uniformly from their hot region; Boot
-	// never makes one empty, and an empty one cannot be drawn from.
-	if w.KdataHot == 0 {
-		return nil, fmt.Errorf("%w: kernel data generator has an empty hot region", ErrCheckpointCorrupt)
-	}
-	for i, sw := range w.ServerStates {
-		if sw.DataHot == 0 {
-			return nil, fmt.Errorf("%w: server %d data generator has an empty hot region", ErrCheckpointCorrupt, i)
-		}
-	}
-	if w.Run != nil {
-		if err := w.Run.check(len(w.Tasks), w.Refcount); err != nil {
-			return nil, fmt.Errorf("%w: run state: %v", ErrCheckpointCorrupt, err)
-		}
-	}
-	if len(w.WalkerLabels) != len(w.WalkerStates) || len(w.ServerKinds) != len(w.ServerStates) {
-		return nil, fmt.Errorf("%w: inconsistent walker/server tables", ErrCheckpointMismatch)
-	}
-	cp := &Checkpoint{
-		mark:           w.Mark,
-		seed:           w.Seed,
-		pageSeed:       w.PageSeed,
-		frames:         w.Frames,
-		pageSize:       w.PageSize,
-		tapewormFrames: w.TapewormFrames,
-		withXServer:    w.WithXServer,
-		withBSDServer:  w.WithBSDServer,
-		img:            w.Img,
-		free:           w.Free,
-		refcount:       w.Refcount,
-		rngKernel:      w.RNGKernel,
-		rngIntr:        w.RNGIntr,
-		rngVM:          w.RNGVM,
-		walkers:        make(map[string]textwalk.State, len(w.WalkerLabels)),
-		kdataRNG:       w.KdataRNG,
-		kdataHot:       w.KdataHot,
-		tasks:          w.Tasks,
-		servers:        make(map[ServerKind]serverState, len(w.ServerKinds)),
-		run:            w.Run,
-	}
-	for i, label := range w.WalkerLabels {
-		cp.walkers[label] = w.WalkerStates[i]
-	}
-	for i, kind := range w.ServerKinds {
-		sw := w.ServerStates[i]
-		if len(sw.Services) != len(sw.Walkers) {
-			return nil, fmt.Errorf("%w: inconsistent service walker table for server %d", ErrCheckpointMismatch, kind)
-		}
-		ss := serverState{
-			Walkers: make(map[ServiceID]textwalk.State, len(sw.Services)),
-			Data:    sw.Data,
-			DataHot: sw.DataHot,
-		}
-		for j, id := range sw.Services {
-			ss.Walkers[id] = sw.Walkers[j]
-		}
-		cp.servers[kind] = ss
-	}
-	return cp, nil
-}
-
-// sortedKeys returns m's keys in sorted order, for deterministic encoding.
-func sortedKeys(m map[string]textwalk.State) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -1,8 +1,8 @@
 package kernel
 
-// Mid-run checkpoints. PR 7's Capture freezes a quiesced post-boot
-// kernel; interval-replay simulation needs to freeze a kernel *mid-run*,
-// at an interval boundary, so a representative interval can later be
+// Mid-run checkpoints. Capture freezes a quiesced post-boot kernel;
+// interval-replay simulation needs to freeze a kernel *mid-run*, at an
+// interval boundary, so a representative interval can later be
 // simulated on a fork without re-executing everything before it.
 //
 // A mid-run capture extends the boot image with a run state: the
@@ -74,8 +74,7 @@ type taskRunState struct {
 	Cursor    ProgramCursor
 }
 
-// runState is the mid-run half of a checkpoint. All fields are exported
-// for gob; the struct is immutable once captured.
+// runState is the mid-run half of a checkpoint, immutable once captured.
 type runState struct {
 	Clock mach.ClockState
 
@@ -96,59 +95,6 @@ type runState struct {
 	UserExited  int
 
 	Tasks []taskRunState
-}
-
-// check reports whether a decoded run state is consistent with the boot
-// half it extends (tasks task records, frame mapping counts refcount):
-// one entry per task, page tables whose entries name existing frames with
-// exactly the mapping counts the frame tables record, a run queue of live
-// tasks with programs to resume, and a resident queue of known tasks.
-// Anything else would index past the machine's memory, free a frame
-// twice, or schedule a task with no program.
-func (rs *runState) check(tasks int, refcount []uint16) error {
-	if len(rs.Tasks) != tasks {
-		return fmt.Errorf("run state covers %d tasks, checkpoint has %d", len(rs.Tasks), tasks)
-	}
-	if rs.Cur < 0 {
-		return fmt.Errorf("scheduler slot %d", rs.Cur)
-	}
-	mappings := make([]int, len(refcount))
-	for i, ts := range rs.Tasks {
-		if len(ts.PageVPNs) != len(ts.PagePTEs) {
-			return fmt.Errorf("task %d has %d page numbers but %d page-table entries",
-				i, len(ts.PageVPNs), len(ts.PagePTEs))
-		}
-		for j, raw := range ts.PagePTEs {
-			p := pte(raw)
-			f := p.frame()
-			switch {
-			case !p.resident():
-				return fmt.Errorf("task %d page %#x: non-resident entry %#x", i, ts.PageVPNs[j], raw)
-			case int(f) >= len(refcount):
-				return fmt.Errorf("task %d page %#x: frame %d of %d", i, ts.PageVPNs[j], f, len(refcount))
-			}
-			mappings[f]++
-		}
-	}
-	for f, n := range mappings {
-		if n != int(refcount[f]) {
-			return fmt.Errorf("frame %d has %d page-table mappings, frame table records %d", f, n, refcount[f])
-		}
-	}
-	for _, id := range rs.RunqIDs {
-		if id < 0 || int(id) >= tasks || !rs.Tasks[id].HasCursor || rs.Tasks[id].State == Exited {
-			return fmt.Errorf("run queue names task %d, which has no live program", id)
-		}
-	}
-	if len(rs.ResidentTIDs) != len(rs.ResidentVPNs) {
-		return fmt.Errorf("%d resident tasks for %d resident pages", len(rs.ResidentTIDs), len(rs.ResidentVPNs))
-	}
-	for _, id := range rs.ResidentTIDs {
-		if id < 0 || int(id) >= tasks {
-			return fmt.Errorf("resident queue names unknown task %d", id)
-		}
-	}
-	return nil
 }
 
 // HasRunState reports whether the checkpoint was captured mid-run
@@ -239,8 +185,7 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 // clock, same page tables, every program back on its captured op. resume
 // rebuilds each live task's program from its cursor. Like Fork, the
 // returned kernel shares the image copy-on-write. The run state is
-// installed as is: CaptureAt builds it consistent, and ReadCheckpoint
-// vets a decoded one (runState.check).
+// installed as is: CaptureAt builds it consistent.
 //
 // The forked machine starts with cold host caches and TLB — the only
 // state deliberately absent from a checkpoint — so its overhead stream

@@ -185,32 +185,6 @@ func emptyFrameAllocator(totalFrames int) *frameAllocator {
 	}
 }
 
-// checkFrameTables reports whether checkpointed frame tables are
-// consistent with a machine of totalFrames frames: one mapping count per
-// frame, and a free list naming distinct, unmapped frames. Anything else
-// would index past the tables or hand one frame out twice.
-func checkFrameTables(totalFrames int, free []uint32, refcount []uint16) error {
-	if len(refcount) != totalFrames {
-		return fmt.Errorf("%d mapping counts for %d frames", len(refcount), totalFrames)
-	}
-	if len(free) > totalFrames {
-		return fmt.Errorf("%d free frames for %d frames", len(free), totalFrames)
-	}
-	seen := make([]bool, totalFrames)
-	for _, f := range free {
-		switch {
-		case int(f) >= totalFrames:
-			return fmt.Errorf("free frame %d out of range (%d frames)", f, totalFrames)
-		case seen[f]:
-			return fmt.Errorf("frame %d free twice", f)
-		case refcount[f] != 0:
-			return fmt.Errorf("free frame %d has %d mappings", f, refcount[f])
-		}
-		seen[f] = true
-	}
-	return nil
-}
-
 // alloc pops a free frame; ok is false when memory is exhausted.
 func (fa *frameAllocator) alloc() (uint32, bool) {
 	if len(fa.free) == 0 {

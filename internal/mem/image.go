@@ -1,6 +1,6 @@
 package mem
 
-// Checkpoint images. A boot (or phase-mark) checkpoint freezes the dense
+// Checkpoint images. A boot (or mid-run) checkpoint freezes the dense
 // per-word state of a Phys — trap bitsets, occupancy summaries, sparse
 // true-error map — into an immutable Image. Forked machines share the
 // image's arrays copy-on-write: NewPhysFromImage aliases them directly, so
@@ -8,12 +8,6 @@ package mem
 // the first mutation materializes private copies of exactly the chunks
 // the image marks dirty. Which gang members hold a trap is never part of
 // an image: that lives in the gang attached to each fork.
-
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
 
 // Image is an immutable snapshot of a Phys's dense state. Any number of
 // forks (and the capture source itself) may outlive or predecease it;
@@ -37,15 +31,6 @@ func (img *Image) Frames() int { return img.frames }
 
 // PageSize returns the page size the image was captured at.
 func (img *Image) PageSize() int { return img.pageSize }
-
-// TrapCount returns the number of trapped words recorded in the image.
-func (img *Image) TrapCount() int {
-	n := 0
-	for _, c := range img.chunkPop {
-		n += int(c)
-	}
-	return n
-}
 
 // CaptureImage snapshots p's dense state into a fresh Image. The copy is
 // deep: the image shares nothing with p, so p may keep running while the
@@ -138,63 +123,4 @@ func (p *Phys) materializeImage() {
 	for w, m := range img.ecc {
 		p.ecc[w] = m
 	}
-}
-
-// imageWire is the gob representation of an Image. gob needs exported
-// fields; the Image itself keeps its fields private so nothing outside
-// this package can mutate a shared snapshot.
-type imageWire struct {
-	Frames       int
-	PageSize     int
-	TrapBits     []uint64
-	TwBits       []uint64
-	ChunkPop     []uint8
-	SuperPop     []uint8
-	ECC          map[uint32]uint64
-	TrapsSet     uint64
-	TrapsCleared uint64
-}
-
-// GobEncode implements gob.GobEncoder so checkpoints holding an Image can
-// be persisted with -checkpoint-dir.
-func (img *Image) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(imageWire{
-		Frames:   img.frames,
-		PageSize: img.pageSize,
-		TrapBits: img.trapBits,
-		TwBits:   img.twBits,
-		ChunkPop: img.chunkPop,
-		SuperPop: img.superPop,
-		ECC:      img.ecc,
-		TrapsSet: img.trapsSet, TrapsCleared: img.trapsCleared,
-	})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (img *Image) GobDecode(data []byte) error {
-	var w imageWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if err := CheckPhysSize(w.Frames, w.PageSize); err != nil {
-		return fmt.Errorf("mem: decoding image: %w", err)
-	}
-	words := w.Frames * w.PageSize / WordBytes
-	chunks := (words + chunkWords - 1) / chunkWords
-	supers := (chunks + superSize - 1) / superSize
-	if len(w.TrapBits) != chunks || len(w.TwBits) != chunks ||
-		len(w.ChunkPop) != chunks || len(w.SuperPop) != supers {
-		return fmt.Errorf("mem: decoding image: array lengths inconsistent with %d frames of %d bytes", w.Frames, w.PageSize)
-	}
-	img.frames, img.pageSize = w.Frames, w.PageSize
-	img.trapBits, img.twBits = w.TrapBits, w.TwBits
-	img.chunkPop, img.superPop = w.ChunkPop, w.SuperPop
-	img.ecc = w.ECC
-	if img.ecc == nil {
-		img.ecc = map[uint32]uint64{}
-	}
-	img.trapsSet, img.trapsCleared = w.TrapsSet, w.TrapsCleared
-	return nil
 }

@@ -1,8 +1,6 @@
 package mem
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 )
@@ -209,43 +207,5 @@ func TestForkReleaseUnmaterialized(t *testing.T) {
 	}
 	if err := g.CheckSummaries(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestImageGobRoundtrip(t *testing.T) {
-	_, _, img := imageSource()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	var back Image
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&back, img) {
-		t.Fatal("image did not survive gob roundtrip")
-	}
-	f := NewPhysFromImage(&back)
-	if err := f.CheckSummaries(); err != nil {
-		t.Fatal(err)
-	}
-	if f.TrapCount() != img.TrapCount() {
-		t.Fatalf("decoded fork TrapCount %d != image %d", f.TrapCount(), img.TrapCount())
-	}
-}
-
-func TestImageDecodeRejectsInconsistentLengths(t *testing.T) {
-	_, _, img := imageSource()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(imageWire{
-		Frames: img.frames, PageSize: img.pageSize,
-		TrapBits: img.trapBits[:1], TwBits: img.twBits,
-		ChunkPop: img.chunkPop, SuperPop: img.superPop,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var back Image
-	if err := back.GobDecode(buf.Bytes()); err == nil {
-		t.Fatal("truncated image accepted")
 	}
 }

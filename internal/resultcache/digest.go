@@ -2,7 +2,7 @@
 // simulation results. The repo's core invariant — every run's output is a
 // pure function of its execution identity (workload spec, simulator
 // configuration, seeds, frames, execution-path flags), verified by the
-// verify-fastpath/gang/compiled/checkpoint byte-identity gates — makes
+// verify-fastpath/gang/compiled byte-identity gates — makes
 // results reusable: a run whose identity digest has been seen before can
 // be served from cache instead of re-simulated.
 //
@@ -10,9 +10,9 @@
 // to result value, following the compiled-image and checkpoint cache
 // pattern (process-wide, bounded, eviction only costs a re-simulation).
 // The optional persistent tier (a directory of one gob file per digest,
-// written atomically like .ckpt files) makes results survive across
-// processes; files whose recorded identity disagrees with the request are
-// rejected with ErrMismatch, torn or garbage files with ErrCorrupt.
+// each written atomically) makes results survive across processes; files
+// whose recorded identity disagrees with the request are rejected with
+// ErrMismatch, torn or garbage files with ErrCorrupt.
 //
 // Concurrent identical requests are deduplicated single-flight: the first
 // claimant becomes the leader and simulates; followers block until the

@@ -296,9 +296,8 @@ func (s *Store) load(d Digest, dir string) (any, error) {
 	return val, nil
 }
 
-// save writes one result atomically (temp file + rename), mirroring the
-// checkpoint writer: concurrent processes sharing a cache directory never
-// observe a torn file.
+// save writes one result atomically (temp file + rename): concurrent
+// processes sharing a cache directory never observe a torn file.
 func (s *Store) save(d Digest, dir string, val any) error {
 	payload, err := s.encode(val)
 	if err != nil {

@@ -250,10 +250,9 @@ func TestPersistReload(t *testing.T) {
 	}
 }
 
-// corruptionCases mirrors the persisted-checkpoint corruption suite: a
-// truncated file, a garbage file, and a valid file renamed to the wrong
-// identity must all surface typed errors, never a panic or a silent
-// fallback.
+// TestPersistCorruption: a truncated file, a garbage file, and a valid
+// file renamed to the wrong identity must all surface typed errors, never
+// a panic or a silent fallback.
 func TestPersistCorruption(t *testing.T) {
 	d := digestOf("target")
 	other := digestOf("other")

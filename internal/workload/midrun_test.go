@@ -11,10 +11,8 @@ package workload_test
 //     per-task instruction counts, forks, exits) match the original run
 //     to completion. Cycle counts are NOT compared — a fork starts with
 //     cold host caches by design, which shifts timing deterministically.
-//   - A checkpoint survives Encode/ReadCheckpoint with its run state.
 
 import (
-	"bytes"
 	"testing"
 
 	"tapeworm/internal/kernel"
@@ -168,36 +166,6 @@ func TestForkRunDeterministicAndStreamConserving(t *testing.T) {
 					f1.stats.UserSpawned, f1.stats.UserExited, orig.stats.UserSpawned, orig.stats.UserExited)
 			}
 		})
-	}
-}
-
-func TestMidrunCheckpointPersistence(t *testing.T) {
-	spec := midrunSpec(t, "espresso", 2000)
-	cp, _ := captureMidway(t, spec, 50_000)
-
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	cp2, err := kernel.ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("ReadCheckpoint: %v", err)
-	}
-	if !cp2.HasRunState() {
-		t.Fatalf("decoded checkpoint lost its run state")
-	}
-	if cp2.Mark() != cp.Mark() {
-		t.Fatalf("decoded mark %q, want %q", cp2.Mark(), cp.Mark())
-	}
-	if cp2.UserInstructions() != cp.UserInstructions() {
-		t.Fatalf("decoded user instructions %d, want %d", cp2.UserInstructions(), cp.UserInstructions())
-	}
-
-	direct := forkAndFinish(t, cp, spec)
-	decoded := forkAndFinish(t, cp2, spec)
-	if direct.cycles != decoded.cycles || direct.instret != decoded.instret ||
-		direct.stats != decoded.stats || !eqUint64s(direct.taskInstr, decoded.taskInstr) {
-		t.Fatalf("decoded checkpoint forks differently:\n  direct  %+v\n  decoded %+v", direct, decoded)
 	}
 }
 

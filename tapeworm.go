@@ -6,7 +6,6 @@ import (
 	"tapeworm/internal/cache"
 	"tapeworm/internal/cache2000"
 	"tapeworm/internal/core"
-	"tapeworm/internal/experiment"
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mach"
 	"tapeworm/internal/mem"
@@ -150,14 +149,6 @@ type SystemConfig struct {
 	// Telemetry, if non-nil, records this system's trap events and
 	// end-of-run counters (see TelemetryCollector / internal/telemetry).
 	Telemetry *TelemetryRun
-	// Checkpoint forks the system from a process-wide cached post-boot
-	// image instead of booting fresh. Forked systems are byte-identical
-	// to booted ones; the first request per (seed, pageSeed, frames)
-	// identity captures the image.
-	Checkpoint bool
-	// CheckpointDir, when set (requires Checkpoint), persists captured
-	// boot images to disk and reloads matching ones across processes.
-	CheckpointDir string
 }
 
 // Telemetry re-exports: a collector aggregates runs into a metrics
@@ -181,8 +172,7 @@ type System struct {
 	k *kernel.Kernel
 }
 
-// NewSystem boots a machine and kernel, or forks them from a cached boot
-// checkpoint when cfg.Checkpoint is set. Nothing needs releasing when the
+// NewSystem boots a machine and kernel. Nothing needs releasing when the
 // system is done; the garbage collector reclaims it.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Machine.Proc == nil {
@@ -193,20 +183,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		kcfg.PageSeed = cfg.PageSeed
 	}
 	kcfg.Telemetry = cfg.Telemetry
-	if cfg.CheckpointDir != "" && !cfg.Checkpoint {
-		return nil, fmt.Errorf("tapeworm: CheckpointDir %q requires Checkpoint", cfg.CheckpointDir)
-	}
-	if cfg.Checkpoint {
-		cp, err := experiment.CachedCheckpoint(kcfg, cfg.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		k, err := kernel.Fork(cp, kcfg)
-		if err != nil {
-			return nil, err
-		}
-		return &System{k: k}, nil
-	}
 	k, err := kernel.Boot(kcfg)
 	if err != nil {
 		return nil, err
