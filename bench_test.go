@@ -374,6 +374,31 @@ func BenchmarkGangSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkIntervalSweep times BenchmarkGangSweep's 48-point mpeg_play
+// grid at scale 125 through representative-interval replay: 128
+// intervals, 2 phases, 3000 instructions of warm-up. The phase plan and
+// profile caches are dropped before each iteration, outside the timer, so
+// every iteration pays the phase analysis and the profiling pass.
+func BenchmarkIntervalSweep(b *testing.B) {
+	grid := experiment.SweepConfig{Workload: "mpeg_play",
+		Sizes:  []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10},
+		Assocs: []int{1, 2, 4, 8}, Lines: []int{16, 32}}
+	o := experiment.Options{Scale: 125, Seed: 1994, Trials: 1, Frames: 4096, Parallelism: 1,
+		PhaseIntervals: 128, PhaseK: 2, PhaseWarmup: 3000}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		experiment.ResetIntervalProfiles()
+		b.StartTimer()
+		if _, err := experiment.Sweep(o, grid); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if _, groups := experiment.IntervalStats(); groups == 0 {
+		b.Fatal("the sweep fell back to exhaustive replay")
+	}
+}
+
 func BenchmarkMicro_SimulatedCacheInsert(b *testing.B) {
 	c := cache.MustNew(cache.Config{Size: 16 << 10, LineSize: 16, Assoc: 2}, nil)
 	b.ResetTimer()

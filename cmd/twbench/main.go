@@ -10,12 +10,8 @@
 //	twbench -list                   # list experiment IDs
 //	twbench -o report.txt           # also write the report to a file
 //	twbench -metrics m.json -trace t.jsonl   # machine-readable telemetry
-//	twbench -fastpath=false         # force the per-reference execution path
-//	twbench -compile=false          # run the workloads on the reference interpreter
-//	twbench -gang=false             # run every configuration as its own execution
 //	twbench -result-cache           # serve repeated identical runs from the result cache
 //	twbench -result-cache-dir /tmp/rc   # persist results across invocations
-//	twbench -bench-json pr4         # time fast vs. baseline and ganged vs. solo, write BENCH_pr4.json
 //
 // Each experiment's independent machine runs execute on a worker pool
 // (default GOMAXPROCS workers; -parallel overrides). Results, progress
@@ -55,12 +51,6 @@ func main() {
 		resultCache    = flag.Bool("result-cache", false, "serve repeated identical runs from the content-addressed result cache (results are byte-identical either way)")
 		resultCacheDir = flag.String("result-cache-dir", "", "persist results to this directory and reload them across invocations (requires -result-cache)")
 
-		fastpath        = flag.Bool("fastpath", true, "use the batched hit fast path (results are byte-identical either way)")
-		compile         = flag.Bool("compile", true, "replay compiled or decode-ahead workload programs; false runs the reference interpreter (results are byte-identical either way)")
-		gang            = flag.Bool("gang", true, "group gang-eligible runs into shared executions (results are byte-identical either way)")
-		benchLabel      = flag.String("bench-json", "", "time each experiment with the fast path on and off plus a hot-loop microbenchmark and the ganged accuracy-sweep suite, and write BENCH_<label>.json")
-		verifyIntervals = flag.Bool("verify-intervals", false, "run the interval-sampling measurement alone and exit non-zero unless it meets the CI gates (speedup >= 5, miss-ratio error <= 0.02)")
-
 		phaseIntervals = flag.Int("phase-intervals", 0, "slice each workload into this many intervals and simulate one representative per phase (0 = exhaustive; results are extrapolated and error-bound-gated, not exact)")
 		phaseK         = flag.Int("phase-k", 0, "number of behavioral phases (k-means clusters); requires -phase-intervals")
 		phaseWarmup    = flag.Int("phase-warmup", 0, "instructions of simulator warm-up replayed ahead of each representative window; requires -phase-intervals")
@@ -76,8 +66,7 @@ func main() {
 
 	opts := experiment.Options{
 		Scale: *scale, Seed: *seed, Trials: *trials, Frames: *frames,
-		Parallelism: *parallel, NoFastPath: !*fastpath, NoCompile: !*compile,
-		NoGang: !*gang, ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
+		Parallelism: *parallel, ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
 		PhaseIntervals: *phaseIntervals, PhaseK: *phaseK, PhaseWarmup: *phaseWarmup,
 	}
 	if err := opts.Validate(); err != nil {
@@ -85,23 +74,6 @@ func main() {
 	}
 	if !*quiet {
 		opts.Progress = func(line string) { fmt.Fprintf(os.Stderr, "  %s\n", line) }
-	}
-
-	if *verifyIntervals {
-		if err := verifyIntervalGates(opts); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchLabel != "" {
-		ids := experiment.IDs()
-		if *runIDs != "" {
-			ids = strings.Split(*runIDs, ",")
-		}
-		if err := writeBenchJSON(*benchLabel, ids, opts); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	var coll *telemetry.Collector

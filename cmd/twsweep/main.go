@@ -15,7 +15,8 @@
 //
 // The table is byte-identical at any -parallel, with the result cache on
 // or off, and whether results come fresh, from the in-process tier, or
-// from a persisted directory (the `make verify-resultcache` gate).
+// from a persisted directory (TestDifferential's result-cache rows in
+// internal/experiment).
 package main
 
 import (
@@ -46,8 +47,6 @@ func main() {
 		resultCache    = flag.Bool("result-cache", true, "serve repeated identical configurations from the content-addressed result cache (results are byte-identical either way)")
 		resultCacheDir = flag.String("result-cache-dir", "", "persist results to this directory and reload them across invocations (requires -result-cache)")
 
-		gang = flag.Bool("gang", true, "share one execution across the grid (results are byte-identical either way)")
-
 		phaseIntervals = flag.Int("phase-intervals", 0, "slice the workload into this many intervals and simulate one representative per phase (0 = exhaustive; results are extrapolated and error-bound-gated, not exact)")
 		phaseK         = flag.Int("phase-k", 0, "number of behavioral phases (k-means clusters); requires -phase-intervals")
 		phaseWarmup    = flag.Int("phase-warmup", 0, "instructions of simulator warm-up replayed ahead of each representative window; requires -phase-intervals")
@@ -63,8 +62,7 @@ func main() {
 
 	opts := experiment.Options{
 		Scale: *scale, Seed: *seed, Trials: 1, Frames: *frames,
-		Parallelism: *parallel, NoGang: !*gang,
-		ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
+		Parallelism: *parallel, ResultCache: *resultCache, ResultCacheDir: *resultCacheDir,
 		PhaseIntervals: *phaseIntervals, PhaseK: *phaseK, PhaseWarmup: *phaseWarmup,
 	}
 	check(opts.Validate())

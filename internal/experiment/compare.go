@@ -16,9 +16,9 @@ import (
 //
 // The magnitude floor exists because relative error on tiny counts is
 // statistically meaningless: a representative that extrapolates 3 misses
-// to 4 is not a 33% modeling failure. verify-intervals gates with a floor
-// of 100 (counts below the floor still render; they just do not drive
-// the bound).
+// to 4 is not a 33% modeling failure. TestIntervalReplayErrorBound gates
+// with a floor of 100 (counts below the floor still render; they just do
+// not drive the bound).
 func TableError(exhaustive, sampled *Table, minMagnitude float64) (float64, error) {
 	if exhaustive.ID != sampled.ID {
 		return 0, fmt.Errorf("experiment: comparing different tables %q and %q", exhaustive.ID, sampled.ID)

@@ -51,26 +51,10 @@ type Options struct {
 	// Nothing rendered into tables flows through telemetry, so tables
 	// are byte-identical with it on or off.
 	Telemetry *telemetry.Collector
-	// NoFastPath forces every simulated reference through the
-	// per-reference path, disabling the machine's batched hit fast path.
-	// Results are byte-identical either way (the `make verify-fastpath`
-	// gate); this exists for that gate and for benchmarking the speedup.
-	NoFastPath bool
-	// NoCompile runs every workload on the reference interpreter
-	// (workload.NewReference) instead of the compiled or decode-ahead
-	// replay. Results are byte-identical either way (the
-	// `make verify-compiled` gate); this exists for that gate, as its
-	// oracle, and for benchmarking the replay paths against it.
-	NoCompile bool
-	// NoGang suppresses the grouping of gang-eligible runs into shared
-	// executions; each then runs as a gang of one. Results are
-	// byte-identical either way (the `make verify-gang` gate); this exists
-	// for that gate and for benchmarking the ganged speedup.
-	NoGang bool
 	// ResultCache serves runs whose full execution identity has been
 	// seen before from the process-wide content-addressed result store
 	// instead of re-simulating them. Results are byte-identical either
-	// way (the `make verify-resultcache` gate): a cached result IS the
+	// way (TestDifferential's result-cache rows): a cached result IS the
 	// deterministic output of the identical run that produced it. Gang
 	// groups simulate only their missing members. Ignored (cache
 	// bypassed) when Telemetry is set — cache hits simulate nothing and
@@ -88,11 +72,11 @@ type Options struct {
 	// only one representative interval per phase is simulated (forked
 	// from a mid-run checkpoint); full-run tables are synthesized by
 	// weighted extrapolation. Results are then error-bound-gated, not
-	// byte-identical (the `make verify-intervals` gate: ≤2% miss-ratio
-	// error, ≥5× faster at paper scale). Runs that cannot take the path —
-	// non-gang experiments, tracing, telemetry, NoCompile, streams
-	// beyond the compile budget — fall back to exhaustive replay. Zero
-	// disables the mode and tables stay byte-identical.
+	// byte-identical (TestIntervalPinnedErrorBound: at most 0.02
+	// absolute miss-ratio error per member). Runs that cannot take the
+	// path — non-gang experiments, tracing, telemetry, reference runs,
+	// streams beyond the compile budget — fall back to exhaustive
+	// replay. Zero disables the mode and tables stay byte-identical.
 	PhaseIntervals int
 	// PhaseK is the number of phases (k-means clusters) when
 	// PhaseIntervals is set; it must satisfy 1 ≤ PhaseK ≤ PhaseIntervals.
@@ -102,6 +86,15 @@ type Options struct {
 	// a checkpoint fork. Zero is valid (cold windows); it must not be
 	// negative, and requires PhaseIntervals.
 	PhaseWarmup int
+
+	// reference runs every configuration on the reference executor: the
+	// per-reference machine path (mach.Config.NoFastPath), the reference
+	// interpreter (workload.NewReference), each configuration as its own
+	// execution (gang-opted jobs as gangs of one, baselines solo) and
+	// exhaustive replay. Results are byte-identical to the optimized
+	// paths; it exists as TestDifferential's oracle, so only in-package
+	// tests set it.
+	reference bool
 }
 
 // Validate rejects option values that would otherwise panic deep inside

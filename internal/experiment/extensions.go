@@ -190,7 +190,7 @@ func extBreakEvenStride(o Options) ([]string, error) {
 
 	boot := func() (*kernel.Kernel, *kernel.Task, error) {
 		kcfg := kernel.DefaultConfig(mach.DECstation5000_200(o.Frames), o.Seed)
-		kcfg.Machine.NoFastPath = o.NoFastPath
+		kcfg.Machine.NoFastPath = o.reference
 		k, err := kernel.Boot(kcfg)
 		if err != nil {
 			return nil, nil, err
@@ -291,7 +291,7 @@ func ExtFragmentation(o Options) (*Table, error) {
 	series := func(fragBytes int) ([]float64, error) {
 		kcfg := kernel.DefaultConfig(mach.DECstation5000_200(o.Frames), o.Seed)
 		kcfg.ServerFragBytesPerReq = fragBytes
-		kcfg.Machine.NoFastPath = o.NoFastPath
+		kcfg.Machine.NoFastPath = o.reference
 		k, err := kernel.Boot(kcfg)
 		if err != nil {
 			return nil, err
@@ -311,10 +311,16 @@ func ExtFragmentation(o Options) (*Table, error) {
 				}
 			}
 		}
+		// Each stream runs on just these two systems, so it replays
+		// decode-ahead rather than as a compiled image kept in the cache.
+		newProgram := workload.New
+		if o.reference {
+			newProgram = workload.NewReference
+		}
 		var out []float64
 		var prevM, prevI uint64
 		for i := 0; i < iterations; i++ {
-			prog, err := workload.New(spec, o.Seed+uint64(i))
+			prog, err := newProgram(spec, o.Seed+uint64(i))
 			if err != nil {
 				return nil, err
 			}

@@ -23,8 +23,8 @@ package experiment
 //     cold host caches, which shifts its timing against the profiling
 //     continuation deterministically; the warm-up in front of every
 //     window absorbs that shift, and the residue is part of the error
-//     budget `make verify-intervals` gates empirically (≤2% miss-ratio
-//     error at paper scale).
+//     budget TestIntervalPinnedErrorBound gates empirically (≤0.02
+//     absolute miss-ratio error at scale 125).
 //
 // Full-run statistics are synthesized by weighted extrapolation: each
 // representative's windowed counts scale by its cluster's
@@ -177,7 +177,7 @@ func storeIntervalCheckpoint(key ckKey, geom ckGeom, cp *kernel.Checkpoint) {
 // take the same engine.
 func execGang(o Options, rcs []runConfig) ([]runResult, error) {
 	rc0 := rcs[0]
-	if o.PhaseIntervals > 0 && rc0.tel == nil && rc0.trace == nil && !rc0.noCompile {
+	if o.PhaseIntervals > 0 && rc0.tel == nil && rc0.trace == nil && !rc0.reference {
 		rs, err := runGangIntervals(o, rcs)
 		if err == nil || !errors.Is(err, errIntervalFallback) {
 			return rs, err
@@ -207,9 +207,8 @@ type intervalProfile struct {
 	base  runResult
 }
 
-// profileKey identifies one profiling pass. The fast-path toggle, which
-// provably does not change results, is excluded: the marks and base it
-// produces are identical.
+// profileKey identifies one profiling pass. Reference runs never profile
+// (execGang replays them exhaustively), so the key needs no path bit.
 type profileKey struct {
 	spec     workload.Spec
 	seed     uint64
@@ -484,7 +483,6 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 	}
 	kcfg := kernel.DefaultConfig(mach.DECstation5000_200(rc0.frames), rc0.seed)
 	kcfg.PageSeed = rc0.pageSeed
-	kcfg.Machine.NoFastPath = rc0.noFastPath
 
 	profile, err := cachedIntervalProfile(o, rc0, kcfg)
 	if err != nil {

@@ -2,9 +2,12 @@ package experiment
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"tapeworm/internal/cache"
+	"tapeworm/internal/core"
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mach"
 	"tapeworm/internal/workload"
@@ -57,8 +60,7 @@ func TestOptionsValidatePhase(t *testing.T) {
 	}
 }
 
-// TestIntervalReplayErrorBound is the in-process core of the
-// `make verify-intervals` gate: a gang-heavy experiment rendered through
+// TestIntervalReplayErrorBound: a gang-heavy experiment rendered through
 // representative-interval replay must stay within the error budget of its
 // exhaustive render, with identical table shape and text cells.
 func TestIntervalReplayErrorBound(t *testing.T) {
@@ -77,8 +79,8 @@ func TestIntervalReplayErrorBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tables not comparable: %v", err)
 	}
-	// The in-process budget is looser than the paper-scale CI gate (2%):
-	// test workloads are tiny, so each representative stands for few
+	// This budget is looser than TestIntervalPinnedErrorBound's: test
+	// workloads are tiny, so each representative stands for few
 	// instructions and sampling noise is proportionally larger.
 	if rel > 0.10 {
 		t.Fatalf("interval replay error %.3f exceeds 10%% at test scale:\n--- exhaustive ---\n%s\n--- sampled ---\n%s",
@@ -86,44 +88,69 @@ func TestIntervalReplayErrorBound(t *testing.T) {
 	}
 }
 
-// TestIntervalReplayDeterministic: interval-sampled tables are
-// extrapolated but still deterministic — byte-identical across
-// parallelism and repetition.
-func TestIntervalReplayDeterministic(t *testing.T) {
-	render := func(parallelism int) string {
-		tab, err := Figure3(phaseOptions(parallelism, 3032))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.Render()
-	}
-	want := render(1)
-	for _, p := range []int{1, 8} {
-		if got := render(p); got != want {
-			t.Fatalf("interval render at parallelism %d differs:\n--- want ---\n%s\n--- got ---\n%s", p, want, got)
-		}
-	}
-}
-
-// TestIntervalFallbackNoCompile: runs that cannot take the interval path
-// (interpreted workloads have no resumable cursors) must fall back to the
-// exhaustive gang and render byte-identically to phase-off.
-func TestIntervalFallbackNoCompile(t *testing.T) {
-	o := parallelOptions(1)
-	o.Seed = 3033
-	o.NoCompile = true
-	want, err := Table6(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := phaseOptions(1, 3033)
-	op.NoCompile = true
-	got, err := Table6(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Render() != got.Render() {
-		t.Fatal("NoCompile interval fallback not byte-identical to exhaustive")
+// TestIntervalPinnedErrorBound is the interval path's accuracy gate. Each
+// workload that samples at scale 125 runs one pinned cache sweep as a
+// gang, exhaustively and through representative-interval replay (128
+// intervals, 2 phases, 3000 instructions of warm-up). The sweep is 35
+// capacity-dominated geometries: 256 B–1 KB, associativity 1–8, 16–64 B
+// lines, invalid combinations skipped. Every member's extrapolated miss
+// ratio must lie within 0.02 of exact, in the absolute terms of the
+// paper's accuracy tables (misses over machine instructions). A group
+// that falls back to exhaustive replay fails, since its error would be
+// zero by construction. xlisp, eqntott and jpeg_play exceed the compile
+// budget at this scale and always fall back, so they are not listed.
+func TestIntervalPinnedErrorBound(t *testing.T) {
+	const bound = 0.02
+	// Longest first, so the parallel subtests finish close together.
+	for _, name := range []string{"mpeg_play", "espresso", "sdet", "ousterhout", "kenbus"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			// Every interval cache key holds the spec, so scale 125 keeps
+			// these entries apart from the other tests'.
+			o := Options{Scale: 125, Seed: 1994, Trials: 1, Frames: 8192,
+				PhaseIntervals: 128, PhaseK: 2, PhaseWarmup: 3000}
+			spec, err := mustSpec(o, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rcs []runConfig
+			for _, assoc := range []int{1, 2, 4, 8} {
+				for _, line := range []int{16, 32, 64} {
+					for _, size := range []int{256, 512, 1 << 10} {
+						cfg := dmICache(size, cache.PhysIndexed, core.FullSampling())
+						cfg.Cache.Assoc, cfg.Cache.LineSize = assoc, line
+						if cfg.Cache.Validate() != nil {
+							continue // e.g. 8 ways of 64 B in a 256 B cache
+						}
+						rcs = append(rcs, runConfig{spec: spec, seed: o.Seed, pageSeed: o.Seed,
+							frames: o.Frames, tw: cfg, simUser: true, gang: true})
+					}
+				}
+			}
+			if len(rcs) != 35 {
+				t.Fatalf("pinned sweep has %d geometries, want 35", len(rcs))
+			}
+			exact, err := runGang(rcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampled, err := runGangIntervals(o, rcs)
+			if errors.Is(err, errIntervalFallback) {
+				t.Fatalf("%s fell back to exhaustive replay at scale %g: %v", name, o.Scale, err)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst := 0.0
+			for i := range rcs {
+				e := math.Abs(sampled[i].twEst-exact[i].twEst) / float64(exact[i].snap.Instructions)
+				worst = math.Max(worst, e)
+			}
+			t.Logf("%s: worst miss-ratio error %.4f over %d members", name, worst, len(rcs))
+			if worst > bound {
+				t.Errorf("%s: worst extrapolated miss-ratio error %.4f exceeds %.2f", name, worst, bound)
+			}
+		})
 	}
 }
 

@@ -6,43 +6,12 @@ import (
 	"testing"
 )
 
-// parallelOptions is deliberately coarse: the determinism gate compares
-// rendered bytes, which is scale-independent, so the cheapest runs
-// suffice.
+// parallelOptions is deliberately coarse: the tests that use it check
+// progress order, run names, counts and cache traffic, which do not depend
+// on scale, so the cheapest runs suffice.
 func parallelOptions(parallelism int) Options {
 	return Options{Scale: 4000, Seed: 1994, Trials: 3, Frames: 4096,
 		Parallelism: parallelism}
-}
-
-// TestParallelDeterminism is the regression gate for the run scheduler:
-// representative experiments (one slowdown study, one variance study)
-// must render byte-identical tables at Parallelism 1 and 8. Every run
-// boots a private kernel with seed-derived RNG streams, so execution
-// order cannot leak into results — only into progress-line order.
-func TestParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"figure2", "table7"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			fn, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serialTab, err := fn(parallelOptions(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallelTab, err := fn(parallelOptions(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, parallel := serialTab.Render(), parallelTab.Render()
-			if serial != parallel {
-				t.Errorf("%s renders differ between Parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					id, serial, parallel)
-			}
-		})
-	}
 }
 
 // TestParallelProgressComplete: the scheduler must deliver exactly the

@@ -1,9 +1,9 @@
 package experiment
 
 // Content-addressed result caching. Every run's runResult is a pure
-// function of its execution identity — the byte-identity verify gates
-// (fastpath/gang/compiled) prove it — so results are cached by
-// a canonical digest of that identity and served without simulating.
+// function of its execution identity — TestDifferential's reference rows
+// check it — so results are cached by a canonical digest of that identity
+// and served without simulating.
 // Integration happens at the execution-group level in runAll: a gang
 // group simulates only the members whose digests miss (a partial gang,
 // valid because each member's statistics are independent of gang
@@ -42,18 +42,18 @@ func ResultCacheStats() resultcache.Stats { return resultStore.Stats() }
 func ResetResultCache() { resultStore.Reset() }
 
 // resultDigest canonically digests a run's full execution identity. The
-// runConfig must already be normalized (the option-derived flags folded
-// in, as runAll's workers do), so the digest never depends on where a
-// flag was spelled. Execution-path flags that provably do not change
-// results (fastpath, compile, ganging) are hashed anyway: the cache's
-// contract is "same digest, same bytes", and keying conservatively means
-// a flag-flipping verify run exercises fresh simulations instead of
-// trusting the equivalence it is trying to prove.
+// runConfig must already be normalized (the reference bit folded in from
+// Options, as runAll's workers do), so the digest never depends on where
+// it was spelled. The reference bit does not change results but is hashed
+// anyway: the cache's contract is "same digest, same bytes", and keying
+// the reference executor apart means a cache row can never serve one
+// path's result to the other, so a differential run simulates fresh
+// instead of trusting the equivalence it is checking.
 //
 //twvet:digest runConfig
 func resultDigest(o Options, rc runConfig) resultcache.Digest {
 	h := resultcache.NewHasher()
-	h.WriteString("experiment.run/v4")
+	h.WriteString("experiment.run/v5")
 	h.WriteUint64(core.PhysicsVersion)
 	rc.spec.HashInto(h)
 	h.WriteUint64(rc.seed)
@@ -66,10 +66,8 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 	h.WriteBool(rc.simUser)
 	h.WriteBool(rc.simServers)
 	h.WriteBool(rc.simKernel)
-	h.WriteBool(rc.noFastPath)
-	h.WriteBool(rc.noCompile)
+	h.WriteBool(rc.reference)
 	h.WriteBool(rc.gang)
-	h.WriteBool(o.NoGang)
 	// Interval replay produces extrapolated (not byte-identical) results,
 	// so the phase geometry is part of the execution identity.
 	h.WriteInt(o.PhaseIntervals)
@@ -91,7 +89,8 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 // partial group (a gang of just the misses, or the solo run) and publish
 // their results. Per-member results are identical to the uncached path
 // because gang members' statistics are independent of gang composition —
-// the same invariant that makes verify-gang hold.
+// the same invariant that makes the reference rows of TestDifferential
+// hold.
 //
 // Claims are accumulated in a slice and released by the deferred sweep —
 // ownership moves out of the acquire loop, which the intra-procedural

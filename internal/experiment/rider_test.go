@@ -93,8 +93,8 @@ func TestBaselineRidesGang(t *testing.T) {
 
 // TestBaselineSharesExecution: a cold Sweep and a cold Figure3 boot one
 // kernel — the gang's, which the baseline rides — instead of one for the
-// gang and one for the baseline. Under NoGang and under telemetry the
-// baseline keeps its own execution.
+// gang and one for the baseline. On the reference executor and under
+// telemetry the baseline keeps its own execution.
 func TestBaselineSharesExecution(t *testing.T) {
 	boots := func(o Options, fn func(Options) (*Table, error)) uint64 {
 		t.Helper()
@@ -122,11 +122,11 @@ func TestBaselineSharesExecution(t *testing.T) {
 			t.Errorf("%s with telemetry booted %d kernels, want 2 (gang + solo baseline)", c.name, got)
 		}
 	}
-	// NoGang runs every member solo too: one boot per configuration plus
-	// the baseline's.
-	ng := o
-	ng.NoGang = true
-	if got := boots(ng, sweep); got != 5 {
-		t.Errorf("sweep under NoGang booted %d kernels, want 5 (4 solo members + baseline)", got)
+	// The reference executor runs every member solo too: one boot per
+	// configuration plus the baseline's.
+	ref := o
+	ref.reference = true
+	if got := boots(ref, sweep); got != 5 {
+		t.Errorf("reference sweep booted %d kernels, want 5 (4 solo members + baseline)", got)
 	}
 }

@@ -28,8 +28,7 @@ type runConfig struct {
 	simUser    bool         // register workload fork tree
 	simServers bool         // register X/BSD server pages
 	simKernel  bool         // register kernel pages
-	noFastPath bool         // force the per-reference execution path
-	noCompile  bool         // force the reference interpreter
+	reference  bool         // run on the reference executor (Options.reference)
 
 	// gang opts this run into the ganged execution path: it runs as a
 	// core.AttachGang member (ledgered traps) even when alone, so its
@@ -74,7 +73,7 @@ func run(rc runConfig) (runResult, error) {
 	kcfg := kernel.DefaultConfig(mach.DECstation5000_200(rc.frames), rc.seed)
 	kcfg.PageSeed = rc.pageSeed
 	kcfg.Telemetry = rc.tel
-	kcfg.Machine.NoFastPath = rc.noFastPath
+	kcfg.Machine.NoFastPath = rc.reference
 	k, err := bootKernel(kcfg)
 	if err != nil {
 		return res, err
@@ -184,7 +183,7 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	// Kernel- and machine-level telemetry (trap events, machine counters)
 	// describe the shared execution; they ride on the first member's run.
 	kcfg.Telemetry = rc0.tel
-	kcfg.Machine.NoFastPath = rc0.noFastPath
+	kcfg.Machine.NoFastPath = rc0.reference
 	k, err := bootKernel(kcfg)
 	if err != nil {
 		return nil, err
@@ -288,14 +287,15 @@ func simulateSystem(k *kernel.Kernel, tw *core.Tapeworm, rc runConfig) error {
 	return nil
 }
 
-// newWorkloadProgram builds the run's workload program: the compiled
-// replay by default (cached across the trials, gang members and
-// fast/baseline pairs that share a (spec, seed) stream; decode-ahead for a
-// stream whose spec is beyond the compile budget, with no compile
-// attempted), or the reference interpreter when the run opts out. They are stream-identical, so every table is
-// byte-identical either way; the verify-compiled gate enforces it.
+// newWorkloadProgram builds the run's workload program: the reference
+// interpreter on the reference executor, else the compiled replay (cached
+// across the trials, gang members and baselines that share a (spec, seed)
+// stream), or decode-ahead for a stream whose spec is beyond the compile
+// budget, with no compile attempted. All three are stream-identical, so
+// every table is byte-identical either way (TestDifferential's reference
+// rows).
 func newWorkloadProgram(rc runConfig) (kernel.Program, error) {
-	if rc.noCompile {
+	if rc.reference {
 		return workload.NewReference(rc.spec, rc.seed)
 	}
 	return workload.NewPlanned(rc.spec, rc.seed)
@@ -343,15 +343,16 @@ func keyOf(rc runConfig) gangKey {
 // configs opt into ganging (runConfig.gang) and share a gangKey run as ONE
 // machine execution driving all their simulators (core.AttachGang); gangs
 // are the unit of scheduling. A gang-opted job always takes the ganged
-// path — alone when o.NoGang suppresses grouping — so its results are
-// byte-identical whether grouping is on or off, at any parallelism.
+// path — alone on the reference executor, which suppresses grouping — so
+// its results are byte-identical whether grouping is on or off, at any
+// parallelism.
 //
 // An uninstrumented job (no simulator, no tracer) whose gangKey matches a
 // gang rides in that gang: the gang's machine clock is undilated, so its
 // pre-ledger readout IS the uninstrumented run (runGang). Riders follow
 // the members in their group and keep their own (non-gang) result
-// digest. Under o.NoGang or telemetry they run solo, as a run's trace
-// must come from its own execution.
+// digest. On the reference executor or under telemetry they run solo, as
+// a run's trace must come from its own execution.
 //
 // Because results are index-ordered, every table assembled from them is
 // byte-identical to a serial execution. Progress lines and telemetry
@@ -361,7 +362,7 @@ func keyOf(rc runConfig) gangKey {
 // completion callback at all.
 func runAll(o Options, jobs []runJob) ([]runResult, error) {
 	ganged := func(rc runConfig) bool {
-		return !o.NoGang && rc.gang && rc.tw != nil && rc.trace == nil
+		return !o.reference && rc.gang && rc.tw != nil && rc.trace == nil
 	}
 	rides := make(map[gangKey]bool) // execution identities a baseline may ride
 	if o.Telemetry == nil {
@@ -407,8 +408,7 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 			rcs := make([]runConfig, len(idx))
 			for mi, i := range idx {
 				rcs[mi] = jobs[i].cfg
-				rcs[mi].noFastPath = o.NoFastPath
-				rcs[mi].noCompile = o.NoCompile
+				rcs[mi].reference = o.reference
 				rcs[mi].tel = o.Telemetry.StartRun(fmt.Sprintf("run%d", i))
 				tels[i] = rcs[mi].tel
 			}

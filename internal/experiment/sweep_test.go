@@ -19,9 +19,10 @@ func TestSweepRejectsCacheBeyondMemory(t *testing.T) {
 }
 
 // TestSweepWideGangMatchesSolo: a 256-point grid — four 64-bit member-mask
-// words — runs as one gang and renders byte-identical to the same grid with
-// every point on its own execution. Gangs of 256 or more ECC members once
-// overflowed an 8-bit per-word trap reference count and panicked.
+// words — runs as one gang and renders byte-identical to the same grid on
+// the reference executor, every point on its own execution. Gangs of 256
+// or more ECC members once overflowed an 8-bit per-word trap reference
+// count and panicked.
 func TestSweepWideGangMatchesSolo(t *testing.T) {
 	grid := SweepConfig{Workload: "espresso",
 		Sizes:  []int{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20},
@@ -30,8 +31,8 @@ func TestSweepWideGangMatchesSolo(t *testing.T) {
 	if grid.Points() < 256 {
 		t.Fatalf("grid has %d points, want at least 256", grid.Points())
 	}
-	render := func(noGang bool) string {
-		o := Options{Scale: 4000, Seed: 1994, Trials: 1, Frames: 4096, NoGang: noGang}
+	render := func(reference bool) string {
+		o := Options{Scale: 4000, Seed: 1994, Trials: 1, Frames: 4096, reference: reference}
 		tab, err := Sweep(o, grid)
 		if err != nil {
 			t.Fatal(err)

@@ -37,18 +37,18 @@ var ErrCheckpointMismatch = errors.New("kernel: checkpoint does not match config
 
 // taskRecord records one entry of the boot-time task tree.
 type taskRecord struct {
-	Name     string
-	Server   bool
-	Simulate bool
-	Inherit  bool
+	name     string
+	server   bool
+	simulate bool
+	inherit  bool
 }
 
 // serverState records one server's mutable state: per-service walker
 // positions and the data generator's stream and hot-region size.
 type serverState struct {
-	Walkers map[ServiceID]textwalk.State
-	Data    rng.State
-	DataHot uint32
+	walkers map[ServiceID]textwalk.State
+	data    rng.State
+	dataHot uint32
 }
 
 // Checkpoint is an immutable post-boot kernel image. Any number of Forks
@@ -234,7 +234,7 @@ func captureState(k *Kernel, mark string) (*Checkpoint, error) {
 	}
 	for _, t := range k.tasks {
 		cp.tasks = append(cp.tasks, taskRecord{
-			Name: t.Name, Server: t.Server, Simulate: t.Simulate, Inherit: t.Inherit,
+			name: t.Name, server: t.Server, simulate: t.Simulate, inherit: t.Inherit,
 		})
 	}
 	for _, kind := range []ServerKind{BSDServer, XServer} {
@@ -243,12 +243,12 @@ func captureState(k *Kernel, mark string) (*Checkpoint, error) {
 			continue
 		}
 		ss := serverState{
-			Walkers: make(map[ServiceID]textwalk.State, len(s.walkers)),
-			Data:    s.data.r.State(),
-			DataHot: s.data.hotSize,
+			walkers: make(map[ServiceID]textwalk.State, len(s.walkers)),
+			data:    s.data.r.State(),
+			dataHot: s.data.hotSize,
 		}
 		for id, w := range s.walkers {
-			ss.Walkers[id] = w.State()
+			ss.walkers[id] = w.State()
 		}
 		cp.servers[kind] = ss
 	}
@@ -313,11 +313,6 @@ func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	k.rngKernel = rng.FromState(cp.rngKernel)
 	k.rngIntr = rng.FromState(cp.rngIntr)
 	k.rngVM = rng.FromState(cp.rngVM)
-	for _, label := range kernelWalkerLabels() {
-		if _, ok := cp.walkers[label]; !ok {
-			return nil, fmt.Errorf("%w: missing kernel walker state %q", ErrCheckpointMismatch, label)
-		}
-	}
 	// Walkers are clones of the template's shapes with their stream and
 	// position restored from the checkpoint.
 	mk := func(label string) *textwalk.Walker {
@@ -340,10 +335,10 @@ func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 	for i, rec := range cp.tasks {
 		t := &Task{
 			ID:       mem.TaskID(i),
-			Name:     rec.Name,
-			Server:   rec.Server,
-			Simulate: rec.Simulate,
-			Inherit:  rec.Inherit,
+			Name:     rec.name,
+			Server:   rec.server,
+			Simulate: rec.simulate,
+			Inherit:  rec.inherit,
 			space:    newAddrSpace(cfg.Machine.PageSize),
 		}
 		k.tasks = append(k.tasks, t)
@@ -364,30 +359,20 @@ func Fork(cp *Checkpoint, cfg Config) (*Kernel, error) {
 				break
 			}
 		}
-		if task == nil {
-			return nil, fmt.Errorf("%w: server %q has state but no task record", ErrCheckpointMismatch, name)
-		}
 		// Same cloning trick as the kernel walkers: the template server
 		// carries the immutable regions, the checkpoint every stream.
 		ts := tm.servers[kind]
-		if ts == nil {
-			return nil, fmt.Errorf("%w: server %d has state but no template", ErrCheckpointMismatch, kind)
-		}
 		s := &server{
 			kind:    kind,
 			task:    task,
 			walkers: make(map[ServiceID]*textwalk.Walker, len(ts.walkers)),
-			data:    newDataGen(rng.FromState(ss.Data), ts.data.region, ss.DataHot, ts.data.storeP),
+			data:    newDataGen(rng.FromState(ss.data), ts.data.region, ss.dataHot, ts.data.storeP),
 			dataP:   ts.dataP,
 		}
 		// Clone order cannot matter: each clone depends only on its own
 		// template walker and checkpointed state.
 		for id, w := range ts.walkers {
-			st, ok := ss.Walkers[id]
-			if !ok {
-				return nil, fmt.Errorf("%w: missing walker state for server %d service %d", ErrCheckpointMismatch, kind, id)
-			}
-			s.walkers[id] = w.CloneWithState(st)
+			s.walkers[id] = w.CloneWithState(ss.walkers[id])
 		}
 		k.servers[kind] = s
 	}

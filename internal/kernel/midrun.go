@@ -60,41 +60,41 @@ type ProgramResume func(cur ProgramCursor) (Program, error)
 // taskRunState is one task's mid-run state beyond the boot-time
 // taskRecord, aligned positionally with Checkpoint.tasks.
 type taskRunState struct {
-	Parent       mem.TaskID
-	State        TaskState
-	Instructions uint64
+	parent       mem.TaskID
+	state        TaskState
+	instructions uint64
 
 	// The task's page table as parallel (vpn, pte) slices in ascending
 	// vpn order, plus the mapped-page count.
-	PageVPNs []uint32
-	PagePTEs []uint32
-	Mapped   int
+	pageVPNs []uint32
+	pagePTEs []uint32
+	mapped   int
 
-	HasCursor bool
-	Cursor    ProgramCursor
+	hasCursor bool
+	cursor    ProgramCursor
 }
 
 // runState is the mid-run half of a checkpoint, immutable once captured.
 type runState struct {
-	Clock mach.ClockState
+	clock mach.ClockState
 
-	Ticks   uint64
-	Resched bool
-	Cur     int
-	RunqIDs []mem.TaskID
+	ticks   uint64
+	resched bool
+	cur     int
+	runqIDs []mem.TaskID
 
-	ResidentTIDs []mem.TaskID
-	ResidentVPNs []uint32
+	residentTIDs []mem.TaskID
+	residentVPNs []uint32
 
-	CompInstr   [NumComponents]uint64
-	TrueECCErrs uint64
-	PageOuts    uint64
-	Forks       uint64
-	Exits       uint64
-	UserSpawned int
-	UserExited  int
+	compInstr   [NumComponents]uint64
+	trueECCErrs uint64
+	pageOuts    uint64
+	forks       uint64
+	exits       uint64
+	userSpawned int
+	userExited  int
 
-	Tasks []taskRunState
+	tasks []taskRunState
 }
 
 // HasRunState reports whether the checkpoint was captured mid-run
@@ -108,7 +108,7 @@ func (cp *Checkpoint) UserInstructions() uint64 {
 	if cp.run == nil {
 		return 0
 	}
-	return cp.run.CompInstr[CompUser]
+	return cp.run.compInstr[CompUser]
 }
 
 // CaptureAt snapshots a running kernel at a main-loop boundary into a
@@ -129,36 +129,36 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 		return nil, err
 	}
 	rs := &runState{
-		Clock:       k.m.ClockState(),
-		Ticks:       k.ticks,
-		Resched:     k.resched,
-		Cur:         k.cur,
-		CompInstr:   k.compInstr,
-		TrueECCErrs: k.trueECCErrs,
-		PageOuts:    k.pageOuts,
-		Forks:       k.forks,
-		Exits:       k.exits,
-		UserSpawned: k.userSpawned,
-		UserExited:  k.userExited,
+		clock:       k.m.ClockState(),
+		ticks:       k.ticks,
+		resched:     k.resched,
+		cur:         k.cur,
+		compInstr:   k.compInstr,
+		trueECCErrs: k.trueECCErrs,
+		pageOuts:    k.pageOuts,
+		forks:       k.forks,
+		exits:       k.exits,
+		userSpawned: k.userSpawned,
+		userExited:  k.userExited,
 	}
 	for _, t := range k.runq {
-		rs.RunqIDs = append(rs.RunqIDs, t.ID)
+		rs.runqIDs = append(rs.runqIDs, t.ID)
 	}
 	for i := k.resident.head; i < len(k.resident.entries); i++ {
 		e := k.resident.entries[i]
-		rs.ResidentTIDs = append(rs.ResidentTIDs, e.tid)
-		rs.ResidentVPNs = append(rs.ResidentVPNs, e.vpn)
+		rs.residentTIDs = append(rs.residentTIDs, e.tid)
+		rs.residentVPNs = append(rs.residentVPNs, e.vpn)
 	}
 	for _, t := range k.tasks {
 		ts := taskRunState{
-			Parent:       t.Parent,
-			State:        t.State,
-			Instructions: t.Instructions,
-			Mapped:       t.space.mapped,
+			parent:       t.Parent,
+			state:        t.State,
+			instructions: t.Instructions,
+			mapped:       t.space.mapped,
 		}
 		t.space.pages(func(vpn uint32, p pte) {
-			ts.PageVPNs = append(ts.PageVPNs, vpn)
-			ts.PagePTEs = append(ts.PagePTEs, uint32(p))
+			ts.pageVPNs = append(ts.pageVPNs, vpn)
+			ts.pagePTEs = append(ts.pagePTEs, uint32(p))
 		})
 		if t.prog != nil && t.State != Exited {
 			cur, ok := t.prog.(CursorProgram)
@@ -171,10 +171,10 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 				return nil, fmt.Errorf("kernel: CaptureAt(%q): task %d (%s) is mid-op; capture only at main-loop boundaries",
 					mark, t.ID, t.Name)
 			}
-			ts.HasCursor = true
-			ts.Cursor = c
+			ts.hasCursor = true
+			ts.cursor = c
 		}
-		rs.Tasks = append(rs.Tasks, ts)
+		rs.tasks = append(rs.tasks, ts)
 	}
 	cp.run = rs
 	return cp, nil
@@ -202,44 +202,44 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 	if err != nil {
 		return nil, err
 	}
-	k.m.SetClockState(rs.Clock)
-	k.ticks = rs.Ticks
-	k.resched = rs.Resched
-	k.cur = rs.Cur
-	k.compInstr = rs.CompInstr
-	k.trueECCErrs = rs.TrueECCErrs
-	k.pageOuts = rs.PageOuts
-	k.forks = rs.Forks
-	k.exits = rs.Exits
-	k.userSpawned = rs.UserSpawned
-	k.userExited = rs.UserExited
+	k.m.SetClockState(rs.clock)
+	k.ticks = rs.ticks
+	k.resched = rs.resched
+	k.cur = rs.cur
+	k.compInstr = rs.compInstr
+	k.trueECCErrs = rs.trueECCErrs
+	k.pageOuts = rs.pageOuts
+	k.forks = rs.forks
+	k.exits = rs.exits
+	k.userSpawned = rs.userSpawned
+	k.userExited = rs.userExited
 
-	for i, ts := range rs.Tasks {
+	for i, ts := range rs.tasks {
 		t := k.tasks[i]
-		t.Parent = ts.Parent
-		t.State = ts.State
-		t.Instructions = ts.Instructions
-		for j, vpn := range ts.PageVPNs {
-			t.space.set(vpn, pte(ts.PagePTEs[j]))
+		t.Parent = ts.parent
+		t.State = ts.state
+		t.Instructions = ts.instructions
+		for j, vpn := range ts.pageVPNs {
+			t.space.set(vpn, pte(ts.pagePTEs[j]))
 		}
-		t.space.mapped = ts.Mapped
-		if ts.HasCursor {
+		t.space.mapped = ts.mapped
+		if ts.hasCursor {
 			if resume == nil {
 				return nil, fmt.Errorf("kernel: ForkRun of %q needs a resume callback for task %d (%s)",
 					cp.mark, t.ID, t.Name)
 			}
-			prog, err := resume(ts.Cursor)
+			prog, err := resume(ts.cursor)
 			if err != nil {
 				return nil, fmt.Errorf("kernel: resuming task %d (%s) of %q: %w", t.ID, t.Name, cp.mark, err)
 			}
 			t.prog = prog
 		}
 	}
-	for _, id := range rs.RunqIDs {
+	for _, id := range rs.runqIDs {
 		k.runq = append(k.runq, k.tasks[id])
 	}
-	for i, tid := range rs.ResidentTIDs {
-		k.resident.push(tid, rs.ResidentVPNs[i])
+	for i, tid := range rs.residentTIDs {
+		k.resident.push(tid, rs.residentVPNs[i])
 	}
 	return k, nil
 }

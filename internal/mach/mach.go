@@ -96,8 +96,8 @@ type Config struct {
 	// micro-cache and ExecuteRun's run-length execution), forcing every
 	// reference through the per-reference path. The fast path is exact —
 	// cycle counts, trap sequences and telemetry are byte-identical either
-	// way (the `make verify-fastpath` gate) — so this exists only for that
-	// gate, for equivalence tests, and for benchmarking the speedup.
+	// way — so this exists only for the experiment layer's reference
+	// executor, for equivalence tests, and for benchmarking the speedup.
 	NoFastPath bool
 }
 

@@ -1,8 +1,9 @@
 // Package resultcache is a content-addressed store for deterministic
 // simulation results. The repo's core invariant — every run's output is a
 // pure function of its execution identity (workload spec, simulator
-// configuration, seeds, frames, execution-path flags), verified by the
-// verify-fastpath/gang/compiled byte-identity gates — makes
+// configuration, seeds, frames, the reference-path bit), verified by the
+// experiment package's differential test against its reference executor —
+// makes
 // results reusable: a run whose identity digest has been seen before can
 // be served from cache instead of re-simulated.
 //

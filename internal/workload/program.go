@@ -93,8 +93,9 @@ func MustNew(spec Spec, seed uint64) kernel.Program {
 // NewReference builds the root Program for spec as the reference
 // interpreter: the generator itself, drawing every reference on the
 // driving goroutine as it is asked for. It is the oracle the compiled and
-// decode-ahead paths are checked against (Options.NoCompile, twbench
-// -compile=false and tests); simulations should use NewPlanned or New.
+// decode-ahead paths are checked against (the experiment layer's
+// reference executor and tests); simulations should use NewPlanned or
+// New.
 func NewReference(spec Spec, seed uint64) (kernel.Program, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
