@@ -181,19 +181,9 @@ func main() {
 		check(err)
 		d := traceDigest(spec, *seed, cfg)
 		run = func() (traceResult, error) {
-			claim, err := store.Acquire(d, *resultCacheDir)
-			if err != nil {
-				return traceResult{}, err
-			}
-			defer claim.Release()
-			if v, ok := claim.Cached(); ok {
-				return v.(traceResult), nil
-			}
-			r, err := simulate()
-			if err != nil {
-				return r, err
-			}
-			return r, claim.Complete(r)
+			v, err := store.Get(d, *resultCacheDir, func() (any, error) { return simulate() })
+			res, _ := v.(traceResult)
+			return res, err
 		}
 	}
 	res, err := run()

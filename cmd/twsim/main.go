@@ -95,22 +95,9 @@ func cachedSim(store *resultcache.Store, dir string, d resultcache.Digest,
 	if store == nil {
 		return sim()
 	}
-	claim, err := store.Acquire(d, dir)
-	if err != nil {
-		return simResult{}, err
-	}
-	defer claim.Release()
-	if v, ok := claim.Cached(); ok {
-		return v.(simResult), nil
-	}
-	res, err := sim()
-	if err != nil {
-		return res, err
-	}
-	if err := claim.Complete(res); err != nil {
-		return res, err
-	}
-	return res, nil
+	v, err := store.Get(d, dir, func() (any, error) { return sim() })
+	res, _ := v.(simResult)
+	return res, err
 }
 
 func main() {

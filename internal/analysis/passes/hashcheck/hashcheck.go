@@ -1,8 +1,8 @@
 // Package hashcheck guards the result cache's soundness boundary: a
 // cached result is only valid if every semantically relevant field of an
 // execution identity is folded into its digest. The content-addressed
-// store (internal/resultcache) and the checkpoint caches key on canonical
-// hashes of identity structs, so a field added to workload.Spec or
+// store (internal/resultcache) keys on canonical hashes of identity
+// structs, so a field added to workload.Spec or
 // core.Config but forgotten in HashInto would silently alias distinct
 // configurations to one digest — a stale-cache miscomparison at runtime.
 // This pass turns that into a lint failure.
@@ -14,8 +14,8 @@
 //     must consume each of its fields in that method;
 //   - every function annotated //twvet:digest <TypeName> must consume
 //     each field of that (same-package) type — this covers encoders that
-//     are not methods: the experiment digest (runConfig → resultDigest),
-//     the gob wire forms (resultWire), and checkpoint keys (ckKey).
+//     are not methods: the experiment digest (runConfig → resultDigest)
+//     and the gob wire forms (resultWire).
 //
 // A field deliberately excluded from an identity carries
 // //twvet:nohash <reason> on its declaration line; a reason is required.

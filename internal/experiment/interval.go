@@ -6,13 +6,15 @@ package experiment
 // splits the work in two:
 //
 //  1. One UNINSTRUMENTED profiling pass per (spec, seed, pageSeed,
-//     frames, phase-geometry) identity. It fast-forwards the compiled
-//     stream at full replay speed, captures a mid-run checkpoint
-//     (kernel.CaptureAt) at each representative's warm-up start, records
-//     the machine-instruction marks of each representative's measure
-//     window, runs to completion, and keeps the exhaustive
-//     uninstrumented result as the shared base. Gang ledgered mode keeps
-//     the machine clock undilated, so this base is exactly the shared
+//     frames, phase-geometry) identity, memoized in a process-wide
+//     resultcache.Cache. It fast-forwards the compiled stream at full
+//     replay speed, captures a mid-run checkpoint (kernel.CaptureAt) at
+//     each representative's warm-up start, records the
+//     machine-instruction marks of each representative's measure window,
+//     runs to completion, and keeps the exhaustive uninstrumented result
+//     as the shared base. The resulting profile owns its checkpoints, so
+//     they are cached and evicted with it. Gang ledgered mode keeps the
+//     machine clock undilated, so this base is exactly the shared
 //     execution an exhaustive gang would observe — and exactly the
 //     uninstrumented baseline a rider in the group (runAll) needs.
 //
@@ -43,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"tapeworm/internal/core"
@@ -52,6 +53,7 @@ import (
 	"tapeworm/internal/mem"
 	"tapeworm/internal/monster"
 	"tapeworm/internal/phase"
+	"tapeworm/internal/resultcache"
 	"tapeworm/internal/workload"
 )
 
@@ -60,115 +62,6 @@ import (
 // the spec without generating the stream, so falling back costs nothing
 // before execGang runs the exhaustive gang.
 var errIntervalFallback = errors.New("experiment: interval replay unavailable")
-
-// phaseGeom folds the option triple into the checkpoint cache's geometry
-// stamp.
-func phaseGeom(o Options) ckGeom {
-	return ckGeom{intervals: o.PhaseIntervals, k: o.PhaseK, warmup: o.PhaseWarmup}
-}
-
-// maxCachedIntervalCheckpoints bounds the interval checkpoint cache: one
-// interval-replay sweep parks one mid-run image per representative.
-const maxCachedIntervalCheckpoints = 16
-
-// ckKey identifies one cached mid-run checkpoint: the execution identity
-// and the index of the interval it freezes the stream at.
-type ckKey struct {
-	seed     uint64
-	pageSeed uint64
-	frames   int
-	spec     workload.Spec
-	interval int
-}
-
-// ckGeom is the phase geometry an interval checkpoint was captured
-// under. It is deliberately NOT part of ckKey: a sweep that changes its
-// phase parameters mid-process re-uses the same (identity, interval)
-// keys, so entries captured under the old geometry are stale — they
-// freeze the stream at different positions — and are evicted (counted by
-// CheckpointStats) rather than silently replayed.
-type ckGeom struct {
-	intervals int
-	k         int
-	warmup    int
-}
-
-type ckEntry struct {
-	cp   *kernel.Checkpoint
-	gen  uint64 // LRU clock, updated under ckMu
-	geom ckGeom
-}
-
-var (
-	ckMu    sync.Mutex
-	ckCache = map[ckKey]*ckEntry{}
-	ckGen   uint64
-
-	ckImages    atomic.Uint64 // interval checkpoints captured, incl. evicted
-	ckForks     atomic.Uint64 // lookups served from the cache
-	ckEvictions atomic.Uint64 // entries evicted as geometry-stale
-)
-
-// CheckpointStats reports process-wide interval checkpoint cache
-// activity: images is the number of mid-run checkpoints captured, forks
-// the number of lookups served from them, and evictions the number of
-// entries dropped because the sweep's phase geometry changed
-// mid-process.
-func CheckpointStats() (images, forks, evictions uint64) {
-	return ckImages.Load(), ckForks.Load(), ckEvictions.Load()
-}
-
-// lookupIntervalCheckpoint serves a mid-run checkpoint for (key, geom)
-// from the process-wide cache. A cached entry whose geometry disagrees
-// is stale (see ckGeom) and is evicted on sight.
-func lookupIntervalCheckpoint(key ckKey, geom ckGeom) (*kernel.Checkpoint, bool) {
-	ckMu.Lock()
-	defer ckMu.Unlock()
-	e := ckCache[key]
-	if e == nil {
-		return nil, false
-	}
-	if e.geom != geom {
-		delete(ckCache, key)
-		ckEvictions.Add(1)
-		return nil, false
-	}
-	ckGen++
-	e.gen = ckGen
-	ckForks.Add(1)
-	return e.cp, true
-}
-
-// storeIntervalCheckpoint publishes a freshly captured mid-run checkpoint.
-// Entries under any other geometry are unreachable by this sweep's keys
-// and are evicted now rather than aging out one lookup at a time; past
-// the bound, the least-recently-used entry goes.
-func storeIntervalCheckpoint(key ckKey, geom ckGeom, cp *kernel.Checkpoint) {
-	ckMu.Lock()
-	defer ckMu.Unlock()
-	//twvet:allow maporder — deleting every mismatch is order-insensitive
-	for k, v := range ckCache {
-		if v.geom != geom {
-			delete(ckCache, k)
-			ckEvictions.Add(1)
-		}
-	}
-	ckGen++
-	e := &ckEntry{cp: cp, gen: ckGen, geom: geom}
-	ckCache[key] = e
-	ckImages.Add(1)
-	if len(ckCache) > maxCachedIntervalCheckpoints {
-		var victimKey ckKey
-		var victim *ckEntry
-		//twvet:allow maporder — unique-minimum selection is order-insensitive
-		for k, v := range ckCache {
-			if v != e && (victim == nil || v.gen < victim.gen) {
-				victimKey, victim = k, v
-			}
-		}
-		delete(ckCache, victimKey)
-	}
-}
 
 // execGang runs one gang-eligible group: through representative-interval
 // replay when the options enable it and the group qualifies, otherwise
@@ -186,21 +79,21 @@ func execGang(o Options, rcs []runConfig) ([]runResult, error) {
 	return runGang(rcs)
 }
 
-// intervalMark records where one representative's window sits: the
-// user-instruction position its checkpoint froze the stream at, and the
-// machine-instruction bounds of its measure window in the profiling
-// timeline (which ForkRun restores, so the window reads the same clock).
+// intervalMark is one representative's start: the checkpoint that
+// froze the stream at its warm-up start, and the machine-instruction
+// bounds of its measure window in the profiling timeline (which ForkRun
+// restores, so the window reads the same clock).
 type intervalMark struct {
-	capUser uint64
-	mStart  uint64
-	mEnd    uint64
+	cp     *kernel.Checkpoint
+	mStart uint64
+	mEnd   uint64
 }
 
 // intervalProfile is everything one profiling pass learns: the phase
-// plan, the per-representative marks, and the exhaustive uninstrumented
-// base result. The checkpoints themselves live in the process-wide
-// interval checkpoint cache; if one is evicted, the profile is re-run to
-// recapture.
+// plan, one mark per representative, and the exhaustive uninstrumented
+// base result. The profile owns its representatives' checkpoints: they
+// leave the profile cache with it, and a replay holding the profile keeps
+// them alive.
 type intervalProfile struct {
 	plan  phase.Plan
 	marks []intervalMark
@@ -208,50 +101,19 @@ type intervalProfile struct {
 }
 
 // profileKey identifies one profiling pass. Reference runs never profile
-// (execGang replays them exhaustively), so the key needs no path bit.
+// (execGang replays them exhaustively), so the key needs no path bit. The
+// warm-up is part of the key because it moves the capture points.
 type profileKey struct {
-	spec     workload.Spec
-	seed     uint64
-	pageSeed uint64
-	frames   int
-	geom     ckGeom
-}
-
-type profileEntry struct {
-	once sync.Once
-	p    *intervalProfile
-	err  error
-	gen  uint64
-}
-
-// maxCachedProfiles bounds the profile cache. Entries are small (marks
-// plus one runResult); the bound exists to drop profiles of finished
-// sweeps, matching the other process-wide caches.
-const maxCachedProfiles = 8
-
-var (
-	profileMu    sync.Mutex
-	profileCache = map[profileKey]*profileEntry{}
-	profileGen   uint64
-
-	profileRuns  uint64 // profiling passes executed (under profileMu)
-	profileForks uint64 // gang groups replayed from a profile (under profileMu)
-)
-
-// IntervalStats reports process-wide interval-profiling activity:
-// profiling passes executed and gang groups replayed from them (bench
-// JSON's interval_sampling section). A group that fell back to exhaustive
-// replay counts in neither, so a zero groups delta over a run means
-// nothing in it was extrapolated.
-func IntervalStats() (profiles, groups uint64) {
-	profileMu.Lock()
-	defer profileMu.Unlock()
-	return profileRuns, profileForks
+	spec                 workload.Spec
+	seed                 uint64
+	pageSeed             uint64
+	frames               int
+	intervals, k, warmup int
 }
 
 // planKey identifies one phase analysis. The plan is a pure property of
 // the compiled stream and the phase geometry — notably independent of
-// pageSeed — so one analysis serves every trial of a sweep.
+// pageSeed and warm-up — so one analysis serves every trial of a sweep.
 type planKey struct {
 	spec      workload.Spec
 	seed      uint64
@@ -259,93 +121,81 @@ type planKey struct {
 	k         int
 }
 
-type planEntry struct {
-	once sync.Once
-	plan phase.Plan
-	err  error
-	gen  uint64
-}
-
-const maxCachedPlans = 8
+// maxCachedCheckpoints bounds the profile cache by the checkpoints its
+// profiles hold (one mid-run kernel image per representative); the
+// newest profile stays even when it alone holds more.
+const maxCachedCheckpoints = 16
 
 var (
-	planMu    sync.Mutex
-	planCache = map[planKey]*planEntry{}
-	planGen   uint64
+	// profileCache memoizes profiling passes and planCache phase analyses
+	// (eight of them): the walk over the op stream costs about as much as
+	// an uninstrumented replay, and a multi-trial sweep would otherwise
+	// redo it once per pageSeed.
+	profileCache = resultcache.NewCache[profileKey](maxCachedCheckpoints,
+		func(p *intervalProfile) int64 { return int64(len(p.marks)) })
+	planCache = resultcache.NewCache[planKey, phase.Plan](8, nil)
+
+	profileRuns   atomic.Uint64 // profiling passes executed
+	profileGroups atomic.Uint64 // gang groups replayed from a profile
+	ckImages      atomic.Uint64 // checkpoints captured by profiling passes
+	ckForks       atomic.Uint64 // representative replays forked from them
 )
 
-// cachedPlan memoizes phase.Analyze per (stream, geometry): the walk over
-// the op stream costs about as much as an uninstrumented replay, and a
-// multi-trial sweep would otherwise redo it once per pageSeed.
+// IntervalStats reports interval-profiling activity since the last
+// ResetIntervalProfiles: profiling passes executed and gang groups
+// replayed from them. A group that fell back to exhaustive replay counts
+// in neither, so a zero groups delta over a run means nothing in it was
+// extrapolated.
+func IntervalStats() (profiles, groups uint64) {
+	return profileRuns.Load(), profileGroups.Load()
+}
+
+// CheckpointStats reports interval checkpoint activity since the last
+// ResetIntervalProfiles: images is the number of mid-run checkpoints
+// profiling passes captured, forks the number of representative replays
+// forked from them, and evictions the number of profiles evicted from
+// the profile cache, each taking its checkpoints with it.
+func CheckpointStats() (images, forks, evictions uint64) {
+	return ckImages.Load(), ckForks.Load(), profileCache.Stats().Evictions
+}
+
+// ResetIntervalProfiles drops the process-wide plan and profile caches,
+// and with the profiles their checkpoints, and zeroes the counters of
+// IntervalStats and CheckpointStats, so benchmarks can measure a cold
+// start.
+func ResetIntervalProfiles() {
+	profileCache.Reset()
+	planCache.Reset()
+	profileRuns.Store(0)
+	profileGroups.Store(0)
+	ckImages.Store(0)
+	ckForks.Store(0)
+}
+
+// cachedPlan returns the phase plan of rc's stream under o's geometry.
 func cachedPlan(o Options, rc runConfig) (phase.Plan, error) {
 	key := planKey{spec: rc.spec, seed: rc.seed, intervals: o.PhaseIntervals, k: o.PhaseK}
-	planMu.Lock()
-	e := planCache[key]
-	if e == nil {
-		e = &planEntry{}
-		planCache[key] = e
-		if len(planCache) > maxCachedPlans {
-			var victimKey planKey
-			var victim *planEntry
-			//twvet:allow maporder — unique-minimum selection is order-insensitive
-			for k, v := range planCache {
-				if v != e && (victim == nil || v.gen < victim.gen) {
-					victimKey, victim = k, v
-				}
-			}
-			delete(planCache, victimKey)
-		}
-	}
-	planGen++
-	e.gen = planGen
-	planMu.Unlock()
-
-	e.once.Do(func() {
-		e.plan, e.err = phase.Analyze(rc.spec, rc.seed, phase.Config{
+	return planCache.Get(key, func() (phase.Plan, error) {
+		return phase.Analyze(rc.spec, rc.seed, phase.Config{
 			Intervals: o.PhaseIntervals, K: o.PhaseK, Seed: rc.seed,
 		})
 	})
-	return e.plan, e.err
 }
 
-// cachedIntervalProfile memoizes profiling passes, single-flight per key
-// like the image and checkpoint caches.
+// cachedIntervalProfile returns the profile of rc's identity under o's
+// geometry, counting the group as replayed when there is one.
 func cachedIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*intervalProfile, error) {
-	key := profileKey{spec: rc.spec, seed: rc.seed, pageSeed: rc.pageSeed,
-		frames: kcfg.Machine.Frames, geom: phaseGeom(o)}
-	profileMu.Lock()
-	e := profileCache[key]
-	if e == nil {
-		e = &profileEntry{}
-		profileCache[key] = e
-		if len(profileCache) > maxCachedProfiles {
-			var victimKey profileKey
-			var victim *profileEntry
-			//twvet:allow maporder — unique-minimum selection is order-insensitive
-			for k, v := range profileCache {
-				if v != e && (victim == nil || v.gen < victim.gen) {
-					victimKey, victim = k, v
-				}
-			}
-			delete(profileCache, victimKey)
-		}
+	key := profileKey{spec: rc.spec, seed: rc.seed, pageSeed: rc.pageSeed, frames: kcfg.Machine.Frames,
+		intervals: o.PhaseIntervals, k: o.PhaseK, warmup: o.PhaseWarmup}
+	p, err := profileCache.Get(key, func() (*intervalProfile, error) { return buildIntervalProfile(o, rc, kcfg) })
+	if err == nil {
+		profileGroups.Add(1)
 	}
-	profileGen++
-	e.gen = profileGen
-	profileMu.Unlock()
-
-	e.once.Do(func() { e.p, e.err = buildIntervalProfile(o, rc, kcfg) })
-	if e.err == nil {
-		profileMu.Lock()
-		profileForks++
-		profileMu.Unlock()
-	}
-	return e.p, e.err
+	return p, err
 }
 
 // buildIntervalProfile runs the profiling pass for rc's identity (see
-// the package comment) and publishes each representative's checkpoint to
-// the interval checkpoint cache.
+// the package comment), capturing each representative's checkpoint.
 func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*intervalProfile, error) {
 	plan, err := cachedPlan(o, rc)
 	if errors.Is(err, workload.ErrStreamTooLarge) {
@@ -358,9 +208,7 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 		return nil, err
 	}
 
-	profileMu.Lock()
-	profileRuns++
-	profileMu.Unlock()
+	profileRuns.Add(1)
 
 	// The profiling kernel boots exactly like a run's but carries no
 	// telemetry and spawns the workload unsimulated: the pass must
@@ -376,7 +224,6 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	}
 	k.Spawn(rc.spec.Name, prog, false, false)
 
-	geom := phaseGeom(o)
 	marks := make([]intervalMark, len(plan.Reps))
 	for ri, rep := range plan.Reps {
 		capTarget := rep.Start
@@ -395,8 +242,8 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 		if err != nil {
 			return nil, err
 		}
-		storeIntervalCheckpoint(intervalKey(rc, kcfg, rep.Index), geom, cp)
-		marks[ri].capUser = cp.UserInstructions()
+		ckImages.Add(1)
+		marks[ri].cp = cp
 		if err := k.RunUntilUser(rep.Start); err != nil {
 			return nil, err
 		}
@@ -424,32 +271,6 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 	base.tasks = k.Stats().UserSpawned
 
 	return &intervalProfile{plan: plan, marks: marks, base: base}, nil
-}
-
-//twvet:digest ckKey
-func intervalKey(rc runConfig, kcfg kernel.Config, interval int) ckKey {
-	return ckKey{seed: kcfg.Seed, pageSeed: kcfg.PageSeed,
-		frames: kcfg.Machine.Frames, spec: rc.spec, interval: interval}
-}
-
-// repCheckpoint fetches one representative's checkpoint: from the cache,
-// else by re-running the profiling pass (evictions are rare; the rebuild
-// republishes every representative at once).
-func repCheckpoint(o Options, rc runConfig, kcfg kernel.Config, interval int) (*kernel.Checkpoint, error) {
-	key := intervalKey(rc, kcfg, interval)
-	geom := phaseGeom(o)
-	if cp, ok := lookupIntervalCheckpoint(key, geom); ok {
-		return cp, nil
-	}
-	if _, err := buildIntervalProfile(o, rc, kcfg); err != nil {
-		return nil, err
-	}
-	cp, ok := lookupIntervalCheckpoint(key, geom)
-	if !ok {
-		return nil, fmt.Errorf("experiment: interval checkpoint %d of %s evicted during replay (concurrent sweep with different -phase-* settings?)",
-			interval, rc.spec.Name)
-	}
-	return cp, nil
 }
 
 // intervalTally accumulates one gang member's extrapolated statistics in
@@ -491,11 +312,8 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 
 	tallies := make([]intervalTally, len(members))
 	for ri, rep := range profile.plan.Reps {
-		cp, err := repCheckpoint(o, rc0, kcfg, rep.Index)
-		if err != nil {
-			return nil, err
-		}
-		if err := replayRep(o, members, rc0, kcfg, cp, profile.marks[ri], rep, tallies); err != nil {
+		ckForks.Add(1)
+		if err := replayRep(members, rc0, kcfg, profile.marks[ri], rep, tallies); err != nil {
 			return nil, err
 		}
 	}
@@ -545,13 +363,12 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 // replayRep forks one representative's checkpoint, attaches the gang
 // with its measure window, and folds the windowed statistics into the
 // members' tallies at the representative's extrapolation weight.
-func replayRep(o Options, rcs []runConfig, rc0 runConfig, kcfg kernel.Config,
-	cp *kernel.Checkpoint, mark intervalMark, rep phase.Representative,
-	tallies []intervalTally) error {
+func replayRep(rcs []runConfig, rc0 runConfig, kcfg kernel.Config,
+	mark intervalMark, rep phase.Representative, tallies []intervalTally) error {
 	resume := func(cur kernel.ProgramCursor) (kernel.Program, error) {
 		return workload.NewPlannedAt(rc0.spec, rc0.seed, cur)
 	}
-	fk, err := kernel.ForkRun(cp, kcfg, resume)
+	fk, err := kernel.ForkRun(mark.cp, kcfg, resume)
 	if err != nil {
 		return err
 	}
@@ -622,18 +439,4 @@ func round64(x float64) uint64 {
 		return 0
 	}
 	return uint64(math.Round(x))
-}
-
-// ResetIntervalProfiles drops the process-wide profile cache and zeroes
-// its counters, so benchmarks can measure a cold start. The interval
-// checkpoints in the checkpoint cache are untouched (they are keyed and
-// validated independently).
-func ResetIntervalProfiles() {
-	profileMu.Lock()
-	profileCache = map[profileKey]*profileEntry{}
-	profileRuns, profileForks = 0, 0
-	profileMu.Unlock()
-	planMu.Lock()
-	planCache = map[planKey]*planEntry{}
-	planMu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"tapeworm/internal/cache"
@@ -13,8 +14,8 @@ import (
 	"tapeworm/internal/workload"
 )
 
-// Interval tests run at their own seeds so the process-wide profile and
-// interval checkpoint caches never alias entries across tests.
+// Interval tests run at their own seeds so the process-wide plan and
+// profile caches never alias entries across tests.
 
 func phaseOptions(parallelism int, seed uint64) Options {
 	o := parallelOptions(parallelism)
@@ -154,30 +155,30 @@ func TestIntervalPinnedErrorBound(t *testing.T) {
 	}
 }
 
-// TestIntervalCheckpointGeometryEviction: changing the phase geometry
-// mid-process must evict the stale per-interval checkpoints (their
-// capture points no longer match any plan) and count the evictions.
-func TestIntervalCheckpointGeometryEviction(t *testing.T) {
-	o := phaseOptions(1, 3034)
-	if _, err := Figure3(o); err != nil {
-		t.Fatal(err)
+// TestIntervalGeometryRoundTrip: Figure 3 rendered under phase geometry
+// A, then B, then A again renders the same table both times under A. A
+// profile and its checkpoints are keyed by the whole geometry, so B's
+// pass can neither evict nor replace A's capture points.
+func TestIntervalGeometryRoundTrip(t *testing.T) {
+	a := phaseOptions(1, 3034)
+	b := a
+	b.PhaseIntervals, b.PhaseK = 6, 3
+	var renders []string
+	for _, o := range []Options{a, b, a} {
+		tab, err := Figure3(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders = append(renders, tab.Render())
 	}
-	_, _, ev0 := CheckpointStats()
-	o2 := o
-	o2.PhaseIntervals = 6
-	o2.PhaseK = 3
-	if _, err := Figure3(o2); err != nil {
-		t.Fatal(err)
-	}
-	_, _, ev1 := CheckpointStats()
-	if ev1 <= ev0 {
-		t.Fatalf("geometry change evicted nothing (evictions %d -> %d)", ev0, ev1)
+	if renders[2] != renders[0] {
+		t.Fatalf("geometry A rendered differently after B:\n--- first ---\n%s\n--- third ---\n%s", renders[0], renders[2])
 	}
 }
 
-// TestIntervalCheckpointCacheBound: the interval checkpoint cache must
-// stay within its LRU bound no matter how many representatives a sweep
-// captures.
+// TestIntervalCheckpointCacheBound: the profile cache holds at most
+// maxCachedCheckpoints checkpoints across its profiles, however many
+// representatives a sweep captures.
 func TestIntervalCheckpointCacheBound(t *testing.T) {
 	o := phaseOptions(1, 3035)
 	o.PhaseIntervals = 12
@@ -185,11 +186,124 @@ func TestIntervalCheckpointCacheBound(t *testing.T) {
 	if _, err := Figure3(o); err != nil {
 		t.Fatal(err)
 	}
-	ckMu.Lock()
-	n := len(ckCache)
-	ckMu.Unlock()
-	if n > maxCachedIntervalCheckpoints {
-		t.Fatalf("%d interval checkpoints cached, bound is %d", n, maxCachedIntervalCheckpoints)
+	if n := profileCache.Stats().Cost; n > maxCachedCheckpoints {
+		t.Fatalf("%d interval checkpoints cached, bound is %d", n, maxCachedCheckpoints)
+	}
+}
+
+// TestIntervalManyRepresentatives: a plan with more representatives than
+// the profile cache's checkpoint budget still replays, from one profiling
+// pass that captures one checkpoint per representative.
+func TestIntervalManyRepresentatives(t *testing.T) {
+	ResetIntervalProfiles()
+	o := Options{Scale: 2000, Seed: 3041, Trials: 1, Frames: 4096, Parallelism: 1,
+		PhaseIntervals: 64, PhaseK: 20, PhaseWarmup: 500}
+	sc := SweepConfig{Workload: "mpeg_play", Sizes: []int{1 << 10, 4 << 10}, Assocs: []int{1, 2}, Lines: []int{16}}
+	if _, err := Sweep(o, sc); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := mustSpec(o, "mpeg_play")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cachedPlan(o, runConfig{spec: spec, seed: o.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Reps) <= maxCachedCheckpoints {
+		t.Fatalf("plan has %d representatives; the test needs more than %d", len(plan.Reps), maxCachedCheckpoints)
+	}
+	profiles, groups := IntervalStats()
+	images, forks, _ := CheckpointStats()
+	if profiles != 1 || groups != 1 || images != uint64(len(plan.Reps)) || forks != images {
+		t.Fatalf("%d profiling passes, %d groups, %d checkpoints, %d forks; want 1, 1, %d, %d",
+			profiles, groups, images, forks, len(plan.Reps), len(plan.Reps))
+	}
+}
+
+// TestIntervalConcurrentWarmups: two sweeps of one workload identity
+// with different warm-ups, run at once in one process, each render
+// byte-identical to their own serial render.
+func TestIntervalConcurrentWarmups(t *testing.T) {
+	sc := SweepConfig{Workload: "mpeg_play", Sizes: []int{1 << 10, 4 << 10}, Assocs: []int{1, 2}, Lines: []int{16}}
+	var opts [2]Options
+	var serial [2]string
+	for i, warmup := range []int{500, 1000} {
+		opts[i] = Options{Scale: 2000, Seed: 3042, Trials: 1, Frames: 4096, Parallelism: 1,
+			PhaseIntervals: 32, PhaseK: 4, PhaseWarmup: warmup}
+		tab, err := Sweep(opts[i], sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = tab.Render()
+	}
+	ResetIntervalProfiles()
+	var concurrent [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tab, err := Sweep(opts[i], sc)
+			if err == nil {
+				concurrent[i] = tab.Render()
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i := range opts {
+		if errs[i] != nil {
+			t.Fatalf("warm-up %d: %v", opts[i].PhaseWarmup, errs[i])
+		}
+		if concurrent[i] != serial[i] {
+			t.Errorf("warm-up %d rendered differently beside another sweep:\n--- serial ---\n%s\n--- concurrent ---\n%s",
+				opts[i].PhaseWarmup, serial[i], concurrent[i])
+		}
+	}
+}
+
+// TestIntervalWarmupCapture: each representative's checkpoint sits at
+// its warm-up start, rep.Start - PhaseWarmup user instructions, give or
+// take the one compiled run RunUntilUser may overshoot by. The profiling
+// pass only runs forward, so a representative whose warm-up start falls
+// before the previous representative's end is captured later and is
+// skipped here.
+func TestIntervalWarmupCapture(t *testing.T) {
+	const warmup = 2000
+	o := Options{Scale: 2000, Seed: 3043, Trials: 1, Frames: 4096,
+		PhaseIntervals: 32, PhaseK: 3, PhaseWarmup: warmup}
+	checked, total := 0, 0
+	for _, name := range workload.Names() {
+		spec, err := mustSpec(o, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := runConfig{spec: spec, seed: o.Seed, pageSeed: o.Seed, frames: o.Frames}
+		kcfg := kernel.DefaultConfig(mach.DECstation5000_200(o.Frames), rc.seed)
+		kcfg.PageSeed = rc.pageSeed
+		p, err := buildIntervalProfile(o, rc, kcfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		total += len(p.plan.Reps)
+		prevEnd := int64(0)
+		for i, rep := range p.plan.Reps {
+			if start := int64(rep.Start) - warmup; start >= prevEnd {
+				checked++
+				got := int64(p.marks[i].cp.UserInstructions())
+				if got < start || got >= start+kernel.CompiledRunCap {
+					t.Errorf("%s representative %d: checkpoint at %d user instructions, want [%d, %d)",
+						name, i, got, start, start+kernel.CompiledRunCap)
+				}
+			}
+			prevEnd = int64(rep.End)
+		}
+	}
+	t.Logf("%d of %d representatives checked", checked, total)
+	if 2*checked < total {
+		t.Fatalf("only %d of %d representatives had a checkable warm-up", checked, total)
 	}
 }
 

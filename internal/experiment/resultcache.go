@@ -27,9 +27,8 @@ import (
 // twbench suite plus a large twsweep grid fit without eviction.
 const maxCachedResults = 4096
 
-// resultStore is the process-wide result cache, mirroring the compiled
-// image and interval checkpoint caches: one instance, shared by every
-// experiment in the process, safe for concurrent groups.
+// resultStore is the process-wide result cache: one instance, shared by
+// every experiment in the process, safe for concurrent groups.
 var resultStore = resultcache.New(maxCachedResults, encodeResult, decodeResult)
 
 // ResultCacheStats reports process-wide result cache activity (bench

@@ -7,13 +7,16 @@
 // results reusable: a run whose identity digest has been seen before can
 // be served from cache instead of re-simulated.
 //
-// The store has two tiers. The in-process tier is an LRU map from digest
-// to result value, following the compiled-image and checkpoint cache
-// pattern (process-wide, bounded, eviction only costs a re-simulation).
-// The optional persistent tier (a directory of one gob file per digest,
-// each written atomically) makes results survive across processes; files
-// whose recorded identity disagrees with the request are rejected with
-// ErrMismatch, torn or garbage files with ErrCorrupt.
+// The package also holds the repo's one in-process memo, Cache: a
+// single-flight LRU bounded by a cost budget, behind the compiled-image,
+// phase-plan and interval-profile caches as well as the store.
+//
+// The store has two tiers. The in-process tier is a Cache from digest to
+// result value (process-wide, bounded, eviction only costs a
+// re-simulation). The optional persistent tier (a directory of one gob
+// file per digest, each written atomically) makes results survive across
+// processes; files whose recorded identity disagrees with the request
+// are rejected with ErrMismatch, torn or garbage files with ErrCorrupt.
 //
 // Concurrent identical requests are deduplicated single-flight: the first
 // claimant becomes the leader and simulates; followers block until the

@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 )
 
@@ -27,76 +26,48 @@ var (
 // encoding itself.
 const wireVersion = 1
 
-// Stats is a snapshot of store activity.
+// Stats is a snapshot of cache or store activity.
 type Stats struct {
-	Hits   uint64 // requests served from cache (either tier)
-	Misses uint64 // requests that had to simulate
-	Joins  uint64 // requests that blocked on another in-flight identical request
-	Loads  uint64 // results loaded from the persistent tier
-	Saves  uint64 // results written to the persistent tier
+	Hits      uint64 // requests served from cache (either tier)
+	Misses    uint64 // requests that had to build or simulate
+	Joins     uint64 // requests that blocked on another in-flight identical request
+	Evictions uint64 // settled entries dropped for the budget
+	Loads     uint64 // results loaded from the persistent tier (Store only)
+	Saves     uint64 // results written to the persistent tier (Store only)
+	Cost      int64  // summed cost of the settled entries held now (a Store's: their count)
 }
 
-// Store is a two-tier content-addressed result store. Values are opaque
-// to the store; the encode/decode pair supplied at construction converts
+// Store is a two-tier content-addressed result store: an in-memory Cache
+// plus an optional directory of persisted results. Values are opaque to
+// the store; the encode/decode pair supplied at construction converts
 // them to bytes for the persistent tier.
 type Store struct {
-	max    int
+	mem    *Cache[Digest, any]
 	encode func(any) ([]byte, error)
 	decode func([]byte) (any, error)
 
-	mu      sync.Mutex
-	entries map[Digest]*entry
-	gen     uint64
-
-	hits, misses, joins, loads, saves atomic.Uint64
-}
-
-// entry is one digest's slot: in flight until done is closed, settled
-// (val valid) afterwards. Abandoned entries are removed from the map
-// before done closes, so retrying waiters start a fresh claim.
-type entry struct {
-	done    chan struct{}
-	val     any
-	settled bool
-	gen     uint64 // LRU clock, updated under Store.mu
+	loads, saves atomic.Uint64
 }
 
 // New returns an empty store bounded to max settled in-memory entries.
 // encode/decode serve the persistent tier and may be nil when no caller
 // passes a directory to Acquire.
 func New(max int, encode func(any) ([]byte, error), decode func([]byte) (any, error)) *Store {
-	if max < 1 {
-		max = 1
-	}
-	return &Store{max: max, encode: encode, decode: decode, entries: map[Digest]*entry{}}
+	return &Store{mem: NewCache[Digest, any](int64(max), nil), encode: encode, decode: decode}
 }
 
 // Stats snapshots store activity counters.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:   s.hits.Load(),
-		Misses: s.misses.Load(),
-		Joins:  s.joins.Load(),
-		Loads:  s.loads.Load(),
-		Saves:  s.saves.Load(),
-	}
+	st := s.mem.Stats()
+	st.Loads, st.Saves = s.loads.Load(), s.saves.Load()
+	return st
 }
 
 // Reset drops every settled entry and zeroes the counters. In-flight
-// claims keep their private entries and settle harmlessly off-map. For
-// benchmarks and tests that need a cold in-process tier.
+// claims keep their entries and settle normally. For benchmarks and
+// tests that need a cold in-process tier.
 func (s *Store) Reset() {
-	s.mu.Lock()
-	//twvet:allow maporder — unconditional delete of every settled entry is order-insensitive
-	for d, e := range s.entries {
-		if e.settled {
-			delete(s.entries, d)
-		}
-	}
-	s.mu.Unlock()
-	s.hits.Store(0)
-	s.misses.Store(0)
-	s.joins.Store(0)
+	s.mem.Reset()
 	s.loads.Store(0)
 	s.saves.Store(0)
 }
@@ -108,9 +79,8 @@ func (s *Store) Reset() {
 // waking followers to elect a new leader.
 type Claim struct {
 	s        *Store
-	d        Digest
 	dir      string
-	e        *entry // nil for a cache-hit claim
+	e        *slot[Digest, any] // nil for a cache-hit claim
 	val      any
 	hit      bool
 	finished bool
@@ -136,49 +106,46 @@ func (c *Claim) Cached() (any, bool) { return c.val, c.hit }
 //	v := simulate()
 //	claim.Complete(v)
 func (s *Store) Acquire(d Digest, dir string) (*Claim, error) {
-	for {
-		s.mu.Lock()
-		e := s.entries[d]
-		if e == nil {
-			e = &entry{done: make(chan struct{})}
-			s.entries[d] = e
-			s.mu.Unlock()
-			return s.lead(d, dir, e)
-		}
-		if e.settled {
-			s.gen++
-			e.gen = s.gen
-			s.mu.Unlock()
-			s.hits.Add(1)
-			return &Claim{s: s, d: d, val: e.val, hit: true, finished: true}, nil
-		}
-		s.mu.Unlock()
-		// In flight: join the leader, then re-resolve. A published value
-		// is found settled on the next pass; an abandoned entry is gone
-		// from the map and this waiter becomes the new leader.
-		s.joins.Add(1)
-		<-e.done
+	e, lead := s.mem.claim(d)
+	if !lead {
+		return &Claim{s: s, val: e.val, hit: true, finished: true}, nil
 	}
-}
-
-// lead finishes an Acquire that claimed a fresh entry: the persistent
-// tier may still satisfy it; otherwise the caller simulates.
-func (s *Store) lead(d Digest, dir string, e *entry) (*Claim, error) {
+	// The leader's fresh entry may still be satisfied from the directory.
 	if dir != "" {
 		val, err := s.load(d, dir)
 		if err == nil {
-			s.settle(d, e, val)
+			s.mem.settle(e, val)
 			s.loads.Add(1)
-			s.hits.Add(1)
-			return &Claim{s: s, d: d, val: val, hit: true, finished: true}, nil
+			s.mem.hits.Add(1)
+			return &Claim{s: s, val: val, hit: true, finished: true}, nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
-			s.abandon(d, e)
+			s.mem.abandon(e)
 			return nil, err
 		}
 	}
-	s.misses.Add(1)
-	return &Claim{s: s, d: d, dir: dir, e: e}, nil
+	s.mem.misses.Add(1)
+	return &Claim{s: s, dir: dir, e: e}, nil
+}
+
+// Get is Acquire, build on a miss, Complete and Release in one call: it
+// returns the cached value, or build's after publishing it. A persist
+// failure is returned with the value, which is already published in
+// memory.
+func (s *Store) Get(d Digest, dir string, build func() (any, error)) (any, error) {
+	claim, err := s.Acquire(d, dir)
+	if err != nil {
+		return nil, err
+	}
+	defer claim.Release()
+	if v, ok := claim.Cached(); ok {
+		return v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	return v, claim.Complete(v)
 }
 
 // Complete publishes the leader's simulated value: it settles the
@@ -190,11 +157,11 @@ func (c *Claim) Complete(val any) error {
 		return fmt.Errorf("resultcache: Complete on a finished claim")
 	}
 	c.finished = true
-	c.s.settle(c.d, c.e, val)
+	c.s.mem.settle(c.e, val)
 	if c.dir == "" {
 		return nil
 	}
-	if err := c.s.save(c.d, c.dir, val); err != nil {
+	if err := c.s.save(c.e.key, c.dir, val); err != nil {
 		return err
 	}
 	c.s.saves.Add(1)
@@ -209,54 +176,7 @@ func (c *Claim) Release() {
 		return
 	}
 	c.finished = true
-	c.s.abandon(c.d, c.e)
-}
-
-// settle publishes a value under an entry and enforces the LRU bound.
-func (s *Store) settle(d Digest, e *entry, val any) {
-	s.mu.Lock()
-	e.val = val
-	e.settled = true
-	s.gen++
-	e.gen = s.gen
-	if s.entries[d] == e {
-		s.evictLocked(e)
-	}
-	s.mu.Unlock()
-	close(e.done)
-}
-
-// evictLocked drops least-recently-used settled entries beyond the bound.
-// In-flight entries are never victims: their leaders hold the only route
-// to waking followers.
-func (s *Store) evictLocked(keep *entry) {
-	for len(s.entries) > s.max {
-		var victimKey Digest
-		var victim *entry
-		// Generation numbers are unique, so the minimum is the same
-		// victim at any iteration order; eviction only costs a
-		// re-simulation (results are pure values).
-		//twvet:allow maporder — unique-minimum selection is order-insensitive
-		for k, v := range s.entries {
-			if v != keep && v.settled && (victim == nil || v.gen < victim.gen) {
-				victimKey, victim = k, v
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(s.entries, victimKey)
-	}
-}
-
-// abandon removes a never-settled entry and wakes its followers.
-func (s *Store) abandon(d Digest, e *entry) {
-	s.mu.Lock()
-	if s.entries[d] == e {
-		delete(s.entries, d)
-	}
-	s.mu.Unlock()
-	close(e.done)
+	c.s.mem.abandon(c.e)
 }
 
 // fileWire is the persistent tier's envelope. The digest inside repeats

@@ -7,9 +7,10 @@ package workload
 // service points, batched data references) and replayed any number of
 // times. Replay eliminates the per-instruction probability draws, Zipf
 // lookups and walker stepping that dominate the generator's cost, and a
-// process-wide cache amortizes the one-time compile across gang members,
-// fast/baseline comparison runs, and bench iterations — all of which
-// execute the same (spec, seed) stream by construction.
+// process-wide resultcache.Cache, bounded by image bytes, amortizes the
+// one-time compile across gang members, fast/baseline comparison runs,
+// and bench iterations — all of which execute the same (spec, seed)
+// stream by construction.
 //
 // Compile records through the same recorder as a decode-ahead stream
 // (stream.go): into chunks that start at firstChunkOps and double up to
@@ -28,12 +29,11 @@ package workload
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mem"
+	"tapeworm/internal/resultcache"
 )
 
 // maxCompiledInstr bounds the user instructions (Spec.UserInstructions,
@@ -187,22 +187,11 @@ type cacheKey struct {
 	seed uint64
 }
 
-type cacheEntry struct {
-	once  sync.Once
-	img   *image
-	bytes int64  // image size, set under cacheMu once compiled
-	gen   uint64 // LRU clock, updated under cacheMu
-}
-
-var (
-	cacheMu    sync.Mutex
-	imageCache = map[cacheKey]*cacheEntry{}
-	cacheGen   uint64
-	cacheBytes int64 // sum of the entries' bytes
-
-	imageHits     atomic.Uint64 // requests served by an existing entry
-	imageCompiles atomic.Uint64 // compilations run
-)
+// images memoizes compileImage by (spec, seed), for a spec that
+// compilable accepted, single-flight per key: concurrent requests compile
+// once and share the immutable image, and distinct keys compile in
+// parallel.
+var images = resultcache.NewCache[cacheKey](maxCachedImageBytes, (*image).bytes)
 
 // ImageCacheStats reports process-wide compiled-image cache activity:
 // hits is the number of requests served by an existing entry (including
@@ -210,60 +199,17 @@ var (
 // refused for the compile budget never reaches the cache and counts as
 // neither.
 func ImageCacheStats() (hits, compiles uint64) {
-	return imageHits.Load(), imageCompiles.Load()
+	st := images.Stats()
+	return st.Hits, st.Misses
 }
 
-// cachedImage memoizes Compile by (spec, seed), for a spec that compilable
-// accepted. Concurrent requests for the same key compile once and share
-// the immutable result; distinct keys compile in parallel.
-// Least-recently-used images are evicted while the cached images exceed
-// maxCachedImageBytes.
+// cachedImage returns the shared compiled image of (spec, seed).
 func cachedImage(spec Spec, seed uint64) *image {
-	key := cacheKey{spec: spec, seed: seed}
-	cacheMu.Lock()
-	e := imageCache[key]
-	if e == nil {
-		e = &cacheEntry{}
-		imageCache[key] = e
-	} else {
-		imageHits.Add(1)
-	}
-	cacheGen++
-	e.gen = cacheGen
-	cacheMu.Unlock()
-	e.once.Do(func() {
-		imageCompiles.Add(1)
-		e.img = compileImage(newGenerator(spec, seed))
-		cacheMu.Lock()
-		e.bytes = e.img.bytes()
-		cacheBytes += e.bytes
-		evictImages(e)
-		cacheMu.Unlock()
+	// The build cannot fail: compilable has already accepted spec.
+	img, _ := images.Get(cacheKey{spec: spec, seed: seed}, func() (*image, error) {
+		return compileImage(newGenerator(spec, seed)), nil
 	})
-	return e.img
-}
-
-// evictImages drops least-recently-used images, never keep, until the
-// cache fits its byte budget; called under cacheMu. Generation numbers
-// are unique, so the minimum is the same victim at any iteration order;
-// eviction never changes simulation results either way (images are
-// pure). Entries still compiling hold no bytes and stay.
-func evictImages(keep *cacheEntry) {
-	for cacheBytes > maxCachedImageBytes {
-		var victimKey cacheKey
-		var victim *cacheEntry
-		//twvet:allow maporder — unique-minimum selection is order-insensitive
-		for k, v := range imageCache {
-			if v != keep && v.bytes > 0 && (victim == nil || v.gen < victim.gen) {
-				victimKey, victim = k, v
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(imageCache, victimKey)
-		cacheBytes -= victim.bytes
-	}
+	return img
 }
 
 // bytes is the in-memory size of the image's ops, children included.
