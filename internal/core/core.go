@@ -196,18 +196,15 @@ type Tapeworm struct {
 	tel *telemetry.Run
 
 	// Gang attach state (nil/zero for solo simulators). gang links back to
-	// the Gang this member belongs to; ledger accumulates the overhead
-	// cycles a solo run would have charged to the machine clock (gang
-	// members must never dilate the shared clock — the Figure 4 leak);
-	// intent is the member's own armed-word bitset (cache modes), the
-	// member-local view of the union trap set (a TLB member's invalid
-	// pages are its own bit in the gang's invalid-page masks); attrs holds
-	// the member's own tw_attributes bits per task, of which the kernel's
-	// task structures carry only the union.
+	// the Gang this member belongs to; the member's armed words and invalid
+	// pages are its own bit (gangIdx) in the gang's masks. ledger
+	// accumulates the overhead cycles a solo run would have charged to the
+	// machine clock (gang members must never dilate the shared clock — the
+	// Figure 4 leak); attrs holds the member's own tw_attributes bits per
+	// task, of which the kernel's task structures carry only the union.
 	gang    *Gang
-	gangIdx int // member index; bit position in the gang's demux masks
+	gangIdx int // member index; bit position in the gang's masks
 	ledger  uint64
-	intent  []uint64
 	attrs   map[mem.TaskID]taskAttr
 }
 
@@ -245,8 +242,8 @@ func (tw *Tapeworm) counting() bool {
 func (tw *Tapeworm) SetTelemetry(tel *telemetry.Run) { tw.tel = tel }
 
 // setPV flips one mapping's page valid bit (TLB mode). Solo simulators own
-// the bit outright; gang members route through the gang's union refcounts
-// so the physical bit flips only when the union validity transitions.
+// the bit outright; gang members route through the gang's invalid-page
+// masks so the physical bit flips only when the union validity transitions.
 func (tw *Tapeworm) setPV(t mem.TaskID, va mem.VAddr, valid bool) error {
 	if tw.gang != nil {
 		return tw.gang.memberSetPageValid(tw, t, va, valid)
@@ -611,9 +608,9 @@ func (tw *Tapeworm) PageRemoved(t mem.TaskID, pa mem.PAddr, va mem.VAddr) {
 	if tw.cfg.Mode == ModeTLB {
 		if t != mem.KernelTask {
 			if tw.gang != nil {
-				// Release this member's invalid-intent so the union
-				// refcount balances; the last holder's release revalidates
-				// a pte the VM is about to destroy anyway.
+				// Release this member's bit in the page's invalid mask;
+				// the last holder's release revalidates a pte the VM is
+				// about to destroy anyway.
 				_ = tw.setPV(t, va, true)
 			}
 			tw.tlb.InvalidatePage(t, va)
@@ -702,7 +699,7 @@ func (tw *Tapeworm) ECCTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.R
 
 // deliverTrap handles one already-classified Tapeworm trap at word pa.
 // Solo simulators reach it through ECCTrap; the gang demultiplexer calls
-// it directly on every member whose intent set covers the word.
+// it directly on every member holding the word.
 func (tw *Tapeworm) deliverTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKind) {
 	// The trapped word and the referenced word share a page; reconstruct
 	// the trapped word's virtual address from the page offset.
@@ -913,7 +910,6 @@ func (tw *Tapeworm) CheckInvariant(toleratedLeaks uint64) error {
 	if tw.cfg.Mode == ModeTLB {
 		return tw.checkTLBInvariant()
 	}
-	phys := tw.m.Phys()
 	for _, k := range tw.simKeys() {
 		pa, ok := tw.resolveLinePA(k)
 		if !ok {
@@ -943,11 +939,7 @@ func (tw *Tapeworm) CheckInvariant(toleratedLeaks uint64) error {
 			if !tw.cfg.Sampling.Sampled(tw.simSetIndex(idxAddr + off)) {
 				continue
 			}
-			trapped := phys.Trapped(pa+mem.PAddr(off), int(tw.lineSize))
-			if tw.gang != nil {
-				// A member's view is its own intent set, not the union.
-				trapped = tw.intentOverlaps(pa+mem.PAddr(off), int(tw.lineSize))
-			}
+			trapped := tw.trapArmed(pa+mem.PAddr(off), int(tw.lineSize))
 			resident := tw.residentAnywhere(ps, pa+mem.PAddr(off), off)
 			if !trapped && !resident {
 				leaks++
@@ -1002,7 +994,7 @@ func (tw *Tapeworm) checkTLBInvariant() error {
 		_, valid := tw.k.Task(key.t).Space().Translate(va)
 		if tw.gang != nil {
 			// The pte holds the union validity; this member's view is
-			// whether it holds an invalid-intent itself.
+			// whether it holds the page invalid itself.
 			valid = !tw.gang.holdsInvalid(tw, key)
 		}
 		if inTLB && !valid {

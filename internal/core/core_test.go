@@ -22,6 +22,15 @@ func bootDEC(t *testing.T, seed, pageSeed uint64) *kernel.Kernel {
 	return kernel.MustBoot(cfg)
 }
 
+// boot486 boots the Gateway 486 port, whose cache traps are instruction
+// breakpoints.
+func boot486(t *testing.T, seed, pageSeed uint64) *kernel.Kernel {
+	t.Helper()
+	cfg := kernel.DefaultConfig(mach.Gateway486(4096), seed)
+	cfg.PageSeed = pageSeed
+	return kernel.MustBoot(cfg)
+}
+
 func spawnWorkload(t *testing.T, k *kernel.Kernel, name string, seed uint64, simulate bool) *kernel.Task {
 	t.Helper()
 	spec, err := workload.ByName(name, testScale)
@@ -290,30 +299,59 @@ func TestKernelSimulation(t *testing.T) {
 	}
 }
 
+// TestTrueErrorsPassThrough injects a true single-bit error into a text
+// word mid-run: the kernel handles it, and every cache simulator counts it
+// as its solo ECCTrap would — a solo one, and each cache member of a gang.
+// TLB members never see memory-error traps and count none.
 func TestTrueErrorsPassThrough(t *testing.T) {
-	k := bootDEC(t, 29, 29)
-	tw := MustAttach(k, dmICache(4, cache.PhysIndexed))
-	task := spawnWorkload(t, k, "espresso", 17, true)
-	// Inject a true single-bit error into the task's first text page once
-	// it is mapped: run a little, then inject, then continue.
-	if err := k.Run(20_000); err != nil {
-		t.Fatal(err)
+	// run spawns espresso, injects the error into its first text page once
+	// that is mapped, and finishes the run.
+	run := func(t *testing.T, k *kernel.Kernel) {
+		task := spawnWorkload(t, k, "espresso", 17, true)
+		if err := k.Run(20_000); err != nil {
+			t.Fatal(err)
+		}
+		pa, ok := k.ResidentPA(task.ID, kernel.TextBase)
+		if !ok {
+			t.Fatal("text page not resident after warmup")
+		}
+		k.Machine().Phys().InjectError(pa+128, 9) // non-Tapeworm bit position
+		k.Machine().FlushHostLine(pa+128, 16)
+		if err := k.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if k.Stats().TrueECCErrors == 0 {
+			t.Fatal("true ECC error was not delivered to the kernel")
+		}
 	}
-	pa, ok := k.ResidentPA(task.ID, kernel.TextBase)
-	if !ok {
-		t.Fatal("text page not resident after warmup")
-	}
-	k.Machine().Phys().InjectError(pa+128, 9) // non-Tapeworm bit position
-	k.Machine().FlushHostLine(pa+128, 16)
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if k.Stats().TrueECCErrors == 0 {
-		t.Fatal("true ECC error was not delivered to the kernel")
-	}
-	if tw.Stats().TrueErrors == 0 {
-		t.Fatal("Tapeworm did not classify the true error")
-	}
+	t.Run("solo", func(t *testing.T) {
+		k := bootDEC(t, 29, 29)
+		tw := MustAttach(k, dmICache(4, cache.PhysIndexed))
+		run(t, k)
+		if tw.Stats().TrueErrors == 0 {
+			t.Fatal("Tapeworm did not classify the true error")
+		}
+	})
+	t.Run("gang", func(t *testing.T) {
+		k := bootDEC(t, 29, 29)
+		g := MustAttachGang(k, []Config{
+			dmICache(4, cache.PhysIndexed),
+			dmICache(8, cache.VirtIndexed),
+			{Mode: ModeTLB,
+				TLB:      cache.TLBConfig{Entries: 16, PageSize: 4096, Replace: cache.LRU},
+				Sampling: FullSampling()},
+		})
+		run(t, k)
+		want := k.Stats().TrueECCErrors
+		for i, tw := range g.Members() {
+			if tw.Config().Mode == ModeTLB {
+				want = 0
+			}
+			if got := tw.Stats().TrueErrors; got != want {
+				t.Errorf("member %d (%v) counted %d true errors, want %d", i, tw.Config().Mode, got, want)
+			}
+		}
+	})
 }
 
 func TestDCacheRejectedOnNoAllocateHost(t *testing.T) {

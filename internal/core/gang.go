@@ -3,13 +3,15 @@ package core
 // Ganged multi-configuration simulation (Section 4.4's "several simulators
 // over the same trap mechanisms at once"): one booted machine drives N
 // independent Tapeworm instances. The machine traps on the union of the
-// members' trap sets — per-word member masks (ECC) and mach's per-word
-// breakpoint refcounts make one member's tw_clear_trap unable to destroy
-// another member's trap — and every trap event is demultiplexed to each
-// member whose own intent set covers it.
+// members' trap sets. For every physical word the gang keeps a mask of the
+// members holding it, and that mask is the only record of who holds a
+// trap: the hardware (mem's Tapeworm check bit, mach's breakpoint) says
+// only whether the word is armed, which it is while the mask names anyone.
+// One member's tw_clear_trap therefore cannot destroy another member's
+// trap, and every trap event is demultiplexed to the members in its mask.
 //
-// Two properties make each member's statistics byte-identical to its solo
-// run:
+// Three properties make each member's statistics byte-identical to its
+// solo run:
 //
 //  1. Ledgered traps. The machine runs in ledgered-trap mode
 //     (mach.SetLedgeredTraps): trap delivery is per-referenced-word rather
@@ -20,12 +22,12 @@ package core
 //     no member can perturb what another member observes, and the Figure 4
 //     time-dilation leak cannot occur by construction.
 //
-//  2. Member-local intent. Each member keeps its own armed-word bitset
-//     (cache modes) or holds pages invalid through its own bit of the
-//     invalid-page masks (TLB mode). Every simulation decision — is this
-//     trap mine, is this line armed, is this page invalid — consults the
-//     member's own intent, never the union, so a member cannot observe how
-//     many other members share a trap.
+//  2. Member-local trap sets. A cache-mode member's armed words are its
+//     own bit in the word masks; a TLB-mode member holds pages invalid
+//     through its own bit of the invalid-page masks. Every simulation
+//     decision — is this trap mine, is this line armed, is this page
+//     invalid — reads the member's own bit, never the union, so a member
+//     cannot observe how many other members share a trap.
 //
 //  3. Member-local attributes. Each member keeps its own tw_attributes
 //     bits per task, inherited through fork from its own bits. The
@@ -43,6 +45,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"tapeworm/internal/arch"
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mach"
 	"tapeworm/internal/mem"
@@ -61,22 +64,24 @@ type Gang struct {
 	pageSize uint32
 	pageBits uint
 
-	// Member masks are the gang's union trap state. Each is maskWords =
-	// ⌈n/64⌉ words; member i is bit i&63 of word i>>6 (memberBit).
+	// ecc is the cache-mode members' one trap mechanism: arch.SelectMechanism
+	// picks ECC check bits from the processor alone when it has ECC traps,
+	// and instruction breakpoints otherwise.
+	ecc bool
+
+	// Member masks are the gang's only record of who holds a trap. Each is
+	// maskWords = ⌈n/64⌉ words; member i is bit i&63 of word i>>6
+	// (memberBit). Detached members hold nothing.
 	//
 	// maskPages[wi>>maskPageShift] is a lazily allocated page holding one
-	// mask per physical word: the members whose intent set covers the
-	// word. A union trap fire demultiplexes with a bit walk over that
-	// mask. The invariant — mask bit i set iff member i's intent covers
-	// the word — is maintained at every intent mutation (hold, release,
-	// trapDestroyed). A word's physical Tapeworm bit is armed while any ECC
-	// member holds it: mem is told when the first holder arrives and when
-	// the last one leaves.
+	// mask per physical word: the cache-mode members holding the word. A
+	// union trap fire demultiplexes with a bit walk over that mask. A word
+	// is physically armed while its mask is nonzero: hold arms it when the
+	// mask gains its first member, release disarms it when the mask loses
+	// its last, and trapDestroyed empties the mask of a word the hardware
+	// disarmed.
 	maskWords int
 	maskPages [][]uint64
-	liveMask  []uint64 // members still attached
-	eccMask   []uint64 // ECC cache-mode members
-	bpMask    []uint64 // breakpoint cache-mode members
 
 	// invalidMask is the TLB-mode analogue: invalidMask[j][key] is word j
 	// of the mask of members holding (task, page) invalid, absent when
@@ -97,10 +102,10 @@ const (
 // memberBit locates member i in a mask: bit b of word j.
 func memberBit(i int) (j int, b uint64) { return i >> 6, 1 << uint(i&63) }
 
-// anyIn reports whether mask e shares a member with sel.
-func anyIn(e, sel []uint64) bool {
-	for j, w := range e {
-		if w&sel[j] != 0 {
+// anyHolder reports whether mask e names any member.
+func anyHolder(e []uint64) bool {
+	for _, w := range e {
+		if w != 0 {
 			return true
 		}
 	}
@@ -119,12 +124,15 @@ func (g *Gang) maskAt(wi uint32) []uint64 {
 }
 
 // chunkMasks returns the masks of the 64 words of trap chunk ch, word
-// ch<<6+b at [b*maskWords, (b+1)*maskWords), allocating their page on
-// first use.
-func (g *Gang) chunkMasks(ch uint32) []uint64 {
+// ch<<6+b at [b*maskWords, (b+1)*maskWords). Their page is allocated on
+// first use when alloc is set; otherwise an unallocated page returns nil.
+func (g *Gang) chunkMasks(ch uint32, alloc bool) []uint64 {
 	pi := ch >> (maskPageShift - 6)
 	pg := g.maskPages[pi]
 	if pg == nil {
+		if !alloc {
+			return nil
+		}
 		pg = make([]uint64, maskPageWords*g.maskWords)
 		g.maskPages[pi] = pg
 	}
@@ -132,11 +140,24 @@ func (g *Gang) chunkMasks(ch uint32) []uint64 {
 	return pg[i : i+64*g.maskWords]
 }
 
+// holds reports whether member idx holds any word of [pa, pa+size).
+func (g *Gang) holds(idx int, pa mem.PAddr, size int) bool {
+	j, b := memberBit(idx)
+	first, last := trapSpan(pa, size)
+	for wi := first; wi <= last; wi++ {
+		if e := g.maskAt(wi); e != nil && e[j]&b != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // AttachGang builds one Tapeworm per configuration on the booted kernel k
 // and installs the gang as the kernel's memory-simulation hooks. The
-// machine is switched to ledgered-trap mode and the gang registers for
-// physical memory's destroyed-trap notifications. Configurations are
-// validated exactly as in Attach; the first failure aborts the whole gang.
+// machine is switched to ledgered-trap mode and, on an ECC machine, the
+// gang registers for physical memory's destroyed-trap notifications.
+// Configurations are validated exactly as in Attach; the first failure
+// aborts the whole gang.
 func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("core: gang needs at least one configuration")
@@ -147,10 +168,8 @@ func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 		k:           k,
 		m:           m,
 		pageSize:    uint32(m.Config().PageSize),
+		ecc:         m.Config().Proc.Has(arch.OpECCTraps),
 		maskWords:   mw,
-		liveMask:    make([]uint64, mw),
-		eccMask:     make([]uint64, mw),
-		bpMask:      make([]uint64, mw),
 		invalidMask: make([]map[vkey]uint64, mw),
 	}
 	for j := range g.invalidMask {
@@ -161,10 +180,11 @@ func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 	}
 	phys := m.Phys()
 	m.SetLedgeredTraps(true)
-	phys.SetTrapDestroyedHook(g.trapDestroyed)
+	if g.ecc {
+		phys.SetTrapDestroyedHook(g.trapDestroyed)
+	}
 
 	words := phys.Bytes() / mem.WordBytes
-	chunks := (words + 63) / 64
 	g.maskPages = make([][]uint64, (words+maskPageWords-1)/maskPageWords)
 	for i, cfg := range cfgs {
 		tw, err := build(k, cfg)
@@ -173,18 +193,9 @@ func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 		}
 		tw.gang = g
 		tw.gangIdx = i
-		j, b := memberBit(i)
 		if cfg.Mode != ModeTLB {
-			_, bp := tw.mech.(*breakpointMech)
-			tw.mech = &gangMech{tw: tw, inner: tw.mech, ecc: !bp}
-			tw.intent = make([]uint64, chunks)
-			if bp {
-				g.bpMask[j] |= b
-			} else {
-				g.eccMask[j] |= b
-			}
+			tw.mech = &gangMech{tw: tw, inner: tw.mech}
 		}
-		g.liveMask[j] |= b
 		// Every member starts from the kernel's current bits.
 		tw.attrs = make(map[mem.TaskID]taskAttr)
 		for _, t := range k.Tasks() {
@@ -234,9 +245,9 @@ func MustAttachGang(k *kernel.Kernel, cfgs []Config) *Gang {
 // including detached ones (their statistics remain readable).
 func (g *Gang) Members() []*Tapeworm { return g.members }
 
-// Detach removes one member mid-run: its armed traps leave the union
-// (physical traps disappear only where no other member holds them) and
-// its invalid-page intents are returned. The member's statistics stay
+// Detach removes one member mid-run: it releases every word and invalid
+// page it holds (physical traps disappear only where no other member holds
+// them), so no mask names a detached member. The member's statistics stay
 // readable; it receives no further events.
 func (g *Gang) Detach(tw *Tapeworm) error {
 	idx := -1
@@ -250,15 +261,12 @@ func (g *Gang) Detach(tw *Tapeworm) error {
 		return fmt.Errorf("core: simulator not attached to this gang")
 	}
 	g.live[idx] = false
-	j, b := memberBit(idx)
-	g.liveMask[j] &^= b
 
-	if tw.intent != nil {
-		ecc := tw.mech.(*gangMech).ecc
-		for ch, held := range tw.intent {
-			if held != 0 {
-				g.release(uint32(ch), held, idx, ecc)
-				tw.intent[ch] = 0
+	const pageChunks = maskPageWords / 64
+	for pi, pg := range g.maskPages {
+		if pg != nil {
+			for ch := uint32(pi * pageChunks); ch < uint32((pi+1)*pageChunks); ch++ {
+				g.release(ch, ^uint64(0), idx)
 			}
 		}
 	}
@@ -266,6 +274,7 @@ func (g *Gang) Detach(tw *Tapeworm) error {
 	// invalid-page masks in sorted order: detach must leave the gang in the
 	// same state regardless of map iteration order. Pages the member does
 	// not hold are no-ops.
+	j, _ := memberBit(idx)
 	keys := make([]vkey, 0, len(g.invalidMask[j]))
 	for key := range g.invalidMask[j] {
 		keys = append(keys, key)
@@ -286,121 +295,102 @@ func (g *Gang) Detach(tw *Tapeworm) error {
 	return nil
 }
 
-// hold adds member idx to the masks of words add of trap chunk ch and
-// returns the words the member now holds. A breakpoint member takes one
-// mach arm reference per word. For an ECC member, the words no ECC member
-// held yet are armed with one mem call; words carrying a true memory error
-// refuse the trap (ArmWords returns them), matching the solo mechanism's
-// inability to distinguish its own syndrome there. The member holds what
-// it arms until release.
+// hold adds member idx to the masks of the words cover of trap chunk ch
+// that it does not hold yet. A word is armed when its mask gains its first
+// member: ECC words with one ArmWords call for the chunk, breakpoint words
+// with one SetBreakpoint each. ArmWords refuses words carrying a true
+// memory error, matching the solo mechanism's inability to distinguish its
+// own syndrome there, and the member does not hold a refused word.
 //
 //twvet:transfer
-func (g *Gang) hold(ch uint32, add uint64, idx int, ecc bool) uint64 {
+func (g *Gang) hold(ch uint32, cover uint64, idx int) {
 	j, b := memberBit(idx)
-	masks, mw := g.chunkMasks(ch), g.maskWords
-	if !ecc {
-		for rem := add; rem != 0; rem &= rem - 1 {
-			i := bits.TrailingZeros64(rem)
-			g.m.SetBreakpoint(mem.PAddr(ch<<6+uint32(i)) * mem.WordBytes)
-			masks[i*mw+j] |= b
-		}
-		return add
-	}
-	var fresh uint64
-	for rem := add; rem != 0; rem &= rem - 1 {
+	masks, mw := g.chunkMasks(ch, true), g.maskWords
+	var first uint64
+	for rem := cover; rem != 0; rem &= rem - 1 {
 		i := bits.TrailingZeros64(rem)
 		e := masks[i*mw : i*mw+mw]
-		if !anyIn(e, g.eccMask) {
-			fresh |= 1 << uint(i)
+		if e[j]&b != 0 {
+			continue
+		}
+		if !anyHolder(e) {
+			first |= 1 << uint(i)
 		}
 		e[j] |= b
 	}
-	if fresh == 0 {
-		return add
+	if first == 0 {
+		return
 	}
-	refused := g.m.Controller().ArmWords(ch, fresh)
+	var refused uint64
+	if g.ecc {
+		refused = g.m.Controller().ArmWords(ch, first)
+	} else {
+		for rem := first; rem != 0; rem &= rem - 1 {
+			g.m.SetBreakpoint(chunkWordPA(ch, rem))
+		}
+	}
 	for rem := refused; rem != 0; rem &= rem - 1 {
 		masks[bits.TrailingZeros64(rem)*mw+j] &^= b
 	}
-	return add &^ refused
 }
 
-// release drops member idx from the masks of words rm of trap chunk ch,
-// which the member held. A breakpoint member drops its mach arm reference
-// per word; for an ECC member, the words no ECC member holds any more are
-// disarmed with one mem call.
+// release drops member idx from the masks of the words cover of trap
+// chunk ch that it holds. A word is disarmed when its mask loses its last
+// member: ECC words with one DisarmWords call for the chunk, breakpoint
+// words with one ClearBreakpoint each.
 //
 //twvet:transfer
-func (g *Gang) release(ch uint32, rm uint64, idx int, ecc bool) {
+func (g *Gang) release(ch uint32, cover uint64, idx int) {
 	j, b := memberBit(idx)
-	masks, mw := g.chunkMasks(ch), g.maskWords
-	if !ecc {
-		for rem := rm; rem != 0; rem &= rem - 1 {
-			i := bits.TrailingZeros64(rem)
-			masks[i*mw+j] &^= b
-			g.m.ClearBreakpoint(mem.PAddr(ch<<6+uint32(i)) * mem.WordBytes)
-		}
+	masks, mw := g.chunkMasks(ch, false), g.maskWords
+	if masks == nil {
 		return
 	}
-	var unheld uint64
-	for rem := rm; rem != 0; rem &= rem - 1 {
+	var last uint64
+	for rem := cover; rem != 0; rem &= rem - 1 {
 		i := bits.TrailingZeros64(rem)
 		e := masks[i*mw : i*mw+mw]
+		if e[j]&b == 0 {
+			continue
+		}
 		e[j] &^= b
-		if !anyIn(e, g.eccMask) {
-			unheld |= 1 << uint(i)
+		if !anyHolder(e) {
+			last |= 1 << uint(i)
 		}
 	}
-	if unheld != 0 {
-		g.m.Controller().DisarmWords(ch, unheld)
+	if last == 0 {
+		return
+	}
+	if g.ecc {
+		g.m.Controller().DisarmWords(ch, last)
+		return
+	}
+	for rem := last; rem != 0; rem &= rem - 1 {
+		g.m.ClearBreakpoint(chunkWordPA(ch, rem))
 	}
 }
 
-// trapDestroyed is the Phys destroyed-trap hook: hardware paths (DMA
-// writes, no-allocate store write-arounds, scrubbing) destroy an ECC trap
-// regardless of how many members hold it, so every ECC member's intent for
-// the word is cleared — exactly as each solo run would lose its own trap.
+// chunkWordPA returns the address of the lowest word of trap chunk ch set
+// in the nonzero word mask m.
+func chunkWordPA(ch uint32, m uint64) mem.PAddr {
+	return mem.PAddr(ch<<6+uint32(bits.TrailingZeros64(m))) * mem.WordBytes
+}
+
+// trapDestroyed is the Phys destroyed-trap hook of an ECC gang: hardware
+// paths (DMA writes, no-allocate store write-arounds, scrubbing) destroy a
+// trap regardless of how many members hold it, so the word's mask is
+// cleared — exactly as each solo run would lose its own trap.
 func (g *Gang) trapDestroyed(pa mem.PAddr) {
-	wi := uint32(pa) / mem.WordBytes
-	e := g.maskAt(wi)
-	for j := range e {
-		m := e[j] & g.eccMask[j] & g.liveMask[j]
-		e[j] &^= m
-		for ; m != 0; m &= m - 1 {
-			g.members[j<<6+bits.TrailingZeros64(m)].intentClear(wi)
-		}
-	}
-}
-
-// --- member intent bitsets (cache modes) ---
-
-func (tw *Tapeworm) intentHas(wi uint32) bool {
-	return tw.intent[wi>>6]&(1<<(wi&63)) != 0
-}
-
-func (tw *Tapeworm) intentSet(wi uint32)   { tw.intent[wi>>6] |= 1 << (wi & 63) }
-func (tw *Tapeworm) intentClear(wi uint32) { tw.intent[wi>>6] &^= 1 << (wi & 63) }
-
-// intentOverlaps reports whether any word of [pa, pa+size) is in this
-// member's intent set.
-func (tw *Tapeworm) intentOverlaps(pa mem.PAddr, size int) bool {
-	if size <= 0 {
-		size = mem.WordBytes
-	}
-	for off := 0; off < size; off += mem.WordBytes {
-		if tw.intentHas(uint32(pa+mem.PAddr(off)) / mem.WordBytes) {
-			return true
-		}
-	}
-	return false
+	clear(g.maskAt(uint32(pa) / mem.WordBytes))
 }
 
 // trapArmed reports whether this simulator considers [pa, pa+size) armed:
-// a gang member consults its own intent (the union bits in phys include
-// other members' traps); a solo simulator owns the physical trap state.
+// a gang member reads its own bit of the word masks (the physical trap
+// state is the union over members); a solo simulator owns the physical
+// trap state.
 func (tw *Tapeworm) trapArmed(pa mem.PAddr, size int) bool {
 	if tw.gang != nil {
-		return tw.intentOverlaps(pa, size)
+		return tw.gang.holds(tw.gangIdx, pa, size)
 	}
 	return tw.m.Phys().Trapped(pa, size)
 }
@@ -408,26 +398,25 @@ func (tw *Tapeworm) trapArmed(pa mem.PAddr, size int) bool {
 // usesBreakpoints reports whether this simulator's trap mechanism is the
 // instruction-breakpoint variant (possibly wrapped for gang membership).
 func (tw *Tapeworm) usesBreakpoints() bool {
-	switch mech := tw.mech.(type) {
+	switch tw.mech.(type) {
 	case *breakpointMech:
 		return true
 	case *gangMech:
-		return !mech.ecc
+		return !tw.gang.ecc
 	}
 	return false
 }
 
 // --- gangMech: the union trap mechanism wrapper ---
 
-// gangMech wraps a member's trapMech so tw_set_trap/tw_clear_trap maintain
-// the member's intent bitset and the gang's member masks, arming and
-// disarming the union a 64-word chunk at a time. No host-line flush on
-// arm: in ledgered-trap mode delivery is per-referenced-word, and flushing
-// would perturb the host cache shared by all members.
+// gangMech wraps a member's trapMech so tw_set_trap/tw_clear_trap update
+// the member's bits in the gang's word masks, arming and disarming the
+// union a 64-word chunk at a time. No host-line flush on arm: in
+// ledgered-trap mode delivery is per-referenced-word, and flushing would
+// perturb the host cache shared by all members.
 type gangMech struct {
 	tw    *Tapeworm
 	inner trapMech
-	ecc   bool
 }
 
 // trapSpan returns the first and last word index tw_set_trap and
@@ -453,15 +442,12 @@ func chunkCover(ch, first, last uint32) uint64 {
 	return m
 }
 
-// SetTrap adds the words of [pa, pa+size) the member does not already
-// hold to its intent and the masks, a chunk at a time (Gang.hold).
+// SetTrap makes the member hold the words of [pa, pa+size), a chunk at a
+// time (Gang.hold).
 func (gm *gangMech) SetTrap(pa mem.PAddr, size int) {
-	tw := gm.tw
 	first, last := trapSpan(pa, size)
 	for ch := first >> 6; ch <= last>>6; ch++ {
-		if add := chunkCover(ch, first, last) &^ tw.intent[ch]; add != 0 {
-			tw.intent[ch] |= tw.gang.hold(ch, add, tw.gangIdx, gm.ecc)
-		}
+		gm.tw.gang.hold(ch, chunkCover(ch, first, last), gm.tw.gangIdx)
 	}
 }
 
@@ -469,15 +455,9 @@ func (gm *gangMech) SetTrap(pa mem.PAddr, size int) {
 // at a time (Gang.release); a physical trap disappears only when its last
 // holder releases it.
 func (gm *gangMech) ClearTrap(pa mem.PAddr, size int) {
-	tw := gm.tw
 	first, last := trapSpan(pa, size)
 	for ch := first >> 6; ch <= last>>6; ch++ {
-		rm := chunkCover(ch, first, last) & tw.intent[ch]
-		if rm == 0 {
-			continue
-		}
-		tw.intent[ch] &^= rm
-		tw.gang.release(ch, rm, tw.gangIdx, gm.ecc)
+		gm.tw.gang.release(ch, chunkCover(ch, first, last), gm.tw.gangIdx)
 	}
 }
 
@@ -537,18 +517,24 @@ func (g *Gang) TaskExited(t mem.TaskID) {
 }
 
 // ECCTrap demultiplexes a memory-error trap: classified once, then
-// delivered to every live ECC member whose intent set covers the word, in
-// ascending member order. True errors go back to the kernel. A
-// Tapeworm-syndrome word no live member claims (an orphan no member holds)
-// is cleared so it cannot fire again.
+// delivered to every member holding the word, in ascending member order. A
+// true error is counted by every live cache-mode member, as each one's
+// solo ECCTrap would count it, and goes back to the kernel. A
+// Tapeworm-syndrome word no member holds (an orphan) is cleared so it
+// cannot fire again.
 func (g *Gang) ECCTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKind) bool {
 	w := pa &^ 3
 	if g.m.Phys().Classify(w) != mem.SynTapeworm {
+		for i, tw := range g.members {
+			if g.live[i] && tw.cfg.Mode != ModeTLB {
+				tw.st.TrueErrors++
+			}
+		}
 		return false
 	}
 	handled := false
 	for j, held := range g.maskAt(uint32(w) / mem.WordBytes) {
-		for m := held & g.eccMask[j] & g.liveMask[j]; m != 0; m &= m - 1 {
+		for m := held; m != 0; m &= m - 1 {
 			g.members[j<<6+bits.TrailingZeros64(m)].deliverTrap(t, va, w, kind)
 			handled = true
 		}
@@ -559,24 +545,24 @@ func (g *Gang) ECCTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKin
 	return true
 }
 
-// BreakpointTrap demultiplexes an instruction breakpoint to every live
-// breakpoint member holding the word.
+// BreakpointTrap demultiplexes an instruction breakpoint to every member
+// holding the word.
 func (g *Gang) BreakpointTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr) {
 	for j, held := range g.maskAt(uint32(pa&^3) / mem.WordBytes) {
-		for m := held & g.bpMask[j] & g.liveMask[j]; m != 0; m &= m - 1 {
+		for m := held; m != 0; m &= m - 1 {
 			g.members[j<<6+bits.TrailingZeros64(m)].BreakpointTrap(t, va, pa)
 		}
 	}
 }
 
-// InvalidPageTrap demultiplexes a page-valid-bit trap to every live TLB
-// member that itself holds the page invalid. Members that left the page
-// valid never see the event — their solo runs would not have trapped.
+// InvalidPageTrap demultiplexes a page-valid-bit trap to every TLB member
+// that itself holds the page invalid. Members that left the page valid
+// never see the event — their solo runs would not have trapped.
 func (g *Gang) InvalidPageTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKind) bool {
 	key := vkey{t, uint32(va) >> g.pageBits}
 	handled := false
 	for j, inv := range g.invalidMask {
-		for m := inv[key] & g.liveMask[j]; m != 0; m &= m - 1 {
+		for m := inv[key]; m != 0; m &= m - 1 {
 			if g.members[j<<6+bits.TrailingZeros64(m)].InvalidPageTrap(t, va, pa, kind) {
 				handled = true
 			}

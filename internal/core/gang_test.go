@@ -1,11 +1,13 @@
 package core
 
 import (
-	"math/bits"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tapeworm/internal/cache"
+	"tapeworm/internal/kernel"
+	"tapeworm/internal/mach"
 	"tapeworm/internal/mem"
 )
 
@@ -36,12 +38,17 @@ type memberResult struct {
 	ledger uint64
 }
 
-// runGangOf boots a fresh machine with the given seeds, attaches cfgs as
-// one gang, runs the workload to completion, and returns per-member
-// results plus the machine's final cycle count.
+// runGangOf boots a fresh DECstation, attaches cfgs as one gang, runs the
+// workload to completion, and returns per-member results plus the
+// machine's final cycle count.
 func runGangOf(t *testing.T, cfgs []Config, wl string, seed uint64) ([]memberResult, uint64) {
 	t.Helper()
-	k := bootDEC(t, 11, 13)
+	return runGangOn(t, bootDEC(t, 11, 13), cfgs, wl, seed)
+}
+
+// runGangOn is runGangOf on the freshly booted kernel k.
+func runGangOn(t *testing.T, k *kernel.Kernel, cfgs []Config, wl string, seed uint64) ([]memberResult, uint64) {
+	t.Helper()
 	g := MustAttachGang(k, cfgs)
 	spawnWorkload(t, k, wl, seed, true)
 	if err := k.Run(0); err != nil {
@@ -77,6 +84,69 @@ func TestGangByteIdentity(t *testing.T) {
 		if ganged[i].stats.Misses == 0 {
 			t.Errorf("member %d counted no misses", i)
 		}
+	}
+}
+
+// TestGangBreakpointByteIdentity runs the invariant on the Gateway 486,
+// whose members arm instruction breakpoints: each member of a gang of four
+// matches its gang-of-1 run over the same shared stream.
+func TestGangBreakpointByteIdentity(t *testing.T) {
+	// gangConfigs' caches at a quarter of their size, so that espresso
+	// keeps displacing lines, and members keep re-arming them, all run.
+	cfgs := gangConfigs()
+	for i := range cfgs {
+		cfgs[i].Cache.Size /= 4
+	}
+	for _, wl := range []string{"espresso", "sdet"} {
+		t.Run(wl, func(t *testing.T) {
+			k := boot486(t, 11, 13)
+			ganged, gangCycles := runGangOn(t, k, cfgs, wl, 42)
+			t.Logf("%d breakpoint arms", k.Machine().Counters().BreakpointArms)
+			for i, cfg := range cfgs {
+				solo, soloCycles := runGangOn(t, boot486(t, 11, 13), []Config{cfg}, wl, 42)
+				if !reflect.DeepEqual(solo[0], ganged[i]) {
+					t.Errorf("member %d diverged from solo run:\nsolo:   %+v\nganged: %+v",
+						i, solo[0], ganged[i])
+				}
+				if soloCycles != gangCycles {
+					t.Errorf("member %d: shared stream dilated: solo %d cycles, ganged %d",
+						i, soloCycles, gangCycles)
+				}
+				if ganged[i].stats.Misses == 0 {
+					t.Errorf("member %d counted no misses", i)
+				}
+			}
+		})
+	}
+}
+
+// TestAttachGangAllocation attaches a 96-point I-cache grid (sizes 1–32
+// KB, associativities 1–8, lines 16–128 B) to an 8192-frame DECstation:
+// it must allocate less than 8 MiB, since the gang's member masks are
+// allocated a page at a time as members first hold words. Not parallel:
+// TotalAlloc counts every goroutine's allocations.
+func TestAttachGangAllocation(t *testing.T) {
+	var cfgs []Config
+	for _, size := range []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10} {
+		for _, assoc := range []int{1, 2, 4, 8} {
+			for _, line := range []int{16, 32, 64, 128} {
+				cfgs = append(cfgs, Config{Mode: ModeICache,
+					Cache:    cache.Config{Size: size, LineSize: line, Assoc: assoc, Indexing: cache.PhysIndexed},
+					Sampling: FullSampling()})
+			}
+		}
+	}
+	cfg := kernel.DefaultConfig(mach.DECstation5000_200(8192), 3)
+	cfg.PageSeed = 3
+	k := kernel.MustBoot(cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MustAttachGang(k, cfgs)
+	runtime.ReadMemStats(&after)
+	if mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mib >= 8 {
+		t.Errorf("attaching %d members allocated %.1f MiB, want less than 8", len(cfgs), mib)
+	} else {
+		t.Logf("attaching %d members allocated %.1f MiB", len(cfgs), mib)
 	}
 }
 
@@ -133,7 +203,7 @@ func TestGangMixedModes(t *testing.T) {
 // TestGangDetachMidRun detaches one member partway through a run: the
 // survivor must finish with statistics identical to its gang-of-1 run, the
 // detached member's statistics must freeze, and the union trap set must
-// shrink to exactly the survivor's intent.
+// shrink to exactly the words the survivor holds.
 func TestGangDetachMidRun(t *testing.T) {
 	cfgs := gangConfigs()[:2]
 	k := bootDEC(t, 11, 13)
@@ -165,14 +235,10 @@ func TestGangDetachMidRun(t *testing.T) {
 	}
 
 	// Workload exit removed the survivor's pages; whatever traps remain
-	// must be exactly the survivor's intent — the detached member's share
-	// of the union is gone.
-	want := 0
-	for _, w := range survivor.intent {
-		want += bits.OnesCount64(w)
-	}
-	if got := k.Machine().Phys().TrapCount(); got != want {
-		t.Errorf("union trap count %d != survivor intent %d after detach", got, want)
+	// must be exactly the words the survivor holds — the detached member's
+	// share of the union is gone.
+	if got, want := k.Machine().Phys().TrapCount(), heldWords(g, 0); got != want {
+		t.Errorf("union trap count %d != %d words the survivor holds after detach", got, want)
 	}
 }
 
@@ -194,7 +260,7 @@ func TestGangSharedWordRefcounts(t *testing.T) {
 	ma.SetTrap(pa, 16)
 	setA, _ := phys.Stats()
 	mb.SetTrap(pa, 16) // overlapping arm: two holders, one physical set
-	if got := eccHolders(g, pa); got != 2 {
+	if got := holders(g, pa); got != 2 {
 		t.Fatalf("%d holders after two arms, want 2", got)
 	}
 	set0, cleared0 := phys.Stats()
@@ -213,12 +279,12 @@ func TestGangSharedWordRefcounts(t *testing.T) {
 		t.Fatal("member B lost its trap to member A's clear")
 	}
 	ma.ClearTrap(pa, 16) // double clear: must not release B's hold
-	if got := eccHolders(g, pa); got != 1 {
+	if got := holders(g, pa); got != 1 {
 		t.Fatalf("%d holders after A's redundant clear, want 1", got)
 	}
 
 	mb.ClearTrap(pa, 16) // last holder releases: physical trap goes
-	if phys.Trapped(pa, 16) || eccHolders(g, pa) != 0 {
+	if phys.Trapped(pa, 16) || holders(g, pa) != 0 {
 		t.Fatal("trap survived the last holder's release")
 	}
 	set1, cleared1 := phys.Stats()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"testing"
 
 	"tapeworm/internal/cache"
@@ -11,12 +10,25 @@ import (
 	"tapeworm/internal/rng"
 )
 
-// eccHolders counts the ECC members holding the word containing pa: the
-// gang-side equivalent of a per-word trap reference count.
-func eccHolders(g *Gang, pa mem.PAddr) int {
+// holders counts the members holding the word containing pa.
+func holders(g *Gang, pa mem.PAddr) int {
 	n := 0
-	for j, held := range g.maskAt(uint32(pa) / mem.WordBytes) {
-		n += bits.OnesCount64(held & g.eccMask[j])
+	for _, held := range g.maskAt(uint32(pa) / mem.WordBytes) {
+		n += bits.OnesCount64(held)
+	}
+	return n
+}
+
+// heldWords counts the words member idx holds.
+func heldWords(g *Gang, idx int) int {
+	j, b := memberBit(idx)
+	n := 0
+	for _, pg := range g.maskPages {
+		for off := j; off < len(pg); off += g.maskWords {
+			if pg[off]&b != 0 {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -26,50 +38,35 @@ func eccHolders(g *Gang, pa mem.PAddr) int {
 func checkGangUnion(g *Gang) error { return checkGangUnionPages(g, 0, len(g.maskPages)) }
 
 // checkGangUnionPages verifies the union trap state over mask pages
-// [lo, hi): every word's member mask is exactly the OR of the members'
-// intents, every word an ECC member holds carries the Tapeworm check bit,
-// every word a breakpoint member holds is armed once per holder, and the
+// [lo, hi): no mask names a detached member; on an ECC machine every word
+// some member holds carries the Tapeworm check bit; on a breakpoint
+// machine a word's breakpoint is armed iff its mask is nonzero; and the
 // invalid-page masks hold no zero entries and no detached member.
 func checkGangUnionPages(g *Gang, lo, hi int) error {
 	phys := g.m.Phys()
 	mw := g.maskWords
-	const pageChunks = maskPageWords / 64
-	for pi := lo; pi < hi; pi++ {
-		pg := g.maskPages[pi]
-		want := make([]uint64, maskPageWords*mw)
-		for i, tw := range g.members {
-			if tw.intent == nil {
-				continue
-			}
+	detached := make([]uint64, mw)
+	for i, live := range g.live {
+		if !live {
 			j, b := memberBit(i)
-			for c, w := range tw.intent[pi*pageChunks : (pi+1)*pageChunks] {
-				for ; w != 0; w &= w - 1 {
-					want[(c<<6+bits.TrailingZeros64(w))*mw+j] |= b
-				}
+			detached[j] |= b
+		}
+	}
+	for wi := uint32(lo * maskPageWords); wi < uint32(hi*maskPageWords); wi++ {
+		pa := mem.PAddr(wi) * mem.WordBytes
+		e := g.maskAt(wi)
+		for j, w := range e {
+			if w&detached[j] != 0 {
+				return fmt.Errorf("word %#x: mask %x names detached members", pa, e)
 			}
 		}
-		if pg == nil {
-			if slices.ContainsFunc(want, func(w uint64) bool { return w != 0 }) {
-				return fmt.Errorf("mask page %d was never allocated, but members hold words in it", pi)
+		held := anyHolder(e)
+		if g.ecc {
+			if held && phys.ECCState(pa)&1 == 0 {
+				return fmt.Errorf("word %#x: mask %x but its Tapeworm bit is clear", pa, e)
 			}
-			continue
-		}
-		for off := 0; off < maskPageWords; off++ {
-			got, exp := pg[off*mw:off*mw+mw], want[off*mw:off*mw+mw]
-			pa := mem.PAddr(pi<<maskPageShift+off) * mem.WordBytes
-			if !slices.Equal(got, exp) {
-				return fmt.Errorf("word %#x: mask %x, members' intents %x", pa, got, exp)
-			}
-			if anyIn(got, g.eccMask) && phys.ECCState(pa)&1 == 0 {
-				return fmt.Errorf("word %#x: held by an ECC member but its Tapeworm bit is clear", pa)
-			}
-			bp := 0
-			for j := range got {
-				bp += bits.OnesCount64(got[j] & g.bpMask[j])
-			}
-			if refs := g.m.BreakpointRefs(pa); refs != bp {
-				return fmt.Errorf("word %#x: %d breakpoint arm references, %d breakpoint holders", pa, refs, bp)
-			}
+		} else if armed := g.m.BreakpointArmed(pa); armed != held {
+			return fmt.Errorf("word %#x: breakpoint armed %v, mask %x", pa, armed, e)
 		}
 	}
 	for j, inv := range g.invalidMask {
@@ -77,8 +74,8 @@ func checkGangUnionPages(g *Gang, lo, hi int) error {
 			if m == 0 {
 				return fmt.Errorf("invalid-page mask word %d keeps a zero entry for %+v", j, key)
 			}
-			if m&^g.liveMask[j] != 0 {
-				return fmt.Errorf("invalid-page mask word %d for %+v holds detached members %#x", j, key, m&^g.liveMask[j])
+			if m&detached[j] != 0 {
+				return fmt.Errorf("invalid-page mask word %d for %+v holds detached members %#x", j, key, m&detached[j])
 			}
 		}
 	}
@@ -87,8 +84,9 @@ func checkGangUnionPages(g *Gang, lo, hi int) error {
 
 // TestGangUnionProperty drives a 70-member gang (two mask words) with
 // random arms, clears, detaches, DMA writes, true-error injections and
-// scrubs over a few pages, checking the union invariants after every
-// operation.
+// scrubs over a few pages, checking the union invariants and each
+// operation's effect on the masks after every operation. It runs on the
+// DECstation (ECC check bits) and on the Gateway 486 (breakpoints).
 func TestGangUnionProperty(t *testing.T) {
 	cfgs := make([]Config, 70)
 	for i := range cfgs {
@@ -96,57 +94,103 @@ func TestGangUnionProperty(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			k := bootDEC(t, 3, 3)
-			g := MustAttachGang(k, cfgs)
-			phys := k.Machine().Phys()
-			r := rng.New(seed)
-			base := mem.PAddr(phys.Bytes() - 4*4096) // four never-registered pages
-			addr := func() (mem.PAddr, int) {
-				return base + mem.PAddr(r.Intn(4*4096/4)*4), 1 + r.Intn(300)
-			}
-			liveMember := func() *Tapeworm {
-				for {
-					if i := r.Intn(len(cfgs)); g.live[i] {
-						return g.members[i]
-					}
-				}
-			}
-			for step := 0; step < 400; step++ {
-				pa, size := addr()
-				if size > phys.Bytes()-int(pa) {
-					size = phys.Bytes() - int(pa)
-				}
-				var op string
-				switch n := r.Intn(100); {
-				case n < 45:
-					op = "arm"
-					liveMember().mech.SetTrap(pa, size)
-				case n < 80:
-					op = "clear"
-					liveMember().mech.ClearTrap(pa, size)
-				case n < 88:
-					op = "dma"
-					k.Machine().DMAWrite(pa, size)
-				case n < 93:
-					op = "inject"
-					phys.InjectError(pa, uint(r.Intn(39)))
-				case n < 97:
-					op = "scrub"
-					phys.CorrectWord(pa)
-				default:
-					op = "detach"
-					if err := g.Detach(liveMember()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := checkGangUnionPages(g, len(g.maskPages)-4, len(g.maskPages)); err != nil {
-					t.Fatalf("step %d (%s %#x+%d): %v", step, op, pa, size, err)
-				}
-			}
-			if err := checkGangUnion(g); err != nil {
-				t.Fatal(err)
-			}
+			gangUnionProperty(t, MustAttachGang(bootDEC(t, 3, 3), cfgs), seed)
 		})
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		t.Run(fmt.Sprintf("gateway486/seed=%d", seed), func(t *testing.T) {
+			gangUnionProperty(t, MustAttachGang(boot486(t, 3, 3), cfgs), seed)
+		})
+	}
+}
+
+func gangUnionProperty(t *testing.T, g *Gang, seed uint64) {
+	m := g.m
+	phys := m.Phys()
+	r := rng.New(seed)
+	base := mem.PAddr(phys.Bytes() - 4*4096) // four never-registered pages
+	addr := func() (mem.PAddr, int) {
+		return base + mem.PAddr(r.Intn(4*4096/4)*4), 1 + r.Intn(300)
+	}
+	liveMember := func() int {
+		for {
+			if i := r.Intn(len(g.members)); g.live[i] {
+				return i
+			}
+		}
+	}
+	// span checks want(word address, word mask) on every word of
+	// [pa, pa+size).
+	span := func(pa mem.PAddr, size int, want func(w mem.PAddr, e []uint64) bool) error {
+		first, last := trapSpan(pa, size)
+		for wi := first; wi <= last; wi++ {
+			w := mem.PAddr(wi) * mem.WordBytes
+			if e := g.maskAt(wi); !want(w, e) {
+				return fmt.Errorf("word %#x: mask %x", w, e)
+			}
+		}
+		return nil
+	}
+	for step := 0; step < 400; step++ {
+		pa, size := addr()
+		if size > phys.Bytes()-int(pa) {
+			size = phys.Bytes() - int(pa)
+		}
+		var (
+			op  string
+			err error
+		)
+		switch n := r.Intn(100); {
+		case n < 45:
+			op = "arm"
+			i := liveMember()
+			j, b := memberBit(i)
+			g.members[i].mech.SetTrap(pa, size)
+			// The member holds every word but, on an ECC machine, those
+			// refused for a true error.
+			err = span(pa, size, func(w mem.PAddr, e []uint64) bool {
+				return e != nil && e[j]&b != 0 || g.ecc && phys.ECCState(w)&^1 != 0
+			})
+		case n < 80:
+			op = "clear"
+			i := liveMember()
+			j, b := memberBit(i)
+			g.members[i].mech.ClearTrap(pa, size)
+			err = span(pa, size, func(_ mem.PAddr, e []uint64) bool {
+				return e == nil || e[j]&b == 0
+			})
+		case n < 88:
+			op = "dma"
+			m.DMAWrite(pa, size)
+			if g.ecc {
+				// DMA destroys the ECC traps of words without a true error;
+				// breakpoints survive it.
+				err = span(pa, size, func(w mem.PAddr, e []uint64) bool {
+					return !anyHolder(e) || phys.ECCState(w)&^1 != 0
+				})
+			}
+		case n < 93:
+			op = "inject"
+			phys.InjectError(pa, uint(r.Intn(39)))
+		case n < 97:
+			op = "scrub"
+			phys.CorrectWord(pa)
+			if g.ecc {
+				err = span(pa, 1, func(_ mem.PAddr, e []uint64) bool { return !anyHolder(e) })
+			}
+		default:
+			op = "detach"
+			err = g.Detach(g.members[liveMember()])
+		}
+		if err == nil {
+			err = checkGangUnionPages(g, len(g.maskPages)-4, len(g.maskPages))
+		}
+		if err != nil {
+			t.Fatalf("step %d (%s %#x+%d): %v", step, op, pa, size, err)
+		}
+	}
+	if err := checkGangUnion(g); err != nil {
+		t.Fatal(err)
 	}
 }
 

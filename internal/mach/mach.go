@@ -294,11 +294,12 @@ type Machine struct {
 	// observe byte-identical streams regardless of the union trap set.
 	ledgered bool
 
-	// breakpoints maps word address -> arm count. Counts (rather than a
-	// set) let several ganged simulators arm the same word: the word traps
-	// while any simulator holds it, and one simulator's clear never
-	// disarms another's breakpoint.
-	breakpoints map[mem.PAddr]uint32
+	// breakpoints is the set of armed instruction-breakpoint words. As
+	// with the ECC Tapeworm bit, a word is armed or not: arming an armed
+	// word is a no-op and one clear disarms it. Which simulators hold a
+	// word is a gang's record (core.Gang's member masks), not the
+	// machine's.
+	breakpoints map[mem.PAddr]bool
 	// bpPages counts armed breakpoints per physical page frame. Together
 	// with the empty-map guard it keeps the per-instruction breakpoint
 	// check off the map on the hot path: a run with no breakpoints pays
@@ -420,7 +421,7 @@ func build(cfg Config, os OS, phys *mem.Phys) *Machine {
 		hostD:       cache.MustNew(cfg.HostDCache, nil),
 		hostTLB:     cache.MustNewTLB(cfg.HostTLB, rng.New(0x7457)),
 		nextTick:    cfg.ClockTickCycles,
-		breakpoints: make(map[mem.PAddr]uint32),
+		breakpoints: make(map[mem.PAddr]bool),
 		bpPages:     make([]uint32, cfg.Frames),
 		pageShift:   uint(bits.TrailingZeros(uint(cfg.PageSize))),
 		pageMask:    uint32(cfg.PageSize - 1),
@@ -684,32 +685,26 @@ func (m *Machine) DMARead(pa mem.PAddr, size int) {
 	m.cycles += uint64(size / mem.WordBytes)
 }
 
-// SetBreakpoint takes one arm reference on the instruction breakpoint at
-// physical address pa. The breakpoint fires while any reference is held;
-// the first reference is the physical arm.
+// SetBreakpoint arms the instruction breakpoint on the word containing
+// physical address pa. Arming an armed word is a no-op.
 func (m *Machine) SetBreakpoint(pa mem.PAddr) {
 	w := pa &^ 3
-	if m.breakpoints[w] == 0 {
-		m.bpArms++
-		m.gen++
-		if f := int(w >> m.pageShift); f < len(m.bpPages) {
-			m.bpPages[f]++
-		}
-	}
-	m.breakpoints[w]++
-}
-
-// ClearBreakpoint drops one arm reference on the breakpoint at pa,
-// physically disarming it when the last reference goes away. Clearing an
-// unarmed word is a no-op.
-func (m *Machine) ClearBreakpoint(pa mem.PAddr) {
-	w := pa &^ 3
-	n := m.breakpoints[w]
-	if n == 0 {
+	if m.breakpoints[w] {
 		return
 	}
-	if n > 1 {
-		m.breakpoints[w] = n - 1
+	m.breakpoints[w] = true
+	m.bpArms++
+	m.gen++
+	if f := int(w >> m.pageShift); f < len(m.bpPages) {
+		m.bpPages[f]++
+	}
+}
+
+// ClearBreakpoint disarms the breakpoint on the word containing pa.
+// Clearing an unarmed word is a no-op.
+func (m *Machine) ClearBreakpoint(pa mem.PAddr) {
+	w := pa &^ 3
+	if !m.breakpoints[w] {
 		return
 	}
 	m.gen++
@@ -719,9 +714,9 @@ func (m *Machine) ClearBreakpoint(pa mem.PAddr) {
 	}
 }
 
-// BreakpointRefs reports the arm count of the word containing pa. For
-// tests and assertions.
-func (m *Machine) BreakpointRefs(pa mem.PAddr) int { return int(m.breakpoints[pa&^3]) }
+// BreakpointArmed reports whether the word containing pa carries an armed
+// breakpoint. For tests and assertions.
+func (m *Machine) BreakpointArmed(pa mem.PAddr) bool { return m.breakpoints[pa&^3] }
 
 // Counters reports machine event totals.
 type Counters struct {
@@ -849,7 +844,7 @@ func (m *Machine) Execute(t mem.TaskID, r mem.Ref) {
 	// uninstrumented runs never touch the map, and breakpoint-mechanism
 	// runs touch it only for fetches into pages carrying a breakpoint.
 	if r.Kind == mem.IFetch && len(m.breakpoints) != 0 &&
-		m.bpPages[pa>>m.pageShift] != 0 && m.breakpoints[pa&^3] != 0 {
+		m.bpPages[pa>>m.pageShift] != 0 && m.breakpoints[pa&^3] {
 		m.bpTraps++
 		if m.tel != nil {
 			m.tel.Event(telemetry.EvBreakpoint, int32(t), uint32(r.VA), uint32(pa), m.cycles)

@@ -266,6 +266,23 @@ func TestBreakpoints(t *testing.T) {
 	if len(os.bpTraps) != 1 {
 		t.Fatal("cleared breakpoint still fired")
 	}
+
+	// A breakpoint is armed or not, like the ECC Tapeworm bit: a second
+	// arm is a no-op and one clear disarms the word.
+	m.SetBreakpoint(0xb004)
+	m.SetBreakpoint(0xb006) // same word
+	if !m.BreakpointArmed(0xb004) || m.Counters().BreakpointArms != 2 {
+		t.Fatalf("re-arm: armed %v, %d arms; want armed, 2 arms",
+			m.BreakpointArmed(0xb004), m.Counters().BreakpointArms)
+	}
+	m.ClearBreakpoint(0xb004)
+	if m.BreakpointArmed(0xb004) {
+		t.Fatal("one clear left a twice-armed word armed")
+	}
+	m.Execute(1, mem.Ref{VA: 0xb004, Kind: mem.IFetch})
+	if len(os.bpTraps) != 1 {
+		t.Fatal("disarmed breakpoint still fired")
+	}
 }
 
 func TestClockInterrupts(t *testing.T) {

@@ -118,8 +118,9 @@ type Phys struct {
 
 	// destroyed, if set, is called with the word-aligned address of every
 	// Tapeworm trap that something other than DisarmWords removes (DMA
-	// writes, silent write-around clears, true-error correction). The gang
-	// layer uses it to drop every member's intent for the word.
+	// writes, silent write-around clears, true-error correction). An ECC
+	// gang uses it to empty the word's member mask: no member holds a trap
+	// the hardware destroyed.
 	destroyed func(pa PAddr)
 
 	// img, when non-nil, is the immutable checkpoint image whose arrays
