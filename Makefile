@@ -1,5 +1,4 @@
 GO ?= go
-TWVET = /tmp/twvet-bin
 
 .PHONY: build test twvet vet verify verify-race bench clean
 
@@ -10,22 +9,12 @@ test:
 	$(GO) test ./...
 
 ## twvet: run the repo's custom analyzers (internal/analysis, cmd/twvet)
-## over every package through the real `go vet -vettool` protocol. The
-## passes mechanize the simulation invariants: deterministic iteration in
-## result packages, nil-guarded telemetry on hot paths, balanced
-## trap/breakpoint/claim pairing, digest completeness, lock discipline,
-## and Options.Validate at experiment boundaries. See DESIGN.md §9 and
-## §14 for the invariant catalog and the modular-facts model.
-##
-## Two invocations on purpose — the cached-vetx smoke: the first run
-## computes and caches a .vetx fact file per internal package; the
-## second analyzes the remaining roots (the facade, cmd/, examples/)
-## against those cached fact files, so a vetx encode/decode regression
-## fails on a warm cache too, not just a cold one.
+## over every package. The passes mechanize the simulation invariants:
+## deterministic iteration in result packages, nil-guarded telemetry on
+## hot paths, digest completeness, lock discipline, and Options.Validate
+## at experiment boundaries. See DESIGN.md §9 for the invariant catalog.
 twvet:
-	$(GO) build -o $(TWVET) ./cmd/twvet
-	$(GO) vet -vettool=$(TWVET) ./internal/...
-	$(GO) vet -vettool=$(TWVET) ./...
+	$(GO) run ./cmd/twvet ./...
 
 ## vet: stock go vet plus the twvet suite.
 vet: twvet

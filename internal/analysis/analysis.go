@@ -1,46 +1,42 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis core, sized for this repository's needs:
-// it defines the Analyzer/Pass/Diagnostic vocabulary, speaks the
-// `go vet -vettool` unit-checker protocol, and carries a standalone
-// package loader built on `go list -export` so the same analyzers run
-// directly (`twvet ./...`) and under `go test` golden tests without any
-// module downloads.
+// it defines the Analyzer/Pass/Diagnostic vocabulary and carries a package
+// loader built on `go list -export`, so the same analyzers run over the
+// tree (`twvet ./...`, TestTreeClean) and under `go test` golden tests
+// without any module downloads. Each package is analyzed on its own: no
+// analyzer carries information across package boundaries.
 //
 // The analyzers themselves live under passes/ and mechanize the
 // simulator's hand-enforced invariants: deterministic iteration in
 // result-producing packages, zero-overhead-when-disabled telemetry,
-// balanced set/clear trap pairing (the Table 1 primitive discipline), and
-// options validation in experiment drivers. See DESIGN.md §9 for the
-// invariant catalog.
+// digest completeness, lock discipline, and options validation in
+// experiment drivers. See DESIGN.md §9 for the invariant catalog.
 //
 // Analyzers honor `//twvet:` directives in source comments:
 //
 //	//twvet:allow <check>   — suppress <check> on this line or the next
 //	                          (or the whole function, in a func doc)
-//	//twvet:transfer        — this function intentionally transfers trap
-//	                          or buffer ownership; pairing is not local
 //	//twvet:scope <check>   — opt this file into a path-scoped check
 //	                          (used by analyzer testdata)
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // Analyzer describes one static-analysis pass: a name used in diagnostics
-// and directive matching, one line of documentation, the fact types it
-// serializes across package boundaries, and the function applied to each
-// package.
+// and directive matching, one line of documentation, and the function
+// applied to each package.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	FactTypes []Fact
-	Run       func(*Pass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // Pass is the interface between one analyzer and one type-checked
@@ -51,39 +47,24 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// PkgPath is the package's import path as the build system named it.
-	// For test variants this can carry a " [pkg.test]" suffix; use
-	// CanonicalPath for scope matching.
-	PkgPath string
+	PkgPath   string // the package's import path
 
 	report func(Diagnostic)
-	shared *passShared
-}
-
-// passShared is the per-package state every analyzer copy of a Pass sees:
-// the directive index (shared so stale-directive detection observes every
-// pass's suppressions), the facts exported so far, and the dependency
-// fact store.
-type passShared struct {
-	dirs     map[*ast.File]*Directives
-	exported factSet
-	store    *FactStore
-}
-
-func newPassShared(store *FactStore) *passShared {
-	return &passShared{dirs: map[*ast.File]*Directives{}, exported: factSet{}, store: store}
+	// dirs is the package's directive index. Every analyzer's copy of the
+	// Pass shares it, so stale-directive detection observes every pass's
+	// suppressions.
+	dirs map[*ast.File]*Directives
 }
 
 // FileDirectives returns the parsed //twvet: directives of f, cached per
 // package so every analyzer (and the stale-directive scan) shares one
 // index and its usage marks.
 func (p *Pass) FileDirectives(f *ast.File) *Directives {
-	if d, ok := p.shared.dirs[f]; ok {
+	if d, ok := p.dirs[f]; ok {
 		return d
 	}
 	d := NewDirectives(p, f)
-	p.shared.dirs[f] = d
+	p.dirs[f] = d
 	return d
 }
 
@@ -109,33 +90,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// CanonicalPath is PkgPath with any build-system test-variant decoration
-// (" [tapeworm/x.test]") stripped, for suffix-based scope matching.
-func (p *Pass) CanonicalPath() string {
-	if i := strings.IndexByte(p.PkgPath, ' '); i >= 0 {
-		return p.PkgPath[:i]
-	}
-	return p.PkgPath
-}
-
-// PathInScope reports whether the canonical package path matches one of
-// the given import-path suffixes ("internal/core" matches
-// "tapeworm/internal/core" but not "tapeworm/internal/core2000").
+// PathInScope reports whether the package path matches one of the given
+// import-path suffixes ("internal/core" matches "tapeworm/internal/core"
+// but not "tapeworm/internal/core2000").
 func (p *Pass) PathInScope(suffixes ...string) bool {
-	path := p.CanonicalPath()
 	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
+		if PathHasSuffix(p.PkgPath, s) {
 			return true
 		}
 	}
 	return false
-}
-
-// IsTestFile reports whether the file is a _test.go file. The repo's
-// invariants constrain simulator code, not test assertions; every pass
-// skips test files so tests may deliberately violate pairing and order.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
 // newTypesInfo allocates a types.Info with every map populated, so passes
@@ -152,64 +116,48 @@ func newTypesInfo() *types.Info {
 	}
 }
 
-// runOptions configures one runAnalyzers invocation.
-type runOptions struct {
-	store *FactStore // dependency facts in, this package's facts out
-	stale bool       // report //twvet: directives that suppressed nothing
-}
-
-// runAnalyzers applies each analyzer to one type-checked package and
-// returns the diagnostics sorted by position. When opts.stale is set
-// (full-suite runs only: a single-analyzer golden test cannot observe
-// other passes' suppressions), every allow/transfer/nohash directive that
-// suppressed no finding is itself reported. Exported facts are published
-// to opts.store under the package path.
-func runAnalyzers(pass Pass, analyzers []*Analyzer, opts runOptions) ([]Diagnostic, error) {
-	pass.shared = newPassShared(opts.store)
+// Analyze applies each analyzer to one loaded package and returns the
+// diagnostics sorted by position. When stale is set (full-suite runs
+// only: a single-analyzer golden test cannot observe other passes'
+// suppressions), every allow/nohash directive that suppressed no finding
+// is itself reported.
+func Analyze(lp *LoadedPackage, analyzers []*Analyzer, stale bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	pass := Pass{
+		Fset:      lp.Fset,
+		Files:     lp.Files,
+		Pkg:       lp.Pkg,
+		TypesInfo: lp.TypesInfo,
+		PkgPath:   lp.PkgPath,
+		report:    func(d Diagnostic) { diags = append(diags, d) },
+		dirs:      map[*ast.File]*Directives{},
+	}
 	for _, a := range analyzers {
-		p := pass // copy; each analyzer gets its own Analyzer/report binding
+		p := pass // copy; each analyzer gets its own Analyzer binding
 		p.Analyzer = a
-		p.report = func(d Diagnostic) { diags = append(diags, d) }
 		if err := a.Run(&p); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pass.PkgPath, a.Name, err)
+			return nil, fmt.Errorf("%s: %s: %w", lp.PkgPath, a.Name, err)
 		}
 	}
-	if opts.stale {
+	if stale {
 		diags = append(diags, staleDirectives(&pass)...)
 	}
-	if opts.store != nil {
-		opts.store.set(pass.CanonicalPath(), pass.shared.exported)
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		if diags[i].Analyzer != diags[j].Analyzer {
-			return diags[i].Analyzer < diags[j].Analyzer
-		}
-		return diags[i].Message < diags[j].Message
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message))
 	})
 	return diags, nil
 }
 
 // staleDirectives reports every suppression directive no pass consulted at
 // a would-be finding this run, so dead annotations cannot accumulate.
-// Only non-test files are scanned: passes skip test files, so their
-// directives are never queried.
 func staleDirectives(pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		for _, dir := range pass.FileDirectives(f).stale() {
 			d := Diagnostic{
 				Analyzer: "staledirective",

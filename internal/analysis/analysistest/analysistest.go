@@ -39,54 +39,37 @@ type want struct {
 // wantRE extracts the quoted expectation strings of a // want comment.
 var wantRE = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 
-// Run applies the analyzer to each testdata/src/<pkg> in order and diffs
-// diagnostics against the // want annotations. Packages are analyzed
-// against one shared fact store, dependencies first: a later package may
-// import an earlier one by its testdata path (e.g. "factdep/b" importing
-// "factdep/a"), exercising cross-package fact flow the way a real
-// dependency-ordered run does.
-func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
+// Run applies the analyzer to testdata/src/<pkg> and diffs its
+// diagnostics against the // want annotations.
+func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	run(t, []*analysis.Analyzer{a}, false, pkgs)
+	run(t, []*analysis.Analyzer{a}, false, pkg)
 }
 
 // RunSuite applies a complete analyzer suite with stale-directive
-// detection enabled, matching what `twvet` reports for a root package.
-func RunSuite(t *testing.T, analyzers []*analysis.Analyzer, pkgs ...string) {
+// detection enabled, matching what `twvet` reports for a package.
+func RunSuite(t *testing.T, analyzers []*analysis.Analyzer, pkg string) {
 	t.Helper()
-	run(t, analyzers, true, pkgs)
+	run(t, analyzers, true, pkg)
 }
 
-func run(t *testing.T, analyzers []*analysis.Analyzer, stale bool, pkgs []string) {
+func run(t *testing.T, analyzers []*analysis.Analyzer, stale bool, pkg string) {
 	t.Helper()
-	store := analysis.NewFactStore()
-	deps := map[string]*analysis.LoadedPackage{}
-	var diags []analysis.Diagnostic
-	var wants []*want
-	for _, pkg := range pkgs {
-		dir := filepath.Join("testdata", "src", pkg)
-		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil || len(names) == 0 {
-			t.Fatalf("no testdata in %s: %v", dir, err)
-		}
-		sort.Strings(names)
-		lp, err := analysis.LoadFiles(".", pkg, names, deps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deps[pkg] = lp
-		var ds []analysis.Diagnostic
-		if stale {
-			ds, err = analysis.AnalyzeSuite(lp, analyzers, store)
-		} else {
-			ds, err = analysis.AnalyzeWithStore(lp, analyzers, store)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags = append(diags, ds...)
-		wants = append(wants, collectWants(t, lp)...)
+	dir := filepath.Join("testdata", "src", pkg)
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no testdata in %s: %v", dir, err)
 	}
+	sort.Strings(names)
+	lp, err := analysis.LoadFiles(".", pkg, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := analysis.Analyze(lp, analyzers, stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := collectWants(t, lp)
 
 	for _, d := range diags {
 		if !match(wants, d) {

@@ -1,9 +1,7 @@
 package analysis_test
 
 import (
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,8 +9,8 @@ import (
 	"tapeworm/internal/analysis/passes/suite"
 )
 
-// moduleRoot locates the module directory so the smoke tests can run the
-// suite over the real tree.
+// moduleRoot locates the module directory so the test can run the suite
+// over the real tree.
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
@@ -22,11 +20,11 @@ func moduleRoot(t *testing.T) string {
 	return strings.TrimSpace(string(out))
 }
 
-// TestTreeClean runs the full analyzer suite over the repository in
-// standalone mode: the tree must carry no violations. This is the test
+// TestTreeClean runs the full analyzer suite over the repository, as
+// `twvet ./...` does: the tree must carry no violations. This is the test
 // that fails when someone reintroduces an unordered map walk, an
-// unguarded telemetry call, an unbalanced trap pair, or an unvalidated
-// options path.
+// unguarded telemetry call, an unhashed digest field, an unbalanced lock,
+// or an unvalidated options path.
 func TestTreeClean(t *testing.T) {
 	diags, err := analysis.Run(moduleRoot(t), []string{"./..."}, suite.All())
 	if err != nil {
@@ -34,27 +32,5 @@ func TestTreeClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestVettoolClean builds twvet and drives it through the real
-// `go vet -vettool` protocol over every package, covering the -V
-// handshake, the .cfg unit protocol, and facts-file plumbing.
-func TestVettoolClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("building and vetting the whole tree is not a -short test")
-	}
-	root := moduleRoot(t)
-	bin := filepath.Join(t.TempDir(), "twvet")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/twvet")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/twvet: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = root
-	vet.Env = os.Environ()
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
 	}
 }

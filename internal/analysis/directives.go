@@ -3,14 +3,16 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"maps"
+	"slices"
 	"strings"
 )
 
-// directive is one parsed //twvet: comment: a verb ("allow", "transfer",
-// "scope", "nohash", "digest") and its argument (the check name, the
-// digested type, or the first word of a nohash reason; empty for a bare
-// transfer). Suppression verbs track whether any pass consulted them at a
-// would-be finding, so stale annotations can be reported.
+// directive is one parsed //twvet: comment: a verb ("allow", "scope",
+// "nohash", "digest") and its argument (the check name, the digested
+// type, or the first word of a nohash reason). Suppression verbs track
+// whether any pass consulted them at a would-be finding, so stale
+// annotations can be reported.
 type directive struct {
 	verb string
 	arg  string
@@ -29,7 +31,7 @@ func (d *directive) verbArg() string {
 // staleVerbs are the suppression verbs subject to stale-directive
 // detection. scope (testdata opt-in) and digest (a hashcheck input, always
 // consumed when the pass runs) are declarations, not suppressions.
-var staleVerbs = map[string]bool{"allow": true, "transfer": true, "nohash": true}
+var staleVerbs = map[string]bool{"allow": true, "nohash": true}
 
 // Directives indexes the //twvet: comments of one file by line, plus the
 // file-level scope set. Build one per file with Pass.FileDirectives so
@@ -86,17 +88,15 @@ func (d *Directives) find(line int, verb, arg string) *directive {
 	return nil
 }
 
-// hasAt reports a directive with the given verb and arg on the exact
-// line; when mark is set a match is recorded as used. Passes must only
-// mark at a would-be finding, so stale detection stays accurate.
-func (d *Directives) hasAt(line int, verb, arg string, mark bool) bool {
-	dir := d.find(line, verb, arg)
+// allowAt reports an //twvet:allow directive for check on the exact line
+// and marks a match used. Passes must consult it only at a would-be
+// finding, so stale detection stays accurate.
+func (d *Directives) allowAt(line int, check string) bool {
+	dir := d.find(line, "allow", check)
 	if dir == nil {
 		return false
 	}
-	if mark {
-		dir.used = true
-	}
+	dir.used = true
 	return true
 }
 
@@ -106,7 +106,7 @@ func (d *Directives) hasAt(line int, verb, arg string, mark bool) bool {
 // would otherwise be reported; a match is marked used.
 func (d *Directives) AllowedAt(pos ast.Node, check string) bool {
 	line := d.pass.Fset.Position(pos.Pos()).Line
-	return d.hasAt(line, "allow", check, true) || d.hasAt(line-1, "allow", check, true)
+	return d.allowAt(line, check) || d.allowAt(line-1, check)
 }
 
 // funcLines returns the lines a function-level directive may occupy: the
@@ -133,19 +133,6 @@ func (d *Directives) funcLines(fn *ast.FuncDecl) []int {
 	return lines
 }
 
-// FuncDirective reports whether the function declaration carries the
-// given directive, either in its doc comment or on the line above the
-// declaration. A pure query: no usage mark (use MarkFunc at a would-be
-// finding).
-func (d *Directives) FuncDirective(fn *ast.FuncDecl, verb, arg string) bool {
-	for _, line := range d.funcLines(fn) {
-		if d.hasAt(line, verb, arg, false) {
-			return true
-		}
-	}
-	return false
-}
-
 // FuncDirectiveArgs returns the arguments of every directive with the
 // given verb on fn, marking each used (the caller is consuming them as
 // input, e.g. //twvet:digest type names).
@@ -162,16 +149,6 @@ func (d *Directives) FuncDirectiveArgs(fn *ast.FuncDecl, verb string) []string {
 	return args
 }
 
-// MarkFunc records the function's directive as having suppressed a
-// finding.
-func (d *Directives) MarkFunc(fn *ast.FuncDecl, verb, arg string) {
-	for _, line := range d.funcLines(fn) {
-		if d.hasAt(line, verb, arg, true) {
-			return
-		}
-	}
-}
-
 // FuncAllowed reports whether the enclosing function excuses the check
 // for its whole body; a match is marked used, so callers must consult it
 // only where a finding would otherwise be reported.
@@ -180,7 +157,7 @@ func (d *Directives) FuncAllowed(fn *ast.FuncDecl, check string) bool {
 		return false
 	}
 	for _, line := range d.funcLines(fn) {
-		if d.hasAt(line, "allow", check, true) {
+		if d.allowAt(line, check) {
 			return true
 		}
 	}
@@ -206,19 +183,8 @@ func (d *Directives) NohashAt(node ast.Node) (found, hasReason bool) {
 // stale returns every suppression directive never marked used this run.
 func (d *Directives) stale() []*directive {
 	var out []*directive
-	lines := make([]int, 0, len(d.byLine))
-	for line := range d.byLine {
-		lines = append(lines, line)
-	}
 	// byLine is a map; order the scan for deterministic output.
-	for i := 0; i < len(lines); i++ {
-		for j := i + 1; j < len(lines); j++ {
-			if lines[j] < lines[i] {
-				lines[i], lines[j] = lines[j], lines[i]
-			}
-		}
-	}
-	for _, line := range lines {
+	for _, line := range slices.Sorted(maps.Keys(d.byLine)) {
 		for _, dir := range d.byLine[line] {
 			if staleVerbs[dir.verb] && !dir.used {
 				out = append(out, dir)

@@ -14,7 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -23,19 +23,19 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	DepOnly    bool
 	Standard   bool
 }
 
 // listPackages shells out to `go list -export -deps -json` for the given
-// patterns, returning every package in the dependency closure with its
-// compiled export-data file. -export builds through the local build
-// cache, so this works without any network or pre-installed archives.
-func listPackages(dir string, patterns []string) (map[string]*listedPackage, []*listedPackage, error) {
+// patterns, returning every package in the dependency closure, by import
+// path, with its compiled export-data file. -export builds through the
+// local build cache, so this works without any network or pre-installed
+// archives.
+func listPackages(dir string, patterns []string) (map[string]*listedPackage, error) {
 	args := []string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Imports,Export,DepOnly,Standard", "--"}
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard", "--"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -43,38 +43,20 @@ func listPackages(dir string, patterns []string) (map[string]*listedPackage, []*
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, nil, fmt.Errorf("go list -export: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("go list -export: %v\n%s", err, stderr.String())
 	}
 	byPath := map[string]*listedPackage{}
-	var roots []*listedPackage
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, fmt.Errorf("go list -export: decoding: %v", err)
+			return nil, fmt.Errorf("go list -export: decoding: %v", err)
 		}
-		lp := p
-		byPath[lp.ImportPath] = &lp
-		if !lp.DepOnly {
-			roots = append(roots, &lp)
-		}
+		byPath[p.ImportPath] = &p
 	}
-	return byPath, roots, nil
-}
-
-// exportImporter resolves imports through compiled export data located by
-// the lookup map (import path -> export file). The gc importer handles
-// "unsafe" itself.
-func exportImporter(fset *token.FileSet, exports func(path string) string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file := exports(path)
-		if file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
+	return byPath, nil
 }
 
 // LoadedPackage is one source-type-checked package ready for analysis.
@@ -84,153 +66,104 @@ type LoadedPackage struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Root marks packages named by the load patterns; the rest of the
-	// returned slice is module-local dependencies loaded so analyzers can
-	// compute their facts (diagnostics are reported for roots only).
-	Root bool
 }
 
 // Load type-checks the packages matched by patterns (e.g. "./...") from
-// source, resolving their imports through export data produced by
-// `go list -export`. The result includes every non-standard-library
-// dependency in the closure, in import topological order (dependencies
-// before dependents) so analyzer facts are available when importers are
-// analyzed. Test files are not loaded; under `go vet -vettool` the build
-// system hands the analyzers test-augmented packages itself.
+// source, in import-path order, resolving their imports through export
+// data produced by `go list -export`. Only the matched packages are
+// loaded, and only their non-test files: the invariants constrain
+// simulator code, not test assertions.
 func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
-	byPath, _, err := listPackages(dir, patterns)
+	listed, err := listPackages(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	ordered := topoOrder(byPath)
+	var roots []*listedPackage
+	for _, p := range listed {
+		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
+			roots = append(roots, p)
+		}
+	}
+	slices.SortFunc(roots, func(a, b *listedPackage) int { return strings.Compare(a.ImportPath, b.ImportPath) })
 	var out []*LoadedPackage
-	for _, p := range ordered {
-		if p.Standard || len(p.GoFiles) == 0 {
-			continue
+	for _, p := range roots {
+		paths := make([]string, len(p.GoFiles))
+		for i, name := range p.GoFiles {
+			paths[i] = filepath.Join(p.Dir, name)
 		}
 		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			path := name
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(p.Dir, name)
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		info := newTypesInfo()
-		conf := types.Config{
-			Importer: exportImporter(fset, func(path string) string {
-				if p := byPath[path]; p != nil {
-					return p.Export
-				}
-				return ""
-			}),
-			Sizes: types.SizesFor("gc", build.Default.GOARCH),
-		}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		files, err := parseFiles(fset, paths)
 		if err != nil {
-			return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
+			return nil, err
 		}
-		out = append(out, &LoadedPackage{
-			PkgPath:   p.ImportPath,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Root:      !p.DepOnly,
-		})
+		lp, err := typeCheck(p.ImportPath, fset, files, listed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, lp)
 	}
 	return out, nil
-}
-
-// topoOrder sorts the listed packages dependencies-first, breaking ties by
-// import path so the order (and therefore diagnostic output) is
-// deterministic. Standard-library deps are kept in the order (they are
-// skipped by the caller) but never recursed into.
-func topoOrder(byPath map[string]*listedPackage) []*listedPackage {
-	paths := make([]string, 0, len(byPath))
-	for p := range byPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	seen := map[string]bool{}
-	var out []*listedPackage
-	var visit func(path string)
-	visit = func(path string) {
-		p := byPath[path]
-		if p == nil || seen[path] {
-			return
-		}
-		seen[path] = true
-		if !p.Standard {
-			imps := append([]string(nil), p.Imports...)
-			sort.Strings(imps)
-			for _, imp := range imps {
-				visit(imp)
-			}
-		}
-		out = append(out, p)
-	}
-	for _, path := range paths {
-		visit(path)
-	}
-	return out
 }
 
 // LoadFiles type-checks one ad-hoc package from the given source files.
 // The analysistest harness uses this for testdata packages, which are
 // invisible to `go list`; their imports are still resolved through
 // export data produced by `go list -export` run in dir (so testdata may
-// import real module packages and the standard library). deps maps import
-// paths to already-loaded source packages (other testdata packages), which
-// take precedence over export data.
-func LoadFiles(dir, pkgPath string, filenames []string, deps map[string]*LoadedPackage) (*LoadedPackage, error) {
+// import real module packages and the standard library).
+func LoadFiles(dir, pkgPath string, filenames []string) (*LoadedPackage, error) {
 	fset := token.NewFileSet()
-	var files []*ast.File
+	files, err := parseFiles(fset, filenames)
+	if err != nil {
+		return nil, err
+	}
 	imports := map[string]bool{}
-	for _, path := range filenames {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	for _, f := range files {
 		for _, imp := range f.Imports {
-			if p, err := ImportPathOf(imp); err == nil && p != "unsafe" && deps[p] == nil {
+			if p, err := ImportPathOf(imp); err == nil && p != "unsafe" {
 				imports[p] = true
 			}
 		}
 	}
-	byPath := map[string]*listedPackage{}
+	listed := map[string]*listedPackage{}
 	if len(imports) > 0 {
 		patterns := make([]string, 0, len(imports))
 		for p := range imports {
 			patterns = append(patterns, p)
 		}
-		sort.Strings(patterns)
-		var err error
-		byPath, _, err = listPackages(dir, patterns)
-		if err != nil {
+		slices.Sort(patterns)
+		if listed, err = listPackages(dir, patterns); err != nil {
 			return nil, err
 		}
 	}
-	info := newTypesInfo()
-	compiled := exportImporter(fset, func(path string) string {
-		if p := byPath[path]; p != nil {
-			return p.Export
+	return typeCheck(pkgPath, fset, files, listed)
+}
+
+// parseFiles parses the Go files at paths, with comments (directives live
+// there).
+func parseFiles(fset *token.FileSet, paths []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
 		}
-		return ""
-	})
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// typeCheck type-checks the parsed files as package pkgPath, resolving
+// imports through the export data of listed (the gc importer handles
+// "unsafe" itself).
+func typeCheck(pkgPath string, fset *token.FileSet, files []*ast.File, listed map[string]*listedPackage) (*LoadedPackage, error) {
+	info := newTypesInfo()
 	conf := types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
-			if lp := deps[path]; lp != nil {
-				return lp.Pkg, nil
+		Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			p := listed[path]
+			if p == nil || p.Export == "" {
+				return nil, fmt.Errorf("no export data for %q", path)
 			}
-			return compiled.Import(path)
+			return os.Open(p.Export)
 		}),
 		Sizes: types.SizesFor("gc", build.Default.GOARCH),
 	}
@@ -238,86 +171,24 @@ func LoadFiles(dir, pkgPath string, filenames []string, deps map[string]*LoadedP
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", pkgPath, err)
 	}
-	return &LoadedPackage{
-		PkgPath:   pkgPath,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Root:      true,
-	}, nil
+	return &LoadedPackage{PkgPath: pkgPath, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }
 
-// Analyze applies the analyzers to one loaded package with no
-// cross-package facts (single-package golden tests).
-func Analyze(lp *LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return AnalyzeWithStore(lp, analyzers, NewFactStore())
-}
-
-// AnalyzeWithStore applies the analyzers to one loaded package, importing
-// dependency facts from store and publishing the package's exported facts
-// back into it.
-func AnalyzeWithStore(lp *LoadedPackage, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
-	RegisterFactTypes(analyzers)
-	return runAnalyzers(Pass{
-		Fset:      lp.Fset,
-		Files:     lp.Files,
-		Pkg:       lp.Pkg,
-		TypesInfo: lp.TypesInfo,
-		PkgPath:   lp.PkgPath,
-	}, analyzers, runOptions{store: store})
-}
-
-// AnalyzeSuite is AnalyzeWithStore with stale-directive detection enabled,
-// matching what a full twvet run reports for a root package. Only
-// meaningful when analyzers is the complete suite — a directive consumed
-// by an absent analyzer would read as stale.
-func AnalyzeSuite(lp *LoadedPackage, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
-	RegisterFactTypes(analyzers)
-	return runAnalyzers(Pass{
-		Fset:      lp.Fset,
-		Files:     lp.Files,
-		Pkg:       lp.Pkg,
-		TypesInfo: lp.TypesInfo,
-		PkgPath:   lp.PkgPath,
-	}, analyzers, runOptions{store: store, stale: true})
-}
-
-// Run loads the packages matched by patterns and applies every analyzer,
-// returning diagnostics for the root packages in dependency order.
-// Module-local dependencies outside the patterns are analyzed too — their
-// diagnostics are discarded but their facts feed the roots.
+// Run loads the packages matched by patterns and applies every analyzer
+// to each, with stale-directive detection, returning the diagnostics in
+// package order.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	RegisterFactTypes(analyzers)
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	store := NewFactStore()
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := runAnalyzers(Pass{
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Pkg,
-			TypesInfo: pkg.TypesInfo,
-			PkgPath:   pkg.PkgPath,
-		}, analyzers, runOptions{store: store, stale: pkg.Root})
+		diags, err := Analyze(pkg, analyzers, true)
 		if err != nil {
 			return nil, err
 		}
-		if pkg.Root {
-			all = append(all, diags...)
-		}
+		all = append(all, diags...)
 	}
 	return all, nil
-}
-
-// moduleRelative trims pos filenames below dir for terser standalone
-// output; unitchecker mode keeps the build system's absolute paths.
-func moduleRelative(dir string, d Diagnostic) Diagnostic {
-	if rel, err := filepath.Rel(dir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-		d.Pos.Filename = rel
-	}
-	return d
 }

@@ -61,14 +61,10 @@ var nondeterministicImports = map[string]bool{
 var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func run(pass *analysis.Pass) error {
-	path := pass.CanonicalPath()
 	pkgInResultScope := pass.PathInScope(resultPkgs...)
-	pkgClockScope := !clockExempt(path)
+	pkgClockScope := !clockExempt(pass.PkgPath)
 
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		dirs := pass.FileDirectives(file)
 		mapScope := pkgInResultScope || dirs.Scoped("determinism")
 		clockScope := (pkgClockScope || dirs.Scoped("determinism")) && !dirs.Scoped("walltime-exempt")

@@ -28,9 +28,6 @@ var scopePkgs = []string{"internal/experiment"}
 func run(pass *analysis.Pass) error {
 	inScope := pass.PathInScope(scopePkgs...)
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		dirs := pass.FileDirectives(file)
 		if !inScope && !dirs.Scoped("gate") {
 			continue

@@ -66,9 +66,6 @@ func run(pass *analysis.Pass) error {
 
 	// Functions annotated //twvet:digest <TypeName>.
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		dirs := pass.FileDirectives(file)
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -123,9 +120,6 @@ func isHasherSig(m *types.Func) bool {
 // funcDecl finds the AST declaration of a method in the pass's files.
 func funcDecl(pass *analysis.Pass, m *types.Func) *ast.FuncDecl {
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && pass.TypesInfo.Defs[fn.Name] == m {
 				return fn

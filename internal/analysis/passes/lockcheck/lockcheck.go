@@ -11,7 +11,7 @@
 // telemetry collector. Goroutine and closure bodies are checked as their
 // own scopes (the scheduler's worker loop locks inside `go func`
 // literals). A function that intentionally returns with a lock held
-// declares so with //twvet:transfer.
+// declares so with //twvet:allow lockcheck in its doc comment.
 package lockcheck
 
 import (
@@ -62,9 +62,6 @@ func run(pass *analysis.Pass) error {
 	inScope := pass.PathInScope(scopePkgs...)
 	eng := pathbal.New(pairs)
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		dirs := pass.FileDirectives(file)
 		if !inScope && !dirs.Scoped("lockcheck") {
 			continue
@@ -74,14 +71,14 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if dirs.FuncDirective(fn, "transfer", "") {
-				res := eng.Check(pass, fn)
-				if !res.Clean() {
-					dirs.MarkFunc(fn, "transfer", "")
+			// report emits the first violation of one checked scope unless
+			// the function's doc excuses it.
+			report := func(vs []pathbal.Violation) {
+				if len(vs) > 0 && !dirs.FuncAllowed(fn, "lockcheck") {
+					pass.Reportf(vs[0].Pos, "%s", vs[0].Message)
 				}
-				continue
 			}
-			report(pass, eng.Check(pass, fn))
+			report(eng.Check(pass, fn))
 			// Closures run elsewhere (goroutine bodies, callbacks) and
 			// must balance as their own scopes — except closures deferred
 			// directly, whose unlocks pathbal already credits to the
@@ -97,20 +94,11 @@ func run(pass *analysis.Pass) error {
 			})
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok && !deferred[lit] {
-					report(pass, eng.CheckBody(pass, "this function literal", lit.Body))
+					report(eng.CheckBody(pass, "this function literal", lit.Body))
 				}
 				return true
 			})
 		}
 	}
 	return nil
-}
-
-// report emits the first violation of a checked scope, mirroring
-// pairing's one-report-per-function discipline.
-func report(pass *analysis.Pass, res pathbal.Result) {
-	if len(res.Violations) > 0 {
-		v := res.Violations[0]
-		pass.Reportf(v.Pos, "%s", v.Message)
-	}
 }

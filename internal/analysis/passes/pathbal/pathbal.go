@@ -1,19 +1,12 @@
-// Package pathbal is the shared path-balance core behind the pairing and
-// lockcheck passes: an intra-procedural abstract interpretation that
-// requires every acquire of a paired resource (a trap arm, a cache
-// claim, a mutex) to be balanced by a release on every path — both arms
-// of a conditional, each loop iteration, every early return — with
-// deferred releases credited at every exit.
+// Package pathbal is the path-balance core behind the lockcheck pass: an
+// intra-procedural abstract interpretation that requires every acquire of
+// a paired resource (a mutex lock) to be balanced by a release on every
+// path — both arms of a conditional, each loop iteration, every early
+// return — with deferred releases credited at every exit.
 //
 // The engine evaluates in collect mode: it returns the would-be
-// violations plus the net balance vector observed at each function exit,
-// and the caller decides whether to report them, suppress them under a
-// //twvet:transfer annotation, or — when every exit agrees on a nonzero
-// vector — infer an ownership-transfer fact for inter-procedural use.
-//
-// Beyond the static pair tables, a Lookup hook supplies per-callee delta
-// vectors (the pairing pass feeds imported TransfersOwnership /
-// ReleasesResource facts through it), and TryAcquires model conditional
+// violations, and the caller decides whether to report them or excuse
+// them under a //twvet:allow annotation. TryAcquires model conditional
 // acquisition (sync.Mutex.TryLock): the acquire counts only on the
 // success branch of `if mu.TryLock() { ... }`.
 //
@@ -28,27 +21,18 @@ import (
 	"tapeworm/internal/analysis"
 )
 
-// Pair describes one refcounted resource: the fully qualified acquire
-// and release functions (types.Func.FullName form). Transferable pairs
-// represent true ownership (a value the caller holds and must later
-// release), so the pairing pass may infer cross-function transfer facts
-// for them; counter-like pairs (refcounts, arms) stay intra-procedural.
+// Pair describes one paired resource: the fully qualified acquire,
+// release and conditional-acquire functions (types.Func.FullName form).
 type Pair struct {
-	Name         string
-	Acquires     []string
-	Releases     []string
-	TryAcquires  []string
-	Transferable bool
+	Name        string
+	Acquires    []string
+	Releases    []string
+	TryAcquires []string
 }
 
 // Engine checks function bodies against one pair table.
 type Engine struct {
 	Pairs []Pair
-
-	// Lookup returns the per-pair delta vector of a resolved callee
-	// beyond the static table (the facts hook), or nil. Never consulted
-	// for functions already in the table.
-	Lookup func(fn *types.Func) []int
 
 	acquires map[string]int
 	releases map[string]int
@@ -77,50 +61,15 @@ func New(pairs []Pair) *Engine {
 	return e
 }
 
-// Primitive reports whether the named function is itself part of a pair
-// (it implements an acquire or release): its body is the mechanism, not a
-// client, and is exempt from balance checking.
-func (e *Engine) Primitive(full string) bool {
-	_, a := e.acquires[full]
-	_, r := e.releases[full]
-	_, t := e.tries[full]
-	return a || r || t
-}
-
-// ViolationKind distinguishes exit imbalance — the expected shape of a
-// deliberate ownership transfer — from structural violations that
-// preclude any transfer interpretation.
-type ViolationKind int
-
-const (
-	ExitImbalance ViolationKind = iota // nonzero balance at a function exit
-	MergeConflict                      // branches disagree on balance
-	LoopImbalance                      // loop body not resource-neutral
-)
-
 // Violation is one would-be diagnostic.
 type Violation struct {
-	Kind    ViolationKind
 	Pos     token.Pos
 	Message string
 }
 
-// Result is the outcome of checking one function body.
-type Result struct {
-	Violations []Violation
-	// Exits holds the net balance (including deferred credits) at each
-	// exit: every return statement plus the closing-brace fallthrough.
-	// Paths ending in panic/os.Exit are not exits.
-	Exits [][]int
-	// Skipped marks bodies the engine cannot analyze (goto).
-	Skipped bool
-}
-
-// Clean reports a fully balanced body: no violations of any kind.
-func (r Result) Clean() bool { return len(r.Violations) == 0 }
-
-// Check evaluates a function declaration's body.
-func (e *Engine) Check(pass *analysis.Pass, fn *ast.FuncDecl) Result {
+// Check evaluates a function declaration's body and returns its
+// violations; none means the body is balanced on every path.
+func (e *Engine) Check(pass *analysis.Pass, fn *ast.FuncDecl) []Violation {
 	return e.CheckBody(pass, fn.Name.Name, fn.Body)
 }
 
@@ -128,16 +77,16 @@ func (e *Engine) Check(pass *analysis.Pass, fn *ast.FuncDecl) Result {
 // is used in messages). Nested function literals are not descended into —
 // they execute elsewhere and are checked as their own scopes by callers
 // that care (lockcheck walks goroutine bodies explicitly).
-func (e *Engine) CheckBody(pass *analysis.Pass, name string, body *ast.BlockStmt) Result {
+func (e *Engine) CheckBody(pass *analysis.Pass, name string, body *ast.BlockStmt) []Violation {
 	if body == nil || hasGoto(body) {
-		return Result{Skipped: true}
+		return nil
 	}
 	c := &checker{eng: e, pass: pass, name: name, deferred: e.zero()}
 	st := c.block(body.List, state{b: e.zero()})
 	if !st.terminated {
 		c.checkExit(st.b, body.Rbrace)
 	}
-	return c.res
+	return c.violations
 }
 
 // bal is the per-pair acquire-minus-release count along one path.
@@ -172,7 +121,8 @@ type checker struct {
 	pass     *analysis.Pass
 	name     string
 	deferred bal // releases (and acquires) registered by defer statements
-	res      Result
+
+	violations []Violation
 }
 
 // state is the abstract execution state at one program point.
@@ -181,108 +131,37 @@ type state struct {
 	terminated bool
 }
 
-func (c *checker) violate(kind ViolationKind, pos token.Pos, msg string) {
-	c.res.Violations = append(c.res.Violations, Violation{Kind: kind, Pos: pos, Message: msg})
+func (c *checker) violate(pos token.Pos, msg string) {
+	c.violations = append(c.violations, Violation{Pos: pos, Message: msg})
 }
 
-// checkExit records the net balance at a function exit and registers a
-// violation when any pair is unbalanced.
+// checkExit registers a violation when the net balance at a function
+// exit, deferred credits included, leaves any pair unbalanced.
 func (c *checker) checkExit(b bal, pos token.Pos) {
 	net := b.clone()
 	net.add(c.deferred)
-	c.res.Exits = append(c.res.Exits, []int(net))
 	for i, v := range net {
 		if v != 0 {
 			verb := "acquired but not released"
 			if v < 0 {
 				verb = "released more times than acquired"
 			}
-			c.violate(ExitImbalance, pos, c.eng.Pairs[i].Name+" "+verb+" on this path through "+c.name+
-				": balance acquire/release pairs or annotate the function //twvet:transfer")
+			c.violate(pos, c.eng.Pairs[i].Name+" "+verb+" on this path through "+c.name+
+				": balance acquire/release pairs or annotate the function //twvet:allow lockcheck")
 			return
 		}
 	}
 }
 
-// block evaluates a statement list. It recognizes the failed-acquire
-// idiom across statement boundaries: after `x, err := Acquire(...)`, the
-// branch taken when `err != nil` never acquired the resource.
+// block evaluates a statement list.
 func (c *checker) block(stmts []ast.Stmt, st state) state {
-	var pend *failedAcquire
 	for _, s := range stmts {
 		if st.terminated {
 			break
 		}
-		if ifs, ok := s.(*ast.IfStmt); ok {
-			st = c.ifStmt(ifs, st, pend)
-			pend = nil
-			continue
-		}
-		pend = nil
-		if asg, ok := s.(*ast.AssignStmt); ok {
-			pend = c.acquireWithErr(asg)
-		}
 		st = c.stmt(s, st)
 	}
 	return st
-}
-
-// failedAcquire records an acquire statement that also produced an error
-// value, so the immediately following `if err != nil` check can discount
-// the acquire on its failing branch.
-type failedAcquire struct {
-	errObj types.Object
-	delta  bal
-}
-
-// acquireWithErr reports whether the assignment both performs an acquire
-// and binds an error-typed variable (the acquire's failure signal).
-func (c *checker) acquireWithErr(asg *ast.AssignStmt) *failedAcquire {
-	delta := c.eng.zero()
-	c.scanCalls(asg, delta, true)
-	acquired := false
-	for i, v := range delta {
-		if v > 0 {
-			acquired = true
-		} else if v < 0 {
-			delta[i] = 0 // only discount acquires, never releases
-		}
-	}
-	if !acquired {
-		return nil
-	}
-	for _, lhs := range asg.Lhs {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := c.pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = c.pass.TypesInfo.Uses[id]
-		}
-		if obj != nil && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()) {
-			return &failedAcquire{errObj: obj, delta: delta}
-		}
-	}
-	return nil
-}
-
-// condIsErrNotNil reports whether cond is `err != nil` for the given
-// error object.
-func condIsErrNotNil(pass *analysis.Pass, cond ast.Expr, errObj types.Object) bool {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || be.Op != token.NEQ {
-		return false
-	}
-	matches := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && pass.TypesInfo.Uses[id] == errObj
-	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	return (matches(be.X) && isNil(be.Y)) || (matches(be.Y) && isNil(be.X))
 }
 
 // tryAcquireCond recognizes a conditional-acquire condition: `mu.TryLock()`
@@ -307,16 +186,10 @@ func (c *checker) tryAcquireCond(cond ast.Expr) (idx int, onThen, ok bool) {
 	return idx, onThen, ok
 }
 
-// ifStmt evaluates an if statement; pend carries a preceding
-// acquire-with-error whose failing branch should discount the acquire.
-func (c *checker) ifStmt(s *ast.IfStmt, st state, pend *failedAcquire) state {
+// ifStmt evaluates an if statement.
+func (c *checker) ifStmt(s *ast.IfStmt, st state) state {
 	if s.Init != nil {
 		st = c.stmt(s.Init, st)
-		if asg, ok := s.Init.(*ast.AssignStmt); ok {
-			if fa := c.acquireWithErr(asg); fa != nil {
-				pend = fa
-			}
-		}
 	}
 	c.scanExpr(s.Cond, st.b)
 	thenB := st.b.clone()
@@ -327,13 +200,6 @@ func (c *checker) ifStmt(s *ast.IfStmt, st state, pend *failedAcquire) state {
 			thenB[i]++
 		} else {
 			elseB[i]++
-		}
-	}
-	if pend != nil && condIsErrNotNil(c.pass, s.Cond, pend.errObj) {
-		// Failing branch of the acquire's own error check: the resource
-		// was never acquired there.
-		for i := range thenB {
-			thenB[i] -= pend.delta[i]
 		}
 	}
 	thenSt := c.block(s.Body.List, state{b: thenB})
@@ -360,7 +226,7 @@ func (c *checker) stmt(s ast.Stmt, st state) state {
 		return st
 
 	case *ast.IfStmt:
-		return c.ifStmt(s, st, nil)
+		return c.ifStmt(s, st)
 
 	case *ast.BlockStmt:
 		return c.block(s.List, st)
@@ -418,9 +284,9 @@ func (c *checker) merge(at ast.Node, branches []state) state {
 	first := alive[0]
 	for _, b := range alive[1:] {
 		if !b.b.equal(first.b) {
-			c.violate(MergeConflict, at.Pos(),
+			c.violate(at.Pos(),
 				"paths through this branch disagree on paired acquire/release balance in "+c.name+
-					": balance each arm or annotate the function //twvet:transfer")
+					": balance each arm or annotate the function //twvet:allow lockcheck")
 			break
 		}
 	}
@@ -493,9 +359,9 @@ func (c *checker) loopBody(body *ast.BlockStmt, post ast.Stmt, entry bal) {
 				if v < 0 {
 					verb = "over-releases"
 				}
-				c.violate(LoopImbalance, body.Pos(),
+				c.violate(body.Pos(),
 					"loop iteration "+verb+" "+c.eng.Pairs[i].Name+
-						" without balancing it: balance the body or annotate the function //twvet:transfer")
+						" without balancing it: balance the body or annotate the function //twvet:allow lockcheck")
 				return
 			}
 		}
@@ -519,28 +385,14 @@ func (c *checker) scanDefer(call *ast.CallExpr, now bal) {
 	}
 }
 
-// addDelta accumulates the callee's per-pair delta: the static table
-// first, then the Lookup (facts) hook for functions outside it.
+// addDelta accumulates the callee's per-pair delta from the pair table.
+// Conditional acquires count only via tryAcquireCond branches.
 func (c *checker) addDelta(fn *types.Func, into bal) {
 	full := fn.FullName()
 	if i, ok := c.eng.acquires[full]; ok {
 		into[i]++
-		return
-	}
-	if i, ok := c.eng.releases[full]; ok {
+	} else if i, ok := c.eng.releases[full]; ok {
 		into[i]--
-		return
-	}
-	if _, ok := c.eng.tries[full]; ok {
-		// Conditional acquires count only via tryAcquireCond branches.
-		return
-	}
-	if c.eng.Lookup != nil {
-		if d := c.eng.Lookup(fn); d != nil {
-			for i, v := range d {
-				into[i] += v
-			}
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"tapeworm/internal/analysis/passes/gate"
 	"tapeworm/internal/analysis/passes/hashcheck"
 	"tapeworm/internal/analysis/passes/lockcheck"
-	"tapeworm/internal/analysis/passes/pairing"
 	"tapeworm/internal/analysis/passes/telemetryguard"
 )
 
@@ -18,7 +17,6 @@ func All() []*analysis.Analyzer {
 		gate.Analyzer,
 		hashcheck.Analyzer,
 		lockcheck.Analyzer,
-		pairing.Analyzer,
 		telemetryguard.Analyzer,
 	}
 }

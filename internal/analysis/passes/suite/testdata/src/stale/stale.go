@@ -47,11 +47,9 @@ type handoff struct {
 }
 
 // beginCritical returns holding the lock by contract; lockcheck consults
-// the directive at the imbalance, so it is load-bearing even though the
-// pairing pass (which shares the same directive table) finds this
-// function clean.
+// the directive at the imbalance, so it is load-bearing.
 //
-//twvet:transfer
+//twvet:allow lockcheck
 func (h *handoff) beginCritical() *int {
 	h.mu.Lock()
 	return &h.n
@@ -59,15 +57,15 @@ func (h *handoff) beginCritical() *int {
 
 // endCritical is beginCritical's paired release.
 //
-//twvet:transfer
+//twvet:allow lockcheck
 func (h *handoff) endCritical() {
 	h.mu.Unlock()
 }
 
-// balancedAnyway is lock-balanced on every path: neither lockcheck nor
-// pairing ever needs the escape hatch.
+// balancedAnyway is lock-balanced on every path: lockcheck never needs
+// the escape hatch.
 //
-//twvet:transfer needlessly // want `//twvet:transfer needlessly directive suppressed nothing this run: delete it`
+//twvet:allow lockcheck needlessly // want `//twvet:allow lockcheck directive suppressed nothing this run: delete it`
 func (h *handoff) balancedAnyway() {
 	h.mu.Lock()
 	defer h.mu.Unlock()

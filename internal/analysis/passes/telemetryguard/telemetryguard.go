@@ -40,9 +40,6 @@ var guardedMethods = map[string]bool{
 func run(pass *analysis.Pass) error {
 	inHotPkg := pass.PathInScope(hotPkgs...)
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file) {
-			continue
-		}
 		dirs := pass.FileDirectives(file)
 		if !inHotPkg && !dirs.Scoped("telemetryguard") {
 			continue

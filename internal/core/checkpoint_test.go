@@ -76,39 +76,6 @@ func TestForkByteIdentityWithTapeworm(t *testing.T) {
 	}
 }
 
-// TestForkGangDetachMidRun forks a kernel, gangs two members on it,
-// detaches one mid-run, and checks the survivor against the identical
-// sequence on a fresh boot: copy-on-write sharing must not change what a
-// detach releases from the union.
-func TestForkGangDetachMidRun(t *testing.T) {
-	cfgs := gangConfigs()[:2]
-	sequence := func(k *kernel.Kernel) (memberResult, int) {
-		g := MustAttachGang(k, cfgs)
-		spawnWorkload(t, k, "espresso", 42, true)
-		if err := k.Run(2000); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Detach(g.Members()[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		s := g.Members()[0]
-		return memberResult{s.Stats(), s.MissesByTask(), s.LedgerCycles()},
-			k.Machine().Phys().TrapCount()
-	}
-	fresh, fork := forkDEC(t, 11, 13)
-	wantRes, wantTraps := sequence(fresh)
-	gotRes, gotTraps := sequence(fork)
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Errorf("survivor diverged on fork:\nboot: %+v\nfork: %+v", wantRes, gotRes)
-	}
-	if gotTraps != wantTraps {
-		t.Errorf("union trap count after detach: boot %d, fork %d", wantTraps, gotTraps)
-	}
-}
-
 // TestForkDMASharedFrame: device DMA into frames a fork still shares with
 // its checkpoint image. Trap-free DMA must not force copy-on-write (the
 // ClearTrap fast path skips materialization), and once traps are armed,

@@ -426,7 +426,7 @@ func (tw *Tapeworm) MechanismName() string {
 // zero signifies the kernel: enabling simulation for it registers every
 // kernel page immediately (kernel pages never demand-fault). A gang
 // member's bits are its own: they steer only its own registrations, and
-// the kernel's task structure carries the union over live members.
+// the kernel's task structure carries the union over members.
 func (tw *Tapeworm) Attributes(tid mem.TaskID, simulate, inherit bool) error {
 	var err error
 	if tw.gang != nil {

@@ -31,9 +31,9 @@ package core
 //
 //  3. Member-local attributes. Each member keeps its own tw_attributes
 //     bits per task, inherited through fork from its own bits. The
-//     kernel's task structures carry the union over live members, so the
-//     VM system reports every page some member simulates, and the gang
-//     hands each registration only to the members that simulate the task.
+//     kernel's task structures carry the union over members, so the VM
+//     system reports every page some member simulates, and the gang hands
+//     each registration only to the members that simulate the task.
 //     Members that simulate different components (Table 6's user, server,
 //     kernel and all-activity caches) therefore share one execution.
 //
@@ -43,7 +43,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"tapeworm/internal/arch"
 	"tapeworm/internal/kernel"
@@ -59,7 +58,6 @@ type Gang struct {
 	m *mach.Machine
 
 	members []*Tapeworm
-	live    []bool
 
 	pageSize uint32
 	pageBits uint
@@ -71,7 +69,7 @@ type Gang struct {
 
 	// Member masks are the gang's only record of who holds a trap. Each is
 	// maskWords = ⌈n/64⌉ words; member i is bit i&63 of word i>>6
-	// (memberBit). Detached members hold nothing.
+	// (memberBit).
 	//
 	// maskPages[wi>>maskPageShift] is a lazily allocated page holding one
 	// mask per physical word: the cache-mode members holding the word. A
@@ -202,32 +200,24 @@ func AttachGang(k *kernel.Kernel, cfgs []Config) (*Gang, error) {
 			tw.attrs[t.ID] = taskAttr{t.Simulate, t.Inherit}
 		}
 		g.members = append(g.members, tw)
-		g.live = append(g.live, true)
 	}
 	k.SetHooks(g)
 	return g, nil
 }
 
 // setAttributes records tw_attributes for one member and stores the union
-// over live members in the kernel's task structure.
+// of the members' bits for tid in the kernel's task structure, which is
+// what the VM system consults.
 func (g *Gang) setAttributes(tw *Tapeworm, tid mem.TaskID, simulate, inherit bool) error {
 	if g.k.Task(tid) == nil {
 		return g.k.SetAttributes(tid, simulate, inherit) // reports the unknown task
 	}
 	tw.attrs[tid] = taskAttr{simulate, inherit}
-	return g.syncAttributes(tid)
-}
-
-// syncAttributes stores the union of the live members' bits for tid in
-// the kernel's task structure, which is what the VM system consults.
-func (g *Gang) syncAttributes(tid mem.TaskID) error {
 	var u taskAttr
-	for i, tw := range g.members {
-		if g.live[i] {
-			a := tw.attr(tid)
-			u.simulate = u.simulate || a.simulate
-			u.inherit = u.inherit || a.inherit
-		}
+	for _, m := range g.members {
+		a := m.attr(tid)
+		u.simulate = u.simulate || a.simulate
+		u.inherit = u.inherit || a.inherit
 	}
 	return g.k.SetAttributes(tid, u.simulate, u.inherit)
 }
@@ -241,59 +231,8 @@ func MustAttachGang(k *kernel.Kernel, cfgs []Config) *Gang {
 	return g
 }
 
-// Members returns the attached simulators in configuration order,
-// including detached ones (their statistics remain readable).
+// Members returns the attached simulators in configuration order.
 func (g *Gang) Members() []*Tapeworm { return g.members }
-
-// Detach removes one member mid-run: it releases every word and invalid
-// page it holds (physical traps disappear only where no other member holds
-// them), so no mask names a detached member. The member's statistics stay
-// readable; it receives no further events.
-func (g *Gang) Detach(tw *Tapeworm) error {
-	idx := -1
-	for i, m := range g.members {
-		if m == tw {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || !g.live[idx] {
-		return fmt.Errorf("core: simulator not attached to this gang")
-	}
-	g.live[idx] = false
-
-	const pageChunks = maskPageWords / 64
-	for pi, pg := range g.maskPages {
-		if pg != nil {
-			for ch := uint32(pi * pageChunks); ch < uint32((pi+1)*pageChunks); ch++ {
-				g.release(ch, ^uint64(0), idx)
-			}
-		}
-	}
-	// Restoring validity touches shared kernel page state, so walk the
-	// invalid-page masks in sorted order: detach must leave the gang in the
-	// same state regardless of map iteration order. Pages the member does
-	// not hold are no-ops.
-	j, _ := memberBit(idx)
-	keys := make([]vkey, 0, len(g.invalidMask[j]))
-	for key := range g.invalidMask[j] {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, vkeyCompare)
-	for _, key := range keys {
-		va := mem.VAddr(key.vpn) << g.pageBits
-		if err := g.memberSetPageValid(tw, key.t, va, true); err != nil {
-			return err
-		}
-	}
-	// The union attributes no longer include the detached member's.
-	for _, t := range g.k.Tasks() {
-		if err := g.syncAttributes(t.ID); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // hold adds member idx to the masks of the words cover of trap chunk ch
 // that it does not hold yet. A word is armed when its mask gains its first
@@ -301,8 +240,6 @@ func (g *Gang) Detach(tw *Tapeworm) error {
 // with one SetBreakpoint each. ArmWords refuses words carrying a true
 // memory error, matching the solo mechanism's inability to distinguish its
 // own syndrome there, and the member does not hold a refused word.
-//
-//twvet:transfer
 func (g *Gang) hold(ch uint32, cover uint64, idx int) {
 	j, b := memberBit(idx)
 	masks, mw := g.chunkMasks(ch, true), g.maskWords
@@ -338,8 +275,6 @@ func (g *Gang) hold(ch uint32, cover uint64, idx int) {
 // chunk ch that it holds. A word is disarmed when its mask loses its last
 // member: ECC words with one DisarmWords call for the chunk, breakpoint
 // words with one ClearBreakpoint each.
-//
-//twvet:transfer
 func (g *Gang) release(ch uint32, cover uint64, idx int) {
 	j, b := memberBit(idx)
 	masks, mw := g.chunkMasks(ch, false), g.maskWords
@@ -470,63 +405,59 @@ func (gm *gangMech) Name() string { return gm.inner.Name() }
 
 // --- kernel.MemSimHooks implementation: fan-out and demultiplexing ---
 
-// PageRegistered delivers tw_register_page to every live member that
-// simulates task t. The kernel registers a page only for a simulated task,
-// and it consults the union bit; each member's solo kernel would have
-// consulted the member's own bit.
+// PageRegistered delivers tw_register_page to every member that simulates
+// task t. The kernel registers a page only for a simulated task, and it
+// consults the union bit; each member's solo kernel would have consulted
+// the member's own bit.
 func (g *Gang) PageRegistered(t mem.TaskID, pa mem.PAddr, va mem.VAddr, kind mem.RefKind) {
-	for i, tw := range g.members {
-		if g.live[i] && tw.attr(t).simulate {
+	for _, tw := range g.members {
+		if tw.attr(t).simulate {
 			tw.PageRegistered(t, pa, va, kind)
 		}
 	}
 }
 
 // PageRemoved delivers tw_remove_page. A real unmapping (exit, page-out)
-// goes to every live member, as the kernel reports it whatever the simulate
+// goes to every member, as the kernel reports it whatever the simulate
 // bit: a member that cleared its bit after registering must still see it.
 // The predictable-DMA bracket's unregistration is taken only for a
 // simulated task, so it goes only to the members that simulate t; the
 // others keep their traps through the transfer, exactly as solo.
 func (g *Gang) PageRemoved(t mem.TaskID, pa mem.PAddr, va mem.VAddr) {
 	bracket := g.k.InDMABracket()
-	for i, tw := range g.members {
-		if g.live[i] && (!bracket || tw.attr(t).simulate) {
+	for _, tw := range g.members {
+		if !bracket || tw.attr(t).simulate {
 			tw.PageRemoved(t, pa, va)
 		}
 	}
 }
 
-// TaskForked fans task creation out to every live member, each of which
+// TaskForked fans task creation out to every member, each of which
 // records its own attributes for the child.
 func (g *Gang) TaskForked(parent, child *kernel.Task) {
-	for i, tw := range g.members {
-		if g.live[i] {
-			tw.TaskForked(parent, child)
-		}
+	for _, tw := range g.members {
+		tw.TaskForked(parent, child)
 	}
 }
 
-// TaskExited fans task teardown out to every live member.
+// TaskExited fans task teardown out to every member.
 func (g *Gang) TaskExited(t mem.TaskID) {
-	for i, tw := range g.members {
-		if g.live[i] {
-			tw.TaskExited(t)
-		}
+	for _, tw := range g.members {
+		tw.TaskExited(t)
 	}
 }
 
 // ECCTrap demultiplexes a memory-error trap: classified once, then
 // delivered to every member holding the word, in ascending member order. A
-// true error is counted by every live cache-mode member, as each one's
-// solo ECCTrap would count it, and goes back to the kernel. A
+// true error is counted by every cache-mode member, as each one's solo
+// ECCTrap would count it, and goes back to the kernel. A
 // Tapeworm-syndrome word no member holds (an orphan) is cleared so it
 // cannot fire again.
 func (g *Gang) ECCTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, kind mem.RefKind) bool {
 	w := pa &^ 3
 	if g.m.Phys().Classify(w) != mem.SynTapeworm {
-		for i, tw := range g.members {
-			if g.live[i] && tw.cfg.Mode != ModeTLB {
+		for _, tw := range g.members {
+			if tw.cfg.Mode != ModeTLB {
 				tw.st.TrueErrors++
 			}
 		}

@@ -46,29 +46,14 @@ func wideGangConfigs(n int) []Config {
 	return out
 }
 
-// runDemuxGang boots a fresh machine, attaches cfgs as one gang,
-// optionally detaches members after detachAt instructions, finishes the
-// workload, and returns every member's results (detached members' frozen)
-// plus the final cycle count. After the detach it checks the gang's union
-// state (checkGangUnion).
-func runDemuxGang(t *testing.T, cfgs []Config, wl string, seed uint64, detachAt uint64, detachIdx []int) ([]memberResult, uint64) {
+// runDemuxGang boots a fresh machine, attaches cfgs as one gang, runs the
+// workload, and returns every member's results plus the final cycle
+// count.
+func runDemuxGang(t *testing.T, cfgs []Config, wl string, seed uint64) ([]memberResult, uint64) {
 	t.Helper()
 	k := bootDEC(t, 11, 13)
 	g := MustAttachGang(k, cfgs)
 	spawnWorkload(t, k, wl, seed, true)
-	if detachAt > 0 {
-		if err := k.Run(detachAt); err != nil {
-			t.Fatal(err)
-		}
-		for _, i := range detachIdx {
-			if err := g.Detach(g.Members()[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := checkGangUnion(g); err != nil {
-			t.Errorf("after detach: %v", err)
-		}
-	}
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +93,13 @@ func TestGangDemuxByteIdentityWide(t *testing.T) {
 		if s, ok := solos[i]; ok {
 			return s
 		}
-		res, cycles := runDemuxGang(t, cfgs[i:i+1], "eqntott", 42, 0, nil)
+		res, cycles := runDemuxGang(t, cfgs[i:i+1], "eqntott", 42)
 		solos[i] = soloRun{res[0], cycles}
 		return solos[i]
 	}
 	for _, n := range []int{16, 32, 64, 65, 130} {
 		t.Run(fmt.Sprintf("members=%d", n), func(t *testing.T) {
-			ganged, gangCycles := runDemuxGang(t, cfgs[:n], "eqntott", 42, 0, nil)
+			ganged, gangCycles := runDemuxGang(t, cfgs[:n], "eqntott", 42)
 			for _, i := range probeMembers(n) {
 				s := solo(i)
 				if !reflect.DeepEqual(s.res, ganged[i]) {
@@ -126,38 +111,5 @@ func TestGangDemuxByteIdentityWide(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGangDemuxDetachMidRun detaches members 63 (a cache member, last of
-// the first mask word) and 64 (a TLB member, first of the second) partway
-// through a 130-member run: the masks must shed exactly their bits, so
-// the survivors finish identical to their solo runs, and each detached
-// member's frozen statistics equal its solo run detached at the same
-// point.
-func TestGangDemuxDetachMidRun(t *testing.T) {
-	cfgs := wideGangConfigs(130)
-	const at = 2500
-	detach := []int{63, 64}
-	if cfgs[63].Mode == ModeTLB || cfgs[64].Mode != ModeTLB {
-		t.Fatal("wideGangConfigs no longer puts a cache member at 63 and a TLB member at 64")
-	}
-	ganged, gangCycles := runDemuxGang(t, cfgs, "espresso", 7, at, detach)
-	for _, i := range []int{0, 62, 65, 69, 127, 128, 129} {
-		solo, soloCycles := runDemuxGang(t, cfgs[i:i+1], "espresso", 7, 0, nil)
-		if !reflect.DeepEqual(solo[0], ganged[i]) {
-			t.Errorf("survivor %d diverged from solo run after detach:\nsolo:   %+v\nganged: %+v",
-				i, solo[0], ganged[i])
-		}
-		if soloCycles != gangCycles {
-			t.Errorf("survivor %d: solo %d cycles, ganged %d", i, soloCycles, gangCycles)
-		}
-	}
-	for _, i := range detach {
-		solo, _ := runDemuxGang(t, cfgs[i:i+1], "espresso", 7, at, []int{0})
-		if !reflect.DeepEqual(solo[0], ganged[i]) {
-			t.Errorf("detached member %d diverged from its solo run detached at %d:\nsolo:   %+v\nganged: %+v",
-				i, at, solo[0], ganged[i])
-		}
 	}
 }

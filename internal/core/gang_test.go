@@ -200,48 +200,6 @@ func TestGangMixedModes(t *testing.T) {
 	}
 }
 
-// TestGangDetachMidRun detaches one member partway through a run: the
-// survivor must finish with statistics identical to its gang-of-1 run, the
-// detached member's statistics must freeze, and the union trap set must
-// shrink to exactly the words the survivor holds.
-func TestGangDetachMidRun(t *testing.T) {
-	cfgs := gangConfigs()[:2]
-	k := bootDEC(t, 11, 13)
-	g := MustAttachGang(k, cfgs)
-	spawnWorkload(t, k, "espresso", 42, true)
-	if err := k.Run(2000); err != nil {
-		t.Fatal(err)
-	}
-	detached := g.Members()[1]
-	if err := g.Detach(detached); err != nil {
-		t.Fatal(err)
-	}
-	frozen := detached.Stats()
-	if err := g.Detach(detached); err == nil {
-		t.Fatal("second detach of the same member should fail")
-	}
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := detached.Stats(); !reflect.DeepEqual(got, frozen) {
-		t.Errorf("detached member kept accumulating: %+v vs %+v", got, frozen)
-	}
-
-	survivor := g.Members()[0]
-	solo, _ := runGangOf(t, cfgs[:1], "espresso", 42)
-	got := memberResult{survivor.Stats(), survivor.MissesByTask(), survivor.LedgerCycles()}
-	if !reflect.DeepEqual(solo[0], got) {
-		t.Errorf("survivor diverged after detach:\nsolo:   %+v\nafter:  %+v", solo[0], got)
-	}
-
-	// Workload exit removed the survivor's pages; whatever traps remain
-	// must be exactly the words the survivor holds — the detached member's
-	// share of the union is gone.
-	if got, want := k.Machine().Phys().TrapCount(), heldWords(g, 0); got != want {
-		t.Errorf("union trap count %d != %d words the survivor holds after detach", got, want)
-	}
-}
-
 // TestGangSharedWordRefcounts exercises the shared-word edge cases
 // directly: two members arming the same word, one clearing while the other
 // holds, and the physical bit flipping only when the first holder arrives

@@ -19,47 +19,20 @@ func holders(g *Gang, pa mem.PAddr) int {
 	return n
 }
 
-// heldWords counts the words member idx holds.
-func heldWords(g *Gang, idx int) int {
-	j, b := memberBit(idx)
-	n := 0
-	for _, pg := range g.maskPages {
-		for off := j; off < len(pg); off += g.maskWords {
-			if pg[off]&b != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // checkGangUnion verifies the gang's union trap state by brute force over
 // all of physical memory (checkGangUnionPages).
 func checkGangUnion(g *Gang) error { return checkGangUnionPages(g, 0, len(g.maskPages)) }
 
 // checkGangUnionPages verifies the union trap state over mask pages
-// [lo, hi): no mask names a detached member; on an ECC machine every word
-// some member holds carries the Tapeworm check bit; on a breakpoint
-// machine a word's breakpoint is armed iff its mask is nonzero; and the
-// invalid-page masks hold no zero entries and no detached member.
+// [lo, hi): on an ECC machine every word some member holds carries the
+// Tapeworm check bit; on a breakpoint machine a word's breakpoint is armed
+// iff its mask is nonzero; and the invalid-page masks hold no zero
+// entries.
 func checkGangUnionPages(g *Gang, lo, hi int) error {
 	phys := g.m.Phys()
-	mw := g.maskWords
-	detached := make([]uint64, mw)
-	for i, live := range g.live {
-		if !live {
-			j, b := memberBit(i)
-			detached[j] |= b
-		}
-	}
 	for wi := uint32(lo * maskPageWords); wi < uint32(hi*maskPageWords); wi++ {
 		pa := mem.PAddr(wi) * mem.WordBytes
 		e := g.maskAt(wi)
-		for j, w := range e {
-			if w&detached[j] != 0 {
-				return fmt.Errorf("word %#x: mask %x names detached members", pa, e)
-			}
-		}
 		held := anyHolder(e)
 		if g.ecc {
 			if held && phys.ECCState(pa)&1 == 0 {
@@ -74,17 +47,14 @@ func checkGangUnionPages(g *Gang, lo, hi int) error {
 			if m == 0 {
 				return fmt.Errorf("invalid-page mask word %d keeps a zero entry for %+v", j, key)
 			}
-			if m&detached[j] != 0 {
-				return fmt.Errorf("invalid-page mask word %d for %+v holds detached members %#x", j, key, m&detached[j])
-			}
 		}
 	}
 	return nil
 }
 
 // TestGangUnionProperty drives a 70-member gang (two mask words) with
-// random arms, clears, detaches, DMA writes, true-error injections and
-// scrubs over a few pages, checking the union invariants and each
+// random arms, clears, DMA writes, true-error injections and scrubs over
+// a few pages, checking the union invariants and each
 // operation's effect on the masks after every operation. It runs on the
 // DECstation (ECC check bits) and on the Gateway 486 (breakpoints).
 func TestGangUnionProperty(t *testing.T) {
@@ -112,13 +82,6 @@ func gangUnionProperty(t *testing.T, g *Gang, seed uint64) {
 	addr := func() (mem.PAddr, int) {
 		return base + mem.PAddr(r.Intn(4*4096/4)*4), 1 + r.Intn(300)
 	}
-	liveMember := func() int {
-		for {
-			if i := r.Intn(len(g.members)); g.live[i] {
-				return i
-			}
-		}
-	}
 	// span checks want(word address, word mask) on every word of
 	// [pa, pa+size).
 	span := func(pa mem.PAddr, size int, want func(w mem.PAddr, e []uint64) bool) error {
@@ -143,7 +106,7 @@ func gangUnionProperty(t *testing.T, g *Gang, seed uint64) {
 		switch n := r.Intn(100); {
 		case n < 45:
 			op = "arm"
-			i := liveMember()
+			i := r.Intn(len(g.members))
 			j, b := memberBit(i)
 			g.members[i].mech.SetTrap(pa, size)
 			// The member holds every word but, on an ECC machine, those
@@ -153,7 +116,7 @@ func gangUnionProperty(t *testing.T, g *Gang, seed uint64) {
 			})
 		case n < 80:
 			op = "clear"
-			i := liveMember()
+			i := r.Intn(len(g.members))
 			j, b := memberBit(i)
 			g.members[i].mech.ClearTrap(pa, size)
 			err = span(pa, size, func(_ mem.PAddr, e []uint64) bool {
@@ -163,24 +126,21 @@ func gangUnionProperty(t *testing.T, g *Gang, seed uint64) {
 			op = "dma"
 			m.DMAWrite(pa, size)
 			if g.ecc {
-				// DMA destroys the ECC traps of words without a true error;
-				// breakpoints survive it.
+				// DMA recomputes ECC for every word it stores: no trap and
+				// no true error survives it. Breakpoints do.
 				err = span(pa, size, func(w mem.PAddr, e []uint64) bool {
-					return !anyHolder(e) || phys.ECCState(w)&^1 != 0
+					return !anyHolder(e) && phys.ECCState(w) == 0
 				})
 			}
 		case n < 93:
 			op = "inject"
 			phys.InjectError(pa, uint(r.Intn(39)))
-		case n < 97:
+		default:
 			op = "scrub"
 			phys.CorrectWord(pa)
 			if g.ecc {
 				err = span(pa, 1, func(_ mem.PAddr, e []uint64) bool { return !anyHolder(e) })
 			}
-		default:
-			op = "detach"
-			err = g.Detach(g.members[liveMember()])
 		}
 		if err == nil {
 			err = checkGangUnionPages(g, len(g.maskPages)-4, len(g.maskPages))

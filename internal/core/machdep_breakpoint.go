@@ -21,8 +21,6 @@ func newBreakpointMech(m *mach.Machine) *breakpointMech { return &breakpointMech
 
 // SetTrap plants one breakpoint per word of the range. The armed state is
 // owned by the Tapeworm page tables; ClearTrap releases it.
-//
-//twvet:transfer
 func (b *breakpointMech) SetTrap(pa mem.PAddr, size int) {
 	if size <= 0 {
 		size = mem.WordBytes
@@ -33,8 +31,6 @@ func (b *breakpointMech) SetTrap(pa mem.PAddr, size int) {
 }
 
 // ClearTrap removes the range's breakpoints armed by SetTrap.
-//
-//twvet:transfer
 func (b *breakpointMech) ClearTrap(pa mem.PAddr, size int) {
 	if size <= 0 {
 		size = mem.WordBytes

@@ -136,6 +136,7 @@ func TestDifferential(t *testing.T) {
 					leg.name, sweepBase, leg.name, got)
 			}
 		}
+		requireNoClaimsInFlight(t)
 	})
 
 	t.Run("result cache persisted", func(t *testing.T) {
@@ -151,6 +152,7 @@ func TestDifferential(t *testing.T) {
 		if st := ResultCacheStats(); st.Loads == 0 {
 			t.Error("reload served nothing from the persisted directory")
 		}
+		requireNoClaimsInFlight(t)
 	})
 
 	sampledOptions := func() Options {

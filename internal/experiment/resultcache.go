@@ -91,12 +91,9 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 // the same invariant that makes the reference rows of TestDifferential
 // hold.
 //
-// Claims are accumulated in a slice and released by the deferred sweep —
-// ownership moves out of the acquire loop, which the intra-procedural
-// pairing pass cannot follow (hence the transfer annotation; every claim
-// still has exactly one Release on every path).
-//
-//twvet:transfer
+// Claims are accumulated in a slice and released by the deferred sweep,
+// so every claim has exactly one Release on every path, errors included:
+// a failed group leaves no claim in flight (ResultCacheStats().InFlight).
 func runGroupCached(o Options, rcs []runConfig) ([]runResult, error) {
 	n := len(rcs)
 	out := make([]runResult, n)

@@ -31,6 +31,16 @@ func sweepGrid() SweepConfig {
 	}
 }
 
+// requireNoClaimsInFlight fails when the process-wide result store holds
+// a claim that was never completed or released: it would wedge every later
+// request for its digest.
+func requireNoClaimsInFlight(t *testing.T) {
+	t.Helper()
+	if n := ResultCacheStats().InFlight; n != 0 {
+		t.Errorf("%d result-cache claims left in flight", n)
+	}
+}
+
 func TestOptionsValidateResultCache(t *testing.T) {
 	o := QuickOptions()
 	o.ResultCacheDir = "/tmp/somewhere"
@@ -93,6 +103,7 @@ func TestSweepResultCacheByteIdentity(t *testing.T) {
 	if st.Hits != 2*runs {
 		t.Errorf("warm hits = %d, want %d (two warm sweeps)", st.Hits, 2*runs)
 	}
+	requireNoClaimsInFlight(t)
 }
 
 // TestSweepResultCachePartialGang: extending a cached grid simulates only
@@ -137,6 +148,7 @@ func TestSweepResultCachePartialGang(t *testing.T) {
 		t.Errorf("full sweep after small sweep hit %d, want %d (shared points + normal run)",
 			got, small.Points()+1)
 	}
+	requireNoClaimsInFlight(t)
 }
 
 // TestSweepResultCacheDirPersistence proves the disk tier end to end: a
@@ -220,6 +232,44 @@ func TestSweepResultCacheDirPersistence(t *testing.T) {
 			t.Fatal("render after recovery differs from original")
 		}
 	})
+	requireNoClaimsInFlight(t)
+}
+
+// TestSweepResultCacheErrorReleasesClaims: a group whose claims fail part
+// way releases the claims it already holds. The member with the lowest
+// digest has no persisted file, so the group leads its claim; the next
+// member's file is corrupt, so its Acquire fails. The typed error must
+// come back with no claim left in flight.
+func TestSweepResultCacheErrorReleasesClaims(t *testing.T) {
+	dir := t.TempDir()
+	o := parallelOptions(1)
+	o.Trials = 1
+	o.Seed = 3004
+	o.ResultCache = true
+	o.ResultCacheDir = dir
+	sc := sweepGrid()
+
+	ResetResultCache()
+	if _, err := Sweep(o, sc); err != nil {
+		t.Fatal(err)
+	}
+	// The sweep is one group, which acquires its claims in digest order;
+	// a file is named by its digest in hex, and Glob sorts the names.
+	files, err := filepath.Glob(filepath.Join(dir, "result-*.rc"))
+	if err != nil || len(files) != sc.Points()+1 {
+		t.Fatalf("persisted %d result files (err %v), want %d", len(files), err, sc.Points()+1)
+	}
+	if err := os.Remove(files[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[1], []byte("definitely not a gob stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ResetResultCache()
+	if _, err := Sweep(o, sc); !errors.Is(err, resultcache.ErrCorrupt) {
+		t.Fatalf("Sweep err = %v, want %v", err, resultcache.ErrCorrupt)
+	}
+	requireNoClaimsInFlight(t)
 }
 
 // legacyResultWire is resultWire as persisted before runResult dropped

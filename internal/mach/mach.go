@@ -648,17 +648,26 @@ func (m *Machine) FlushHostLine(pa mem.PAddr, size int) {
 
 // DMAWrite models a device writing [pa, pa+size): the transfer recomputes
 // ECC for every word it stores, silently destroying any Tapeworm traps in
-// the buffer, and invalidates the host cache lines it overlaps. The
-// machine-check logic never runs — no handler sees the lost traps.
+// the buffer and any true memory errors with them, and invalidates the
+// host cache lines it overlaps. The machine-check logic never runs — no
+// handler sees the lost traps.
 func (m *Machine) DMAWrite(pa mem.PAddr, size int) {
 	if size <= 0 {
 		size = mem.WordBytes
 	}
+	p := m.phys
 	for off := 0; off < size; off += mem.WordBytes {
-		w := pa + mem.PAddr(off)
-		if m.phys.TrappedWord(w) && m.phys.Classify(w&^3) == mem.SynTapeworm {
-			m.ctl.ClearTrap(w&^3, mem.WordBytes)
+		w := (pa + mem.PAddr(off)) &^ 3
+		if !p.TrappedWord(w) {
+			continue
+		}
+		if p.Classify(w) == mem.SynTapeworm {
+			m.ctl.ClearTrap(w, mem.WordBytes)
 			m.dmaClears++
+		} else {
+			// A true error, with or without a Tapeworm bit: the whole word
+			// is restored, and a lost trap still reaches the destroyed hook.
+			p.CorrectWord(w)
 		}
 	}
 	m.FlushHostLine(pa, size)

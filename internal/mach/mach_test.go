@@ -1,6 +1,7 @@
 package mach
 
 import (
+	"slices"
 	"testing"
 
 	"tapeworm/internal/mem"
@@ -345,6 +346,44 @@ func TestTrueErrorCounted(t *testing.T) {
 	}
 	if len(os.eccTraps) != 1 {
 		t.Fatal("true error not delivered to the OS")
+	}
+}
+
+// TestDMAWriteRestoresTrueErrors: a DMA write recomputes ECC for every
+// word it stores, so a word holding a true error, with or without a
+// Tapeworm trap, comes out clean and the next reference traps nothing.
+// The destroyed hook hears of a lost trap and of nothing else.
+func TestDMAWriteRestoresTrueErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		trapped bool
+	}{{"trap and true error", true}, {"true error only", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, os := newTestMachine(t)
+			const pa = 0xd000
+			var destroyed []mem.PAddr
+			m.Phys().SetTrapDestroyedHook(func(pa mem.PAddr) { destroyed = append(destroyed, pa) })
+			if tc.trapped {
+				m.Controller().SetTrap(pa, 4)
+			}
+			m.Phys().InjectError(pa, 20) // non-Tapeworm bit
+			m.DMAWrite(pa, 16)
+			if st := m.Phys().ECCState(pa); st != 0 {
+				t.Fatalf("ECC state %#x after the DMA write, want clean", st)
+			}
+			var want []mem.PAddr
+			if tc.trapped {
+				want = []mem.PAddr{pa}
+			}
+			if !slices.Equal(destroyed, want) {
+				t.Fatalf("destroyed hook calls %#x, want %#x", destroyed, want)
+			}
+			m.Execute(1, mem.Ref{VA: pa, Kind: mem.IFetch})
+			if len(os.eccTraps) != 0 || m.Counters().TrueErrors != 0 {
+				t.Fatalf("reference after the DMA write raised %d ECC traps, %d true errors",
+					len(os.eccTraps), m.Counters().TrueErrors)
+			}
+		})
 	}
 }
 

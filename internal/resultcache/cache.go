@@ -68,13 +68,14 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, error) {
 	return v, nil
 }
 
-// Stats snapshots the cache's counters and the cost it holds. A Get that
-// waited on a build in flight counts a join and, once served its value, a
-// hit. Loads and Saves are always zero here; they count a Store's
-// persistent tier.
+// Stats snapshots the cache's counters, the cost it holds and the
+// entries still in flight. A Get that waited on a build in flight counts
+// a join and, once served its value, a hit. Loads and Saves are always
+// zero here; they count a Store's persistent tier.
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	used := c.used
+	inFlight := len(c.entries) - c.lru.Len() // the map holds settled entries and those in flight
 	c.mu.Unlock()
 	return Stats{
 		Hits:      c.hits.Load(),
@@ -82,6 +83,7 @@ func (c *Cache[K, V]) Stats() Stats {
 		Joins:     c.joins.Load(),
 		Evictions: c.evictions.Load(),
 		Cost:      used,
+		InFlight:  inFlight,
 	}
 }
 

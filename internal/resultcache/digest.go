@@ -20,8 +20,9 @@
 //
 // Concurrent identical requests are deduplicated single-flight: the first
 // claimant becomes the leader and simulates; followers block until the
-// leader publishes (or abandons) and then read the published value. The
-// Acquire/Release pair is enforced by the twvet pairing pass.
+// leader publishes (or abandons) and then read the published value. A
+// leader that is never released wedges every later request for its
+// digest; Stats().InFlight counts the leaders still outstanding.
 package resultcache
 
 import (

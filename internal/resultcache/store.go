@@ -35,6 +35,7 @@ type Stats struct {
 	Loads     uint64 // results loaded from the persistent tier (Store only)
 	Saves     uint64 // results written to the persistent tier (Store only)
 	Cost      int64  // summed cost of the settled entries held now (a Store's: their count)
+	InFlight  int    // entries held now that are neither settled nor abandoned: builds running, claims unreleased
 }
 
 // Store is a two-tier content-addressed result store: an in-memory Cache
@@ -73,10 +74,10 @@ func (s *Store) Reset() {
 }
 
 // Claim is the caller's handle on one Acquire. Every claim must be
-// Released exactly once on every path (the twvet pairing pass enforces
-// it); a leader additionally calls Complete to publish the simulated
-// value before releasing. Release without Complete abandons the claim,
-// waking followers to elect a new leader.
+// Released on every path; a leader additionally calls Complete to publish
+// the simulated value before releasing. Release without Complete abandons
+// the claim, waking followers to elect a new leader. A leader claim stays
+// in Stats().InFlight until it is completed or released.
 type Claim struct {
 	s        *Store
 	dir      string

@@ -104,6 +104,58 @@ func TestReleaseWithoutCompleteAbandons(t *testing.T) {
 	}
 }
 
+// TestInFlightGauge: a leader claim counts in flight until it is
+// completed or released, hit claims never count, and a Get counts while
+// its build runs, whether the build succeeds or fails.
+func TestInFlightGauge(t *testing.T) {
+	s := stringStore(8)
+	inFlight := func(want int, when string) {
+		t.Helper()
+		if got := s.Stats().InFlight; got != want {
+			t.Fatalf("%s: InFlight = %d, want %d", when, got, want)
+		}
+	}
+	leader, err := s.Acquire(digestOf("a"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight(1, "leader claim held")
+	if err := leader.Complete("value-a"); err != nil {
+		t.Fatal(err)
+	}
+	inFlight(0, "after Complete")
+	leader.Release()
+	hit, err := s.Acquire(digestOf("a"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight(0, "hit claim held")
+	hit.Release()
+
+	abandoned, err := s.Acquire(digestOf("b"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight(1, "leader claim held")
+	abandoned.Release()
+	inFlight(0, "after Release without Complete")
+
+	for _, fail := range []bool{false, true} {
+		_, err := s.Get(digestOf("c"), "", func() (any, error) {
+			inFlight(1, "inside Get's build")
+			if fail {
+				return nil, errors.New("boom")
+			}
+			return "value-c", nil
+		})
+		if (err != nil) != fail {
+			t.Fatalf("Get (failing build %v): err = %v", fail, err)
+		}
+		inFlight(0, "after Get")
+		s.Reset()
+	}
+}
+
 func TestSingleFlightDedup(t *testing.T) {
 	s := stringStore(8)
 	d := digestOf("shared")
@@ -150,8 +202,10 @@ func TestSingleFlightDedup(t *testing.T) {
 	if st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 miss", st)
 	}
-	if st.Joins+st.Hits != workers-1 {
-		t.Fatalf("stats = %+v: joins+hits should cover the %d followers", st, workers-1)
+	// Every follower counts a hit; one that waited on the leader's
+	// build counts a join as well.
+	if st.Hits != workers-1 || st.Joins > workers-1 {
+		t.Fatalf("stats = %+v: want a hit for each of the %d followers and at most that many joins", st, workers-1)
 	}
 }
 
@@ -357,7 +411,7 @@ func TestResetDropsSettled(t *testing.T) {
 	if _, ok := c2.Cached(); ok {
 		t.Fatal("Reset kept a settled entry")
 	}
-	if st := s.Stats(); st != (Stats{Misses: 1}) {
-		t.Fatalf("stats after reset = %+v", st)
+	if st := s.Stats(); st != (Stats{Misses: 1, InFlight: 1}) {
+		t.Fatalf("stats after reset = %+v, want one miss and c2 in flight", st)
 	}
 }
