@@ -11,8 +11,8 @@ test:
 ## twvet: run the repo's custom analyzers (internal/analysis, cmd/twvet)
 ## over every package. The passes mechanize the simulation invariants:
 ## deterministic iteration in result packages, nil-guarded telemetry on
-## hot paths, digest completeness, lock discipline, and Options.Validate
-## at experiment boundaries. See DESIGN.md §9 for the invariant catalog.
+## hot paths, lock discipline, and Options.Validate at experiment
+## boundaries. See DESIGN.md §9 for the invariant catalog.
 twvet:
 	$(GO) run ./cmd/twvet ./...
 

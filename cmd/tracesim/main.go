@@ -19,8 +19,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -48,29 +46,6 @@ type traceResult struct {
 	Seconds   float64
 }
 
-func encodeTraceResult(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v.(traceResult))
-	return buf.Bytes(), err
-}
-
-func decodeTraceResult(b []byte) (any, error) {
-	var r traceResult
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r)
-	return r, err
-}
-
-// traceDigest is the content address of one on-the-fly tracesim run.
-func traceDigest(spec workload.Spec, seed uint64, cfg cache2000.Config) resultcache.Digest {
-	h := resultcache.NewHasher()
-	h.WriteString("tracesim.run/v1")
-	h.WriteUint64(core.PhysicsVersion)
-	spec.HashInto(h)
-	h.WriteUint64(seed)
-	cfg.HashInto(h)
-	return h.Sum()
-}
-
 func main() {
 	var (
 		wl      = flag.String("workload", "mpeg_play", "workload to annotate")
@@ -89,8 +64,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if *resultCacheDir != "" && !*resultCache {
-		check(fmt.Errorf("-result-cache-dir %q requires -result-cache", *resultCacheDir))
+	if *resultCacheDir != "" {
+		if !*resultCache {
+			check(fmt.Errorf("-result-cache-dir %q requires -result-cache", *resultCacheDir))
+		}
+		if err := resultcache.CheckDir(*resultCacheDir); err != nil {
+			check(fmt.Errorf("-result-cache-dir invalid: %w", err))
+		}
 	}
 	if *resultCache && (*capture != "" || *replay != "") {
 		fmt.Fprintln(os.Stderr, "tracesim: note: -result-cache only applies to on-the-fly simulation, not -capture or -replay")
@@ -176,15 +156,11 @@ func main() {
 	}
 	run := simulate
 	if *resultCache {
-		store := resultcache.New(1, encodeTraceResult, decodeTraceResult)
+		store := resultcache.New[traceResult](1)
 		spec, err := workload.ByName(*wl, *scale)
 		check(err)
-		d := traceDigest(spec, *seed, cfg)
-		run = func() (traceResult, error) {
-			v, err := store.Get(d, *resultCacheDir, func() (any, error) { return simulate() })
-			res, _ := v.(traceResult)
-			return res, err
-		}
+		d := resultcache.DigestOf("tracesim.run/v2", core.PhysicsVersion, spec, *seed, cfg)
+		run = func() (traceResult, error) { return store.Get(d, *resultCacheDir, simulate) }
 	}
 	res, err := run()
 	check(err)

@@ -19,8 +19,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -38,66 +36,28 @@ import (
 	"tapeworm/internal/workload"
 )
 
-// simResult is everything the report prints about one run, detached from
-// the live system so it can round-trip through the result cache.
-type simResult struct {
-	Snap    tapeworm.Snapshot
-	Seconds float64
-	Mech    string
-	Stats   tapeworm.SimStats
-	Comp    [kernel.NumComponents]uint64
-	Est     float64
-}
-
 // maxCachedResults bounds the in-process tier; twsim runs at most two
 // simulations per invocation, so the store exists for its disk tier.
 const maxCachedResults = 16
 
-func encodeSimResult(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v.(simResult))
-	return buf.Bytes(), err
-}
-
-func decodeSimResult(b []byte) (any, error) {
-	var r simResult
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r)
-	return r, err
-}
-
-// simDigest is the content address of one twsim run: every input that
-// can steer the event stream, plus the physics version so persisted
-// results go stale when simulation semantics change.
-func simDigest(spec workload.Spec, machine string, frames int,
-	seed, pageSeed uint64, instrumented bool,
-	cfg tapeworm.SimConfig, simServers, simKernel bool) resultcache.Digest {
-	h := resultcache.NewHasher()
-	h.WriteString("twsim.run/v2")
-	h.WriteUint64(core.PhysicsVersion)
-	h.WriteString(machine)
-	h.WriteInt(frames)
-	spec.HashInto(h)
-	h.WriteUint64(seed)
-	h.WriteUint64(pageSeed)
-	h.WriteBool(instrumented)
-	if instrumented {
-		cfg.HashInto(h)
-		h.WriteBool(simServers)
-		h.WriteBool(simKernel)
-	}
-	return h.Sum()
+// runDigest is the content address of one twsim run: the physics version
+// and every input that can steer its event stream. sim is empty for the
+// uninstrumented baseline; an instrumented run passes its simulator
+// configuration and the components it simulates.
+func runDigest(machine string, frames int, spec workload.Spec,
+	seed, pageSeed uint64, sim ...any) resultcache.Digest {
+	id := []any{"twsim.run/v3", core.PhysicsVersion, machine, frames, spec, seed, pageSeed}
+	return resultcache.DigestOf(append(id, sim...)...)
 }
 
 // cachedSim serves the run from the result cache when one is attached,
 // simulating only on a miss; with no store it degenerates to sim().
-func cachedSim(store *resultcache.Store, dir string, d resultcache.Digest,
-	sim func() (simResult, error)) (simResult, error) {
+func cachedSim(store *resultcache.Store[experiment.SingleResult], dir string,
+	d resultcache.Digest, sim func() (experiment.SingleResult, error)) (experiment.SingleResult, error) {
 	if store == nil {
 		return sim()
 	}
-	v, err := store.Get(d, dir, func() (any, error) { return sim() })
-	res, _ := v.(simResult)
-	return res, err
+	return store.Get(d, dir, sim)
 }
 
 func main() {
@@ -190,12 +150,12 @@ func main() {
 	// Jobs return plain result values — not live systems — so a cached
 	// run can print exactly what a fresh simulation would without ever
 	// booting a machine.
-	var store *resultcache.Store
+	var store *resultcache.Store[experiment.SingleResult]
 	if *resultCache {
 		if coll != nil {
 			fmt.Fprintln(os.Stderr, "twsim: note: -result-cache is bypassed while telemetry is on (cache hits simulate nothing, so they emit no events)")
 		} else {
-			store = resultcache.New(maxCachedResults, encodeSimResult, decodeSimResult)
+			store = resultcache.New[experiment.SingleResult](maxCachedResults)
 		}
 	}
 	spec, err := workload.ByName(*wl, *scale)
@@ -204,28 +164,27 @@ func main() {
 	// The baseline and instrumented simulations share nothing — each
 	// boots a private kernel and machine — so run them as one scheduler
 	// batch; index 0 is the baseline, index 1 the instrumented system.
-	var jobs []sched.Job[simResult]
+	var jobs []sched.Job[experiment.SingleResult]
 	var tels []*telemetry.Run
 	if *baseline {
 		tels = append(tels, nil)
 		i := len(tels) - 1
-		d := simDigest(spec, mc.Name, *frames, *seed, *pageSeed,
-			false, cfg, false, false)
-		jobs = append(jobs, func() (simResult, error) {
-			return cachedSim(store, *resultCacheDir, d, func() (simResult, error) {
+		d := runDigest(mc.Name, *frames, spec, *seed, *pageSeed)
+		jobs = append(jobs, func() (experiment.SingleResult, error) {
+			return cachedSim(store, *resultCacheDir, d, func() (experiment.SingleResult, error) {
 				tel := coll.StartRun("baseline")
 				tels[i] = tel
 				sys, err := tapeworm.NewSystem(tapeworm.SystemConfig{
 					Machine: mc, Seed: *seed, PageSeed: *pageSeed, Telemetry: tel})
 				if err != nil {
-					return simResult{}, err
+					return experiment.SingleResult{}, err
 				}
 				if _, err := sys.LoadWorkload(*wl, *scale, *seed, false); err != nil {
-					return simResult{}, err
+					return experiment.SingleResult{}, err
 				}
 				err = sys.Run(0)
 				sys.Kernel().ReportTelemetry()
-				return simResult{Snap: sys.Monitor()}, err
+				return experiment.SingleResult{Snap: sys.Monitor()}, err
 			})
 		})
 	}
@@ -243,13 +202,8 @@ func main() {
 		}
 		check(phaseOpts.Validate())
 		tels = append(tels, nil)
-		jobs = append(jobs, func() (simResult, error) {
-			sr, err := experiment.RunSingle(phaseOpts, *wl, *pageSeed, cfg, *simServers, *simKernel)
-			if err != nil {
-				return simResult{}, err
-			}
-			return simResult{Snap: sr.Snap, Seconds: sr.Seconds, Mech: sr.Mech,
-				Stats: sr.Stats, Comp: sr.Comp, Est: sr.Est}, nil
+		jobs = append(jobs, func() (experiment.SingleResult, error) {
+			return experiment.RunSingle(phaseOpts, *wl, *pageSeed, cfg, *simServers, *simKernel)
 		})
 	} else {
 		jobs = append(jobs, instrumentedJob(&tels, coll, store, spec, mc, cfg,
@@ -310,47 +264,46 @@ func main() {
 // system, the simulator attached, the full workload executed. It
 // registers a telemetry slot in tels and fills it when the job runs.
 func instrumentedJob(tels *[]*telemetry.Run, coll *telemetry.Collector,
-	store *resultcache.Store, spec workload.Spec, mc tapeworm.MachineConfig,
+	store *resultcache.Store[experiment.SingleResult], spec workload.Spec, mc tapeworm.MachineConfig,
 	cfg tapeworm.SimConfig, wl string, scale float64, seed, pageSeed uint64,
-	frames int, resultCacheDir string, simServers, simKernel bool) sched.Job[simResult] {
+	frames int, resultCacheDir string, simServers, simKernel bool) sched.Job[experiment.SingleResult] {
 	*tels = append(*tels, nil)
 	instIdx := len(*tels) - 1
-	instDigest := simDigest(spec, mc.Name, frames, seed, pageSeed,
-		true, cfg, simServers, simKernel)
-	return func() (simResult, error) {
-		return cachedSim(store, resultCacheDir, instDigest, func() (simResult, error) {
+	instDigest := runDigest(mc.Name, frames, spec, seed, pageSeed, cfg, simServers, simKernel)
+	return func() (experiment.SingleResult, error) {
+		return cachedSim(store, resultCacheDir, instDigest, func() (experiment.SingleResult, error) {
 			tel := coll.StartRun("instrumented")
 			(*tels)[instIdx] = tel
 			sys, err := tapeworm.NewSystem(tapeworm.SystemConfig{
 				Machine: mc, Seed: seed, PageSeed: pageSeed, Telemetry: tel})
 			if err != nil {
-				return simResult{}, err
+				return experiment.SingleResult{}, err
 			}
 			tw, err := sys.AttachTapeworm(cfg)
 			if err != nil {
-				return simResult{}, err
+				return experiment.SingleResult{}, err
 			}
 			if _, err := sys.LoadWorkload(wl, scale, seed, true); err != nil {
-				return simResult{}, err
+				return experiment.SingleResult{}, err
 			}
 			if simServers {
 				for _, kind := range []kernel.ServerKind{kernel.BSDServer, kernel.XServer} {
 					if t := sys.Kernel().Server(kind); t != nil {
 						if err := tw.Attributes(t.ID, true, false); err != nil {
-							return simResult{}, err
+							return experiment.SingleResult{}, err
 						}
 					}
 				}
 			}
 			if simKernel {
 				if err := tw.Attributes(mem.KernelTask, true, false); err != nil {
-					return simResult{}, err
+					return experiment.SingleResult{}, err
 				}
 			}
 			err = sys.Run(0)
 			sys.Kernel().ReportTelemetry()
 			tw.ReportTelemetry()
-			return simResult{
+			return experiment.SingleResult{
 				Snap:    sys.Monitor(),
 				Seconds: sys.Seconds(),
 				Mech:    tw.MechanismName(),
@@ -424,8 +377,7 @@ func validateRunFlags(parallel, frames int, scale float64) error {
 
 // validateResultCacheFlags rejects result-cache flag combinations that
 // would otherwise fail deep inside the first run: a persist directory
-// without the feature enabled, a blank path, or a path that exists but is
-// not a directory all fail up front.
+// without the feature enabled, or one resultcache.CheckDir refuses.
 func validateResultCacheFlags(resultCache bool, dir string) error {
 	if dir == "" {
 		return nil
@@ -433,11 +385,8 @@ func validateResultCacheFlags(resultCache bool, dir string) error {
 	if !resultCache {
 		return fmt.Errorf("-result-cache-dir %q requires -result-cache", dir)
 	}
-	if strings.TrimSpace(dir) == "" {
-		return fmt.Errorf("-result-cache-dir must not be blank")
-	}
-	if st, err := os.Stat(dir); err == nil && !st.IsDir() {
-		return fmt.Errorf("-result-cache-dir %q is not a directory", dir)
+	if err := resultcache.CheckDir(dir); err != nil {
+		return fmt.Errorf("-result-cache-dir invalid: %w", err)
 	}
 	return nil
 }

@@ -1,8 +1,9 @@
 // Command twvet checks the Tapeworm tree against the repo's simulation
 // invariants: deterministic iteration in result-producing packages,
-// zero-overhead telemetry guards on hot paths, digest completeness for the
-// result cache, lock discipline, and options validation at experiment
-// boundaries (DESIGN.md §9).
+// zero-overhead telemetry guards on hot paths, lock discipline, and
+// options validation at experiment boundaries (DESIGN.md §9). Result-cache
+// digests need no check: resultcache.DigestOf derives each identity from
+// its structs.
 //
 // Usage:
 //

@@ -8,9 +8,9 @@
 //
 // The analyzers themselves live under passes/ and mechanize the
 // simulator's hand-enforced invariants: deterministic iteration in
-// result-producing packages, zero-overhead-when-disabled telemetry,
-// digest completeness, lock discipline, and options validation in
-// experiment drivers. See DESIGN.md §9 for the invariant catalog.
+// result-producing packages, zero-overhead-when-disabled telemetry, lock
+// discipline, and options validation in experiment drivers. See
+// DESIGN.md §9 for the invariant catalog.
 //
 // Analyzers honor `//twvet:` directives in source comments:
 //
@@ -119,8 +119,8 @@ func newTypesInfo() *types.Info {
 // Analyze applies each analyzer to one loaded package and returns the
 // diagnostics sorted by position. When stale is set (full-suite runs
 // only: a single-analyzer golden test cannot observe other passes'
-// suppressions), every allow/nohash directive that suppressed no finding
-// is itself reported.
+// suppressions), every allow directive that suppressed no finding is
+// itself reported.
 func Analyze(lp *LoadedPackage, analyzers []*Analyzer, stale bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := Pass{

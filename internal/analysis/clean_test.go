@@ -23,8 +23,8 @@ func moduleRoot(t *testing.T) string {
 // TestTreeClean runs the full analyzer suite over the repository, as
 // `twvet ./...` does: the tree must carry no violations. This is the test
 // that fails when someone reintroduces an unordered map walk, an
-// unguarded telemetry call, an unhashed digest field, an unbalanced lock,
-// or an unvalidated options path.
+// unguarded telemetry call, an unbalanced lock, or an unvalidated options
+// path.
 func TestTreeClean(t *testing.T) {
 	diags, err := analysis.Run(moduleRoot(t), []string{"./..."}, suite.All())
 	if err != nil {

@@ -36,9 +36,10 @@ var Analyzer = &analysis.Analyzer{
 var resultPkgs = []string{
 	"internal/core", "internal/experiment", "internal/stats", "internal/telemetry",
 	"internal/workload",
-	// The digest encoders must be canonical: ranging an unsorted map into
-	// a Hasher would give the same identity different digests run to run,
-	// which silently defeats every cache lookup.
+	// The digest encoder must be canonical: DigestOf refuses maps, and
+	// ranging one into the encoding in iteration order would give the
+	// same identity different digests run to run, which silently defeats
+	// every cache lookup.
 	"internal/resultcache",
 }
 

@@ -4,7 +4,7 @@ package det
 
 import "sort"
 
-// hasher is a stand-in for the result-cache identity hasher: writes must
+// hasher is a stand-in for a canonical digest encoder: writes must
 // arrive in canonical order, so feeding it from an unsorted map range
 // gives the same identity different digests run to run.
 type hasher struct{ n uint64 }

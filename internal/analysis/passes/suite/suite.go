@@ -5,7 +5,6 @@ import (
 	"tapeworm/internal/analysis"
 	"tapeworm/internal/analysis/passes/determinism"
 	"tapeworm/internal/analysis/passes/gate"
-	"tapeworm/internal/analysis/passes/hashcheck"
 	"tapeworm/internal/analysis/passes/lockcheck"
 	"tapeworm/internal/analysis/passes/telemetryguard"
 )
@@ -15,7 +14,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		gate.Analyzer,
-		hashcheck.Analyzer,
 		lockcheck.Analyzer,
 		telemetryguard.Analyzer,
 	}

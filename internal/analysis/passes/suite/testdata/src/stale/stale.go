@@ -13,8 +13,6 @@ package stale
 import (
 	"sort"
 	"sync"
-
-	"tapeworm/internal/resultcache"
 )
 
 // sumCounts accumulates over map order; addition commutes, so the
@@ -72,27 +70,10 @@ func (h *handoff) balancedAnyway() {
 	h.n++
 }
 
-// probe is fully folded into its digest; hashcheck only consults
-// //twvet:nohash at an unconsumed field, so an annotation on a hashed
-// field is dead weight.
-type probe struct {
-	//twvet:nohash scratch — wrongly annotated, HashInto folds it in // want `//twvet:nohash scratch directive suppressed nothing this run: delete it`
-	Name string
-	N    int
-}
-
-// HashInto covers every field of probe, annotation notwithstanding.
-func (p probe) HashInto(h *resultcache.Hasher) {
-	h.WriteString("stale.probe/v1")
-	h.WriteString(p.Name)
-	h.WriteInt(p.N)
-}
-
 var (
 	_ = sumCounts
 	_ = sortedKeys
 	_ = (*handoff).beginCritical
 	_ = (*handoff).endCritical
 	_ = (*handoff).balancedAnyway
-	_ = probe{}
 )

@@ -37,6 +37,16 @@ import (
 	"tapeworm/internal/telemetry"
 )
 
+// PhysicsVersion is the simulation-semantics version in every
+// result-cache digest. Bump it whenever event-stream semantics change —
+// anything that alters what a run computes from the same configuration:
+// trap arming/clearing rules, replacement policy behaviour, handler cost
+// tables, the kernel's boot recipe or scheduling, the workload stream
+// generators. Persisted results from older physics then simply never
+// match, which is the invalidation rule: stale entries are unreachable,
+// not migrated.
+const PhysicsVersion = 1
+
 // Mode selects what Tapeworm simulates.
 type Mode int
 

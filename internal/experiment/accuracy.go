@@ -66,17 +66,17 @@ func Table4(o Options) (*Table, error) {
 	}
 	for i, spec := range specs {
 		res := results[i]
-		total := float64(res.snap.Instructions)
+		total := float64(res.Snap.Instructions)
 		p := func(x uint64) string { return fmt.Sprintf("%.1f%%", 100*float64(x)/total) }
 		t.Rows = append(t.Rows, []string{
 			spec.Name,
 			millions(total),
-			f2(res.seconds),
-			p(res.comp[kernel.CompKernel]),
-			p(res.bsdInstr),
-			p(res.xInstr),
-			p(res.comp[kernel.CompUser]),
-			fmt.Sprint(res.tasks),
+			f2(res.Seconds),
+			p(res.Comp[kernel.CompKernel]),
+			p(res.BSDInstr),
+			p(res.XInstr),
+			p(res.Comp[kernel.CompUser]),
+			fmt.Sprint(res.Tasks),
 		})
 	}
 	return t, nil
@@ -161,23 +161,23 @@ func Table6(o Options) (*Table, error) {
 				float64(misses)/float64(totalInstr))
 		}
 		if idx := layouts[i].trace; idx >= 0 {
-			row = append(row, cell(results[idx].c2kMisses, results[idx].snap.Instructions))
+			row = append(row, cell(results[idx].C2kMisses, results[idx].Snap.Instructions))
 		} else {
 			row = append(row, "")
 		}
 		var dedicatedSum uint64
 		for j := 0; j < 3; j++ {
 			res := results[layouts[i].dedicated+j]
-			row = append(row, cell(res.twStats.Misses, res.snap.Instructions))
-			dedicatedSum += res.twStats.Misses
+			row = append(row, cell(res.TwStats.Misses, res.Snap.Instructions))
+			dedicatedSum += res.TwStats.Misses
 		}
 		all := results[layouts[i].all]
-		row = append(row, cell(all.twStats.Misses, all.snap.Instructions))
+		row = append(row, cell(all.TwStats.Misses, all.Snap.Instructions))
 		var interference uint64
-		if all.twStats.Misses > dedicatedSum {
-			interference = all.twStats.Misses - dedicatedSum
+		if all.TwStats.Misses > dedicatedSum {
+			interference = all.TwStats.Misses - dedicatedSum
 		}
-		row = append(row, cell(interference, all.snap.Instructions))
+		row = append(row, cell(interference, all.Snap.Instructions))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
@@ -241,7 +241,7 @@ func trialJobs(o Options, spec workload.Spec, mkCfg func(trial int) *core.Config
 func twEsts(results []runResult) []float64 {
 	out := make([]float64, len(results))
 	for i, r := range results {
-		out[i] = r.twEst
+		out[i] = r.TwEst
 	}
 	return out
 }
@@ -514,7 +514,7 @@ func Figure4(o Options) (*Table, error) {
 			res := results[next]
 			next++
 			sumSlow += slowdown(res, normal)
-			sumMiss += res.twEst
+			sumMiss += res.TwEst
 		}
 		points = append(points, point{
 			label:    core.Sampling{Num: 1, Den: den}.String(),

@@ -33,12 +33,12 @@ func TestTable4Calibration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		total := float64(res.snap.Instructions)
+		total := float64(res.Snap.Instructions)
 		got := map[string]float64{
-			"kernel": 100 * float64(res.comp[kernel.CompKernel]) / total,
-			"bsd":    100 * float64(res.bsdInstr) / total,
-			"x":      100 * float64(res.xInstr) / total,
-			"user":   100 * float64(res.comp[kernel.CompUser]) / total,
+			"kernel": 100 * float64(res.Comp[kernel.CompKernel]) / total,
+			"bsd":    100 * float64(res.BSDInstr) / total,
+			"x":      100 * float64(res.XInstr) / total,
+			"user":   100 * float64(res.Comp[kernel.CompUser]) / total,
 		}
 		want := map[string]float64{
 			"kernel": 100 * spec.FracKernel,
@@ -53,8 +53,8 @@ func TestTable4Calibration(t *testing.T) {
 					spec.Name, comp, got[comp], want[comp], tol)
 			}
 		}
-		if res.tasks != spec.Tasks {
-			t.Errorf("%s spawned %d tasks, want %d", spec.Name, res.tasks, spec.Tasks)
+		if res.Tasks != spec.Tasks {
+			t.Errorf("%s spawned %d tasks, want %d", spec.Name, res.Tasks, spec.Tasks)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestDirectMappedSetRefinement(t *testing.T) {
 				continue // first size of the next block
 			}
 			rc := jobs[i].cfg
-			small, big := rs[i-1].twStats.Misses, rs[i].twStats.Misses
+			small, big := rs[i-1].TwStats.Misses, rs[i].TwStats.Misses
 			if big > small {
 				t.Errorf("%s: %s %s all=%v: %s misses %d > %s misses %d",
 					mode.name, rc.spec.Name, rc.tw.Cache.Indexing, rc.simKernel,
@@ -80,10 +80,10 @@ func TestDirectMappedSetRefinement(t *testing.T) {
 			// Monotone but flat would also pass on a simulator that counts
 			// nothing: each block's 64 KB cache must miss less than its 1 KB.
 			if first := i + 1 - len(sizes); i%len(sizes) == len(sizes)-1 &&
-				rs[i].twStats.Misses >= rs[first].twStats.Misses {
+				rs[i].TwStats.Misses >= rs[first].TwStats.Misses {
 				t.Errorf("%s: %s %s all=%v: 64K misses %d not below 1K misses %d",
 					mode.name, rc.spec.Name, rc.tw.Cache.Indexing, rc.simKernel,
-					rs[i].twStats.Misses, rs[first].twStats.Misses)
+					rs[i].TwStats.Misses, rs[first].TwStats.Misses)
 			}
 		}
 		if want := len(specs) * len(blocks) * (len(sizes) - 1); pairs != want {

@@ -12,11 +12,11 @@ package experiment
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
 	"tapeworm/internal/mem"
+	"tapeworm/internal/resultcache"
 	"tapeworm/internal/telemetry"
 	"tapeworm/internal/workload"
 )
@@ -118,11 +118,8 @@ func (o Options) Validate() error {
 		if !o.ResultCache {
 			return fmt.Errorf("experiment: ResultCacheDir %q requires ResultCache", o.ResultCacheDir)
 		}
-		if strings.TrimSpace(o.ResultCacheDir) == "" {
-			return fmt.Errorf("experiment: ResultCacheDir must not be blank")
-		}
-		if st, err := os.Stat(o.ResultCacheDir); err == nil && !st.IsDir() {
-			return fmt.Errorf("experiment: ResultCacheDir %q is not a directory", o.ResultCacheDir)
+		if err := resultcache.CheckDir(o.ResultCacheDir); err != nil {
+			return fmt.Errorf("experiment: ResultCacheDir invalid: %w", err)
 		}
 	}
 	if o.PhaseIntervals < 0 {

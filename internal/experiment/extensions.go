@@ -135,7 +135,7 @@ func ExtBreakEven(o Options) (*Table, error) {
 		if trSlow < twSlow {
 			faster = "Cache2000"
 		}
-		missRatio := float64(trRes.c2kMisses) / float64(trRes.c2kHits+trRes.c2kMisses)
+		missRatio := float64(trRes.C2kMisses) / float64(trRes.C2kHits+trRes.C2kMisses)
 		t.Rows = append(t.Rows, []string{
 			sizeKB(geom.Size), f3(missRatio), f2(twSlow), f2(trSlow), faster,
 		})
@@ -410,9 +410,9 @@ func ExtReplacement(o Options) (*Table, error) {
 		twRes, fifo, lru := results[3*i], results[3*i+1], results[3*i+2]
 		t.Rows = append(t.Rows, []string{
 			sizeKB(size),
-			fmt.Sprint(twRes.twStats.Misses),
-			fmt.Sprint(fifo.c2kMisses),
-			fmt.Sprint(lru.c2kMisses),
+			fmt.Sprint(twRes.TwStats.Misses),
+			fmt.Sprint(fifo.C2kMisses),
+			fmt.Sprint(lru.C2kMisses),
 		})
 	}
 	return t, nil

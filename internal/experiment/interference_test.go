@@ -39,25 +39,25 @@ func TestComponentSharingInterference(t *testing.T) {
 	kern := exec(false, false, true)
 	all := exec(true, true, true)
 
-	sum := user.twStats.Misses + servers.twStats.Misses + kern.twStats.Misses
-	if all.twStats.Misses <= sum {
-		t.Errorf("no interference: all %d <= sum of dedicated %d", all.twStats.Misses, sum)
+	sum := user.TwStats.Misses + servers.TwStats.Misses + kern.TwStats.Misses
+	if all.TwStats.Misses <= sum {
+		t.Errorf("no interference: all %d <= sum of dedicated %d", all.TwStats.Misses, sum)
 	}
 	// Each shared component should miss at least ~95% of its dedicated
 	// count (streams interleave slightly differently across runs).
 	for comp, dedicated := range map[kernel.Component]uint64{
-		kernel.CompUser:   user.twStats.Misses,
-		kernel.CompServer: servers.twStats.Misses,
-		kernel.CompKernel: kern.twStats.Misses,
+		kernel.CompUser:   user.TwStats.Misses,
+		kernel.CompServer: servers.TwStats.Misses,
+		kernel.CompKernel: kern.TwStats.Misses,
 	} {
-		shared := all.twByComp[comp]
+		shared := all.TwByComp[comp]
 		if float64(shared) < 0.95*float64(dedicated) {
 			t.Errorf("%v: shared misses %d below dedicated %d", comp, shared, dedicated)
 		}
 	}
 	// Dedicated runs see misses only from their own component.
-	if user.twByComp[kernel.CompKernel] != 0 || user.twByComp[kernel.CompServer] != 0 {
-		t.Errorf("user-dedicated run recorded foreign misses: %v", user.twByComp)
+	if user.TwByComp[kernel.CompKernel] != 0 || user.TwByComp[kernel.CompServer] != 0 {
+		t.Errorf("user-dedicated run recorded foreign misses: %v", user.TwByComp)
 	}
 }
 

@@ -259,16 +259,16 @@ func buildIntervalProfile(o Options, rc runConfig, kcfg kernel.Config) (*interva
 
 	m := k.Machine()
 	var base runResult
-	base.snap = monster.Snap(m)
-	base.seconds = m.Seconds(m.Cycles())
-	base.comp = k.ComponentInstructions()
+	base.Snap = monster.Snap(m)
+	base.Seconds = m.Seconds(m.Cycles())
+	base.Comp = k.ComponentInstructions()
 	if t := k.Server(kernel.BSDServer); t != nil {
-		base.bsdInstr = t.Instructions
+		base.BSDInstr = t.Instructions
 	}
 	if t := k.Server(kernel.XServer); t != nil {
-		base.xInstr = t.Instructions
+		base.XInstr = t.Instructions
 	}
-	base.tasks = k.Stats().UserSpawned
+	base.Tasks = k.Stats().UserSpawned
 
 	return &intervalProfile{plan: plan, marks: marks, base: base}, nil
 }
@@ -322,8 +322,8 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 	// uninstrumented base plus the extrapolated simulator statistics,
 	// mirroring runGang's per-member ledger arithmetic.
 	secondsPerCycle := 0.0
-	if profile.base.snap.Cycles > 0 {
-		secondsPerCycle = profile.base.seconds / float64(profile.base.snap.Cycles)
+	if profile.base.Snap.Cycles > 0 {
+		secondsPerCycle = profile.base.Seconds / float64(profile.base.Snap.Cycles)
 	}
 	out := make([]runResult, len(rcs))
 	for i := range out {
@@ -332,7 +332,7 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 	for i, rc := range members {
 		res := profile.base
 		t := &tallies[i]
-		res.twStats = core.Stats{
+		res.TwStats = core.Stats{
 			Misses:          round64(t.misses),
 			CrossKindClears: round64(t.crossClears),
 			LostDisplaced:   round64(t.lost),
@@ -344,17 +344,17 @@ func runGangIntervals(o Options, rcs []runConfig) ([]runResult, error) {
 			TrueErrors:      round64(t.trueErrs),
 		}
 		for c := range t.byComp {
-			res.twStats.MissesByComp[c] = round64(t.byComp[c])
-			res.twByComp[c] = res.twStats.MissesByComp[c]
+			res.TwStats.MissesByComp[c] = round64(t.byComp[c])
+			res.TwByComp[c] = res.TwStats.MissesByComp[c]
 		}
 		// Like Tapeworm.EstimatedMisses, the estimate scales the reported
 		// (rounded) count, so full sampling shows estimate == misses.
-		res.twEst = float64(res.twStats.Misses) / rc.tw.Sampling.Fraction()
-		res.mech = t.mech
+		res.TwEst = float64(res.TwStats.Misses) / rc.tw.Sampling.Fraction()
+		res.Mech = t.mech
 		ledger := round64(t.ledger)
-		res.snap.Cycles += ledger
-		res.snap.OverheadCycles += ledger
-		res.seconds = secondsPerCycle * float64(res.snap.Cycles)
+		res.Snap.Cycles += ledger
+		res.Snap.OverheadCycles += ledger
+		res.Seconds = secondsPerCycle * float64(res.Snap.Cycles)
 		out[i] = res
 	}
 	return out, nil

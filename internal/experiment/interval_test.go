@@ -144,7 +144,7 @@ func TestIntervalPinnedErrorBound(t *testing.T) {
 			}
 			worst := 0.0
 			for i := range rcs {
-				e := math.Abs(sampled[i].twEst-exact[i].twEst) / float64(exact[i].snap.Instructions)
+				e := math.Abs(sampled[i].TwEst-exact[i].TwEst) / float64(exact[i].Snap.Instructions)
 				worst = math.Max(worst, e)
 			}
 			t.Logf("%s: worst miss-ratio error %.4f over %d members", name, worst, len(rcs))

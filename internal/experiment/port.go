@@ -4,20 +4,26 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"tapeworm/internal/arch"
 	"tapeworm/internal/sched"
 )
 
+// simCommands are the commands under cmd/ that run the simulator. The
+// rest (the twvet linter and the twcodecount line counter) control no
+// simulation, so Table 11 does not count them as Tapeworm.
+var simCommands = []string{"tracesim", "twbench", "twcal", "twsim", "twsweep"}
+
 // Table11 reports the code distribution of this Tapeworm implementation in
 // the paper's three categories: machine-dependent kernel code (the trap
 // mechanisms in internal/core/machdep_*.go), machine-independent kernel
 // code (the rest of the simulator core), and machine-independent user
-// code (the experiment harness and command-line tools that control the
-// simulator, like the paper's user-level X application). The paper's
-// claim — under 5% of Tapeworm is machine-dependent — should survive the
-// port to Go.
+// code (the experiment harness, the examples and the simCommands that
+// control the simulator, like the paper's user-level X application). The
+// paper's claim — under 5% of Tapeworm is machine-dependent — should
+// survive the port to Go.
 func Table11(o Options) (*Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -42,11 +48,11 @@ func Table11(o Options) (*Table, error) {
 		case strings.HasPrefix(rel, "internal/core/"):
 			return 1
 		case strings.HasPrefix(rel, "internal/experiment/"),
-			strings.HasPrefix(rel, "cmd/"),
-			strings.HasPrefix(rel, "examples/"):
+			strings.HasPrefix(rel, "examples/"),
+			strings.HasPrefix(rel, "cmd/") && slices.Contains(simCommands, strings.Split(rel, "/")[1]):
 			return 2
 		default:
-			return -1 // substrates: the simulated machine/OS, not Tapeworm
+			return -1 // substrates (the simulated machine/OS) and tools: not Tapeworm
 		}
 	}
 	// Walk serially (directory order defines determinism), then count

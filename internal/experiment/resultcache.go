@@ -13,12 +13,9 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/gob"
 	"sort"
 
 	"tapeworm/internal/core"
-	"tapeworm/internal/kernel"
-	"tapeworm/internal/monster"
 	"tapeworm/internal/resultcache"
 )
 
@@ -29,7 +26,7 @@ const maxCachedResults = 4096
 
 // resultStore is the process-wide result cache: one instance, shared by
 // every experiment in the process, safe for concurrent groups.
-var resultStore = resultcache.New(maxCachedResults, encodeResult, decodeResult)
+var resultStore = resultcache.New[runResult](maxCachedResults)
 
 // ResultCacheStats reports process-wide result cache activity (bench
 // JSON's result_cache section).
@@ -40,47 +37,23 @@ func ResultCacheStats() resultcache.Stats { return resultStore.Stats() }
 // are untouched.
 func ResetResultCache() { resultStore.Reset() }
 
-// resultDigest canonically digests a run's full execution identity. The
-// runConfig must already be normalized (the reference bit folded in from
-// Options, as runAll's workers do), so the digest never depends on where
-// it was spelled. The reference bit does not change results but is hashed
-// anyway: the cache's contract is "same digest, same bytes", and keying
-// the reference executor apart means a cache row can never serve one
-// path's result to the other, so a differential run simulates fresh
-// instead of trusting the equivalence it is checking.
-//
-//twvet:digest runConfig
+// resultDigest canonically digests a run's full execution identity: the
+// whole runConfig but its telemetry handle, and the phase geometry, since
+// interval replay's extrapolated results are not byte-identical to an
+// exhaustive run's. The runConfig must already be normalized (the
+// reference bit folded in from Options, as runAll's workers do), so the
+// digest never depends on where it was spelled. The reference bit does
+// not change results but is digested anyway: the cache's contract is
+// "same digest, same bytes", and keying the reference executor apart
+// means a cache row can never serve one path's result to the other, so a
+// differential run simulates fresh instead of trusting the equivalence it
+// is checking.
 func resultDigest(o Options, rc runConfig) resultcache.Digest {
-	h := resultcache.NewHasher()
-	h.WriteString("experiment.run/v5")
-	h.WriteUint64(core.PhysicsVersion)
-	rc.spec.HashInto(h)
-	h.WriteUint64(rc.seed)
-	h.WriteUint64(rc.pageSeed)
-	frames := rc.frames
-	if frames <= 0 {
-		frames = 8192 // run()'s default for unset frames
+	if rc.frames <= 0 {
+		rc.frames = 8192 // run()'s default for unset frames
 	}
-	h.WriteInt(frames)
-	h.WriteBool(rc.simUser)
-	h.WriteBool(rc.simServers)
-	h.WriteBool(rc.simKernel)
-	h.WriteBool(rc.reference)
-	h.WriteBool(rc.gang)
-	// Interval replay produces extrapolated (not byte-identical) results,
-	// so the phase geometry is part of the execution identity.
-	h.WriteInt(o.PhaseIntervals)
-	h.WriteInt(o.PhaseK)
-	h.WriteInt(o.PhaseWarmup)
-	h.WriteBool(rc.tw != nil)
-	if rc.tw != nil {
-		rc.tw.HashInto(h)
-	}
-	h.WriteBool(rc.trace != nil)
-	if rc.trace != nil {
-		rc.trace.HashInto(h)
-	}
-	return h.Sum()
+	return resultcache.DigestOf("experiment.run/v6", core.PhysicsVersion, rc,
+		o.PhaseIntervals, o.PhaseK, o.PhaseWarmup)
 }
 
 // runGroupCached executes one runAll group through the result cache:
@@ -97,7 +70,7 @@ func resultDigest(o Options, rc runConfig) resultcache.Digest {
 func runGroupCached(o Options, rcs []runConfig) ([]runResult, error) {
 	n := len(rcs)
 	out := make([]runResult, n)
-	claims := make([]*resultcache.Claim, n)
+	claims := make([]*resultcache.Claim[runResult], n)
 	dupOf := make([]int, n)
 	hit := make([]bool, n)
 	digests := make([]resultcache.Digest, n)
@@ -137,7 +110,7 @@ func runGroupCached(o Options, rcs []runConfig) ([]runResult, error) {
 		}
 		claims[i] = claim
 		if v, ok := claim.Cached(); ok {
-			out[i] = v.(runResult)
+			out[i] = v
 			hit[i] = true
 		}
 	}
@@ -185,54 +158,4 @@ func runGroupCached(o Options, rcs []runConfig) ([]runResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// resultWire is the gob image of a runResult for the persistent tier
-// (gob requires exported fields; runResult keeps its fields private).
-type resultWire struct {
-	Snap     monster.Snapshot
-	Seconds  float64
-	Comp     [kernel.NumComponents]uint64
-	BSDInstr uint64
-	XInstr   uint64
-	Tasks    int
-
-	TwStats  core.Stats
-	TwByComp [kernel.NumComponents]uint64
-	TwEst    float64
-	Mech     string
-
-	C2kHits, C2kMisses uint64
-	PixieRefs          uint64
-}
-
-//twvet:digest runResult
-//twvet:digest resultWire
-func encodeResult(v any) ([]byte, error) {
-	r := v.(runResult)
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(resultWire{
-		Snap: r.snap, Seconds: r.seconds, Comp: r.comp,
-		BSDInstr: r.bsdInstr, XInstr: r.xInstr, Tasks: r.tasks,
-		TwStats: r.twStats, TwByComp: r.twByComp,
-		TwEst: r.twEst, Mech: r.mech, C2kHits: r.c2kHits, C2kMisses: r.c2kMisses,
-		PixieRefs: r.pixieRefs,
-	})
-	return buf.Bytes(), err
-}
-
-//twvet:digest runResult
-//twvet:digest resultWire
-func decodeResult(b []byte) (any, error) {
-	var w resultWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return nil, err
-	}
-	return runResult{
-		snap: w.Snap, seconds: w.Seconds, comp: w.Comp,
-		bsdInstr: w.BSDInstr, xInstr: w.XInstr, tasks: w.Tasks,
-		twStats: w.TwStats, twByComp: w.TwByComp,
-		twEst: w.TwEst, mech: w.Mech, c2kHits: w.C2kHits, c2kMisses: w.C2kMisses,
-		pixieRefs: w.PixieRefs,
-	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -272,9 +273,9 @@ func TestSweepResultCacheErrorReleasesClaims(t *testing.T) {
 	requireNoClaimsInFlight(t)
 }
 
-// legacyResultWire is resultWire as persisted before runResult dropped
-// the machine's event counters: result files written then carry an extra
-// Counters field, which decoding must skip.
+// legacyResultWire is a runResult payload as persisted before runResult
+// dropped the machine's event counters: result files written then carry
+// an extra Counters field, which decoding must skip.
 type legacyResultWire struct {
 	Snap     monster.Snapshot
 	Seconds  float64
@@ -319,7 +320,7 @@ func loadResultFile(tb testing.TB, d resultcache.Digest, data []byte) (runResult
 	if err := os.WriteFile(resultcache.Path(dir, d), data, 0o644); err != nil {
 		tb.Fatal(err)
 	}
-	claim, err := resultcache.New(1, encodeResult, decodeResult).Acquire(d, dir)
+	claim, err := resultcache.New[runResult](1).Acquire(d, dir)
 	if err != nil {
 		return runResult{}, err
 	}
@@ -328,7 +329,7 @@ func loadResultFile(tb testing.TB, d resultcache.Digest, data []byte) (runResult
 	if !ok {
 		tb.Fatal("a present result file was neither loaded nor rejected")
 	}
-	return v.(runResult), nil
+	return v, nil
 }
 
 // FuzzResultFile feeds arbitrary bytes to the persistent result tier as
@@ -346,24 +347,21 @@ func FuzzResultFile(f *testing.F) {
 	d := resultDigest(o, normalConfig(o, spec, 0))
 	other := resultDigest(o, normalConfig(o, spec, 1))
 	want := runResult{
-		snap:    monster.Snapshot{Cycles: 9, OverheadCycles: 4, Instructions: 7, ClockTicks: 2},
-		seconds: 1.5, comp: [kernel.NumComponents]uint64{5, 1, 1}, bsdInstr: 1, xInstr: 2, tasks: 3,
-		twStats: core.Stats{Misses: 6}, twByComp: [kernel.NumComponents]uint64{6}, twEst: 6,
-		mech: "ECC", c2kHits: 8, c2kMisses: 1, pixieRefs: 9,
+		Snap:    monster.Snapshot{Cycles: 9, OverheadCycles: 4, Instructions: 7, ClockTicks: 2},
+		Seconds: 1.5, Comp: [kernel.NumComponents]uint64{5, 1, 1}, BSDInstr: 1, XInstr: 2, Tasks: 3,
+		TwStats: core.Stats{Misses: 6}, TwByComp: [kernel.NumComponents]uint64{6}, TwEst: 6,
+		Mech: "ECC", C2kHits: 8, C2kMisses: 1, PixieRefs: 9,
 	}
 	file := func(version int, d resultcache.Digest, payload []byte) []byte {
 		return gobBytes(f, resultEnvelope{Version: version, Digest: d[:], Payload: payload})
 	}
-	payload, err := encodeResult(want)
-	if err != nil {
-		f.Fatal(err)
-	}
+	payload := gobBytes(f, want)
 	legacy := file(1, d, gobBytes(f, legacyResultWire{
-		Snap: want.snap, Seconds: want.seconds, Comp: want.comp,
-		BSDInstr: want.bsdInstr, XInstr: want.xInstr, Tasks: want.tasks,
+		Snap: want.Snap, Seconds: want.Seconds, Comp: want.Comp,
+		BSDInstr: want.BSDInstr, XInstr: want.XInstr, Tasks: want.Tasks,
 		Counters: mach.Counters{PageFaults: 12, ECCTraps: 6},
-		TwStats:  want.twStats, TwByComp: want.twByComp, TwEst: want.twEst, Mech: want.mech,
-		C2kHits: want.c2kHits, C2kMisses: want.c2kMisses, PixieRefs: want.pixieRefs,
+		TwStats:  want.TwStats, TwByComp: want.TwByComp, TwEst: want.TwEst, Mech: want.Mech,
+		C2kHits: want.C2kHits, C2kMisses: want.C2kMisses, PixieRefs: want.PixieRefs,
 	}))
 	if got, err := loadResultFile(f, d, legacy); err != nil || !reflect.DeepEqual(got, want) {
 		f.Fatalf("pre-change result file: got %+v, err %v; want %+v", got, err, want)
@@ -382,7 +380,7 @@ func FuzzResultFile(f *testing.F) {
 			}
 			return
 		}
-		if _, err := encodeResult(r); err != nil {
+		if err := gob.NewEncoder(io.Discard).Encode(r); err != nil {
 			t.Fatalf("loaded result does not encode again: %v", err)
 		}
 	})

@@ -61,7 +61,7 @@ func TestBaselineRidesGang(t *testing.T) {
 			check := func(label string, rs []runResult) {
 				t.Helper()
 				for i, r := range rs[:len(rs)-1] {
-					if r.snap.OverheadCycles == 0 {
+					if r.Snap.OverheadCycles == 0 {
 						t.Fatalf("%s: member %d has no ledger; the check would be vacuous", label, i)
 					}
 				}

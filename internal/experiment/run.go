@@ -39,26 +39,30 @@ type runConfig struct {
 
 	trace *cache2000.Config // non-nil: annotate with Pixie feeding Cache2000
 
-	//twvet:nohash observability — telemetry records the run, it does not steer it
-	tel *telemetry.Run // non-nil: record this run's metrics and events
+	// tel records the run's metrics and events when non-nil. It observes
+	// the run without steering it, so it stays out of the result digest.
+	tel *telemetry.Run `hash:"-"`
 }
 
-// runResult carries everything the experiments read out of a run.
+// runResult carries everything the experiments read out of a run. The
+// result cache persists it as a gob payload, which matches fields by
+// name: rename a field only together with resultDigest's label, or files
+// written before the rename decode without it.
 type runResult struct {
-	snap     monster.Snapshot
-	seconds  float64
-	comp     [kernel.NumComponents]uint64 // instructions per component
-	bsdInstr uint64
-	xInstr   uint64
-	tasks    int
+	Snap     monster.Snapshot
+	Seconds  float64
+	Comp     [kernel.NumComponents]uint64 // instructions per component
+	BSDInstr uint64
+	XInstr   uint64
+	Tasks    int
 
-	twStats  core.Stats
-	twByComp [kernel.NumComponents]uint64
-	twEst    float64 // sampling-scaled miss estimate
-	mech     string  // trap mechanism name (instrumented runs only)
+	TwStats  core.Stats
+	TwByComp [kernel.NumComponents]uint64
+	TwEst    float64 // sampling-scaled miss estimate
+	Mech     string  // trap mechanism name (instrumented runs only)
 
-	c2kHits, c2kMisses uint64
-	pixieRefs          uint64
+	C2kHits, C2kMisses uint64
+	PixieRefs          uint64
 }
 
 // run executes one workload to completion on a freshly booted machine.
@@ -117,25 +121,25 @@ func run(rc runConfig) (runResult, error) {
 	}
 
 	m := k.Machine()
-	res.snap = monster.Snap(m)
-	res.seconds = m.Seconds(m.Cycles())
-	res.comp = k.ComponentInstructions()
+	res.Snap = monster.Snap(m)
+	res.Seconds = m.Seconds(m.Cycles())
+	res.Comp = k.ComponentInstructions()
 	if t := k.Server(kernel.BSDServer); t != nil {
-		res.bsdInstr = t.Instructions
+		res.BSDInstr = t.Instructions
 	}
 	if t := k.Server(kernel.XServer); t != nil {
-		res.xInstr = t.Instructions
+		res.XInstr = t.Instructions
 	}
-	res.tasks = k.Stats().UserSpawned
+	res.Tasks = k.Stats().UserSpawned
 	if tw != nil {
-		res.twStats = tw.Stats()
-		res.twByComp = tw.MissesByComponent()
-		res.twEst = tw.EstimatedMisses()
-		res.mech = tw.MechanismName()
+		res.TwStats = tw.Stats()
+		res.TwByComp = tw.MissesByComponent()
+		res.TwEst = tw.EstimatedMisses()
+		res.Mech = tw.MechanismName()
 	}
 	if c2k != nil {
-		res.c2kHits, res.c2kMisses = c2k.Hits(), c2k.Misses()
-		res.pixieRefs = ann.Refs()
+		res.C2kHits, res.C2kMisses = c2k.Hits(), c2k.Misses()
+		res.PixieRefs = ann.Refs()
 	}
 	if rc.tel != nil {
 		k.ReportTelemetry()
@@ -143,9 +147,9 @@ func run(rc runConfig) (runResult, error) {
 			tw.ReportTelemetry()
 		}
 		if c2k != nil {
-			rc.tel.SetCounter("c2k_hits", res.c2kHits)
-			rc.tel.SetCounter("c2k_misses", res.c2kMisses)
-			rc.tel.SetCounter("pixie_refs", res.pixieRefs)
+			rc.tel.SetCounter("c2k_hits", res.C2kHits)
+			rc.tel.SetCounter("c2k_misses", res.C2kMisses)
+			rc.tel.SetCounter("pixie_refs", res.PixieRefs)
 		}
 	}
 	return res, nil
@@ -221,16 +225,16 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	m := k.Machine()
 	base := monster.Snap(m)
 	shared := runResult{
-		snap:    base,
-		seconds: m.Seconds(base.Cycles),
-		comp:    k.ComponentInstructions(),
-		tasks:   k.Stats().UserSpawned,
+		Snap:    base,
+		Seconds: m.Seconds(base.Cycles),
+		Comp:    k.ComponentInstructions(),
+		Tasks:   k.Stats().UserSpawned,
 	}
 	if t := k.Server(kernel.BSDServer); t != nil {
-		shared.bsdInstr = t.Instructions
+		shared.BSDInstr = t.Instructions
 	}
 	if t := k.Server(kernel.XServer); t != nil {
-		shared.xInstr = t.Instructions
+		shared.XInstr = t.Instructions
 	}
 	if rc0.tel != nil {
 		k.ReportTelemetry()
@@ -243,16 +247,16 @@ func runGang(rcs []runConfig) ([]runResult, error) {
 	for i, tw := range g.Members() {
 		res := shared
 		ledger := tw.LedgerCycles()
-		res.snap.Cycles += ledger
-		res.snap.OverheadCycles += ledger
-		res.seconds = m.Seconds(res.snap.Cycles)
-		res.twStats = tw.Stats()
-		res.twByComp = tw.MissesByComponent()
-		res.twEst = tw.EstimatedMisses()
-		res.mech = tw.MechanismName()
+		res.Snap.Cycles += ledger
+		res.Snap.OverheadCycles += ledger
+		res.Seconds = m.Seconds(res.Snap.Cycles)
+		res.TwStats = tw.Stats()
+		res.TwByComp = tw.MissesByComponent()
+		res.TwEst = tw.EstimatedMisses()
+		res.Mech = tw.MechanismName()
 		if tel := rcs[i].tel; tel != nil {
 			tw.ReportTelemetry()
-			tel.SetTiming(res.snap.Cycles, res.snap.OverheadCycles, res.snap.Instructions)
+			tel.SetTiming(res.Snap.Cycles, res.Snap.OverheadCycles, res.Snap.Instructions)
 		}
 		out[i] = res
 	}
@@ -463,7 +467,7 @@ func runAll(o Options, jobs []runJob) ([]runResult, error) {
 // slowdown implements the paper's definition against a matching normal
 // run: overhead time over normal run time.
 func slowdown(instrumented, normal runResult) float64 {
-	return monster.Slowdown(instrumented.snap, normal.snap)
+	return monster.Slowdown(instrumented.Snap, normal.Snap)
 }
 
 // dmICache builds the workhorse configuration of the evaluation: a

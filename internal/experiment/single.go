@@ -6,8 +6,9 @@ import (
 	"tapeworm/internal/monster"
 )
 
-// SingleResult is the readout of one instrumented run executed through
-// RunSingle: the fields twsim reports, detached from the live system.
+// SingleResult is the readout of one run: the fields twsim reports,
+// detached from the live system. RunSingle returns it, and twsim's result
+// cache persists it as a gob payload, which matches fields by name.
 type SingleResult struct {
 	Snap    monster.Snapshot
 	Seconds float64
@@ -44,6 +45,6 @@ func RunSingle(o Options, workloadName string, pageSeed uint64,
 		return SingleResult{}, err
 	}
 	r := res[0]
-	return SingleResult{Snap: r.snap, Seconds: r.seconds, Mech: r.mech,
-		Stats: r.twStats, Comp: r.twByComp, Est: r.twEst}, nil
+	return SingleResult{Snap: r.Snap, Seconds: r.Seconds, Mech: r.Mech,
+		Stats: r.TwStats, Comp: r.TwByComp, Est: r.TwEst}, nil
 }

@@ -77,7 +77,7 @@ func Figure2(o Options) (*Table, error) {
 	jobs := []runJob{{
 		cfg: normalConfig(o, spec, 0),
 		progress: func(r runResult) string {
-			return fmt.Sprintf("figure2: normal run %.2fs simulated", r.seconds)
+			return fmt.Sprintf("figure2: normal run %.2fs simulated", r.Seconds)
 		},
 	}}
 	for _, size := range figure2Sizes {
@@ -89,7 +89,7 @@ func Figure2(o Options) (*Table, error) {
 				simUser: true,
 			},
 			progress: func(r runResult) string {
-				return fmt.Sprintf("figure2: %s done (tw %d misses)", sizeKB(size), r.twStats.Misses)
+				return fmt.Sprintf("figure2: %s done (tw %d misses)", sizeKB(size), r.TwStats.Misses)
 			},
 		}, runJob{
 			cfg: runConfig{
@@ -119,7 +119,7 @@ func Figure2(o Options) (*Table, error) {
 	}
 	for i, size := range figure2Sizes {
 		twRes, trRes := results[1+2*i], results[2+2*i]
-		missRatio := float64(trRes.c2kMisses) / float64(trRes.c2kHits+trRes.c2kMisses)
+		missRatio := float64(trRes.C2kMisses) / float64(trRes.C2kHits+trRes.C2kMisses)
 		t.Rows = append(t.Rows, []string{
 			sizeKB(size),
 			f3(missRatio),

@@ -135,9 +135,9 @@ func Sweep(o Options, sc SweepConfig) (*Table, error) {
 			sizeKB(p.size),
 			assoc,
 			fmt.Sprintf("%dB", p.line),
-			fmt.Sprintf("%d", r.twStats.Misses),
-			fmt.Sprintf("%.0f", r.twEst),
-			f3(1000 * float64(r.twStats.Misses) / float64(r.snap.Instructions)),
+			fmt.Sprintf("%d", r.TwStats.Misses),
+			fmt.Sprintf("%.0f", r.TwEst),
+			f3(1000 * float64(r.TwStats.Misses) / float64(r.Snap.Instructions)),
 			f2(slowdown(r, normal)),
 		})
 	}

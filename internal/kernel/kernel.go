@@ -739,7 +739,6 @@ func (k *Kernel) fork(parent *Task, childProg Program, shareText bool) {
 			}
 			k.fa.share(p.frame())
 			child.space.set(vpn, p|pteShared|pteValid)
-			child.space.mapped++
 			k.resident.push(child.ID, vpn)
 			if child.Simulate && k.hooks != nil {
 				k.hooks.PageRegistered(child.ID, mem.PAddr(p.frame()*pageSize), va, mem.IFetch)
@@ -843,7 +842,6 @@ func (k *Kernel) PageFault(t mem.TaskID, va mem.VAddr, kind mem.RefKind) (mem.PA
 		frame, ok = k.fa.alloc()
 	}
 	as.set(vpn, pte(frame)|pteValid|pteResident)
-	as.mapped++
 	k.resident.push(t, vpn)
 	pa0 := mem.PAddr(frame * pageSize)
 	va0 := mem.VAddr(vpn) * mem.VAddr(pageSize)
@@ -884,7 +882,6 @@ func (k *Kernel) evictOnePage() bool {
 		}
 		k.fa.release(p.frame())
 		task.space.set(e.vpn, 0)
-		task.space.mapped--
 		k.pageOuts++
 		return true
 	}

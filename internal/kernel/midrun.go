@@ -65,10 +65,9 @@ type taskRunState struct {
 	instructions uint64
 
 	// The task's page table as parallel (vpn, pte) slices in ascending
-	// vpn order, plus the mapped-page count.
+	// vpn order.
 	pageVPNs []uint32
 	pagePTEs []uint32
-	mapped   int
 
 	hasCursor bool
 	cursor    ProgramCursor
@@ -154,7 +153,6 @@ func CaptureAt(k *Kernel, mark string) (*Checkpoint, error) {
 			parent:       t.Parent,
 			state:        t.State,
 			instructions: t.Instructions,
-			mapped:       t.space.mapped,
 		}
 		t.space.pages(func(vpn uint32, p pte) {
 			ts.pageVPNs = append(ts.pageVPNs, vpn)
@@ -222,7 +220,6 @@ func ForkRun(cp *Checkpoint, cfg Config, resume ProgramResume) (*Kernel, error) 
 		for j, vpn := range ts.pageVPNs {
 			t.space.set(vpn, pte(ts.pagePTEs[j]))
 		}
-		t.space.mapped = ts.mapped
 		if ts.hasCursor {
 			if resume == nil {
 				return nil, fmt.Errorf("kernel: ForkRun of %q needs a resume callback for task %d (%s)",

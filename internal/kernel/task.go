@@ -163,10 +163,6 @@ type Task struct {
 	Instructions uint64 // user-mode instructions executed by this task
 }
 
-// IsUserWorkload reports whether the task belongs to the measured
-// workload's fork tree (not a server, not the kernel).
-func (t *Task) IsUserWorkload() bool { return !t.Server && t.ID != mem.KernelTask }
-
 // Space returns the task's address space.
 func (t *Task) Space() *AddrSpace { return t.space }
 

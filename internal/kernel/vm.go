@@ -45,7 +45,6 @@ type AddrSpace struct {
 	chunks   map[uint32]*[1024]pte // vpn>>10 -> 1024 ptes
 	pageSize uint32
 	pageBits uint
-	mapped   int // pages with a frame (resident or paged-valid state)
 }
 
 // newAddrSpace creates an empty address space for the given page size.
@@ -87,9 +86,6 @@ func (a *AddrSpace) Translate(va mem.VAddr) (mem.PAddr, bool) {
 	}
 	return mem.PAddr(p.frame()*a.pageSize) + mem.PAddr(uint32(va)&(a.pageSize-1)), true
 }
-
-// Mapped returns the number of pages with frames assigned.
-func (a *AddrSpace) Mapped() int { return a.mapped }
 
 // Pages calls fn for every mapped page with its vpn and entry state, in
 // ascending vpn order. Ordered iteration matters: exit() releases frames

@@ -178,7 +178,7 @@ func Gateway486(frames int) Config {
 			Name: "host-U2", Size: 8 << 10, LineSize: 16, Assoc: 4,
 		},
 		HostTLB: cache.TLBConfig{
-			Name: "i486", Entries: 32, Assoc: 4, PageSize: 4096, Replace: LRUish(),
+			Name: "i486", Entries: 32, Assoc: 4, PageSize: 4096, Replace: cache.LRU,
 		},
 		MissPenalty:     12,
 		WritePenalty:    2,
@@ -244,7 +244,7 @@ func WWTNode(frames int) Config {
 		HostDCache: cache.Config{
 			Name: "host-D", Size: 64 << 10, LineSize: 32, Assoc: 1,
 		},
-		HostTLB:         cache.TLBConfig{Name: "sparc", Entries: 64, PageSize: 4096, Replace: LRUish()},
+		HostTLB:         cache.TLBConfig{Name: "sparc", Entries: 64, PageSize: 4096, Replace: cache.LRU},
 		MissPenalty:     20,
 		WritePenalty:    2,
 		TLBRefillCycles: 25,
@@ -252,9 +252,6 @@ func WWTNode(frames int) Config {
 		PredictableDMA:  true,
 	}
 }
-
-// LRUish returns the LRU policy; a helper so config literals read clearly.
-func LRUish() cache.Replacement { return cache.LRU }
 
 // KernelBase is the start of the directly-mapped kernel virtual segment
 // (kseg0 on MIPS): kernel VAs map to physical addresses by subtracting
@@ -606,9 +603,6 @@ func (m *Machine) IntMasked() bool { return m.intMasked }
 // stream of its solo run. Gang-eligible experiments always run in this
 // mode (even gangs of one), keeping ganged and solo tables byte-identical.
 func (m *Machine) SetLedgeredTraps(on bool) { m.ledgered = on }
-
-// LedgeredTraps reports whether gang trap physics is active.
-func (m *Machine) LedgeredTraps() bool { return m.ledgered }
 
 // checkWordTrap is the ledgered-mode trap check: if the single word at pa
 // has inconsistent ECC, classify and deliver it immediately. The handlers

@@ -29,9 +29,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
 	"math"
+	"reflect"
 )
 
 // Digest is the canonical content address of one execution identity.
@@ -41,57 +40,80 @@ type Digest [sha256.Size]byte
 // naming).
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
-// Hasher accumulates an execution identity into a digest. Writes are
-// canonical: every value is encoded fixed-width or length-prefixed, so the
-// digest depends only on the sequence of typed values, never on encoding
-// ambiguity (no two distinct value sequences share an input stream).
-// Callers hash struct fields in declaration order and prefix each encoder
-// with a version tag; map-valued fields must be flattened to sorted slices
-// first (the twvet determinism pass flags unordered ranges here).
-type Hasher struct {
-	h   hash.Hash
-	buf [8]byte
+// DigestOf returns the content address of an execution identity: sha256
+// over a canonical encoding of parts, each walked by reflection in turn.
+// An identity is therefore its structs' whole content, with no field
+// list to keep in step with them.
+//
+//   - A struct writes its fields in declaration order, unexported fields
+//     included, and skips a field tagged `hash:"-"`.
+//   - A pointer or slice writes a presence bit first, so nil stays
+//     distinct from a pointer to a zero value and from an empty slice.
+//   - A slice or string writes its length before its elements or bytes,
+//     so no boundary can shift under concatenation; an array writes its
+//     elements.
+//   - Integers are written as 64 bits, floats by their IEEE-754 bits,
+//     booleans as one byte.
+//
+// Maps, funcs, chans and interfaces have no canonical encoding: DigestOf
+// panics on one, a programming error the first test that digests the
+// type catches. Callers lead with a versioned label ("experiment.run/v6")
+// and bump it whenever an identity's layout or meaning changes.
+func DigestOf(parts ...any) Digest {
+	var e encoder
+	for _, p := range parts {
+		e.value(reflect.ValueOf(p))
+	}
+	return sha256.Sum256(e.buf)
 }
 
-// NewHasher returns an empty identity hasher.
-func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
+// encoder accumulates DigestOf's canonical encoding.
+type encoder struct{ buf []byte }
 
-// WriteUint64 appends a fixed-width unsigned value.
-func (h *Hasher) WriteUint64(v uint64) {
-	binary.BigEndian.PutUint64(h.buf[:], v)
-	h.h.Write(h.buf[:])
-}
+func (e *encoder) uint64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 
-// WriteInt appends an integer (as its 64-bit two's-complement image).
-func (h *Hasher) WriteInt(v int) { h.WriteUint64(uint64(int64(v))) }
-
-// WriteBool appends a boolean as one byte.
-func (h *Hasher) WriteBool(v bool) {
+func (e *encoder) bool(v bool) {
 	b := byte(0)
 	if v {
 		b = 1
 	}
-	h.h.Write([]byte{b})
+	e.buf = append(e.buf, b)
 }
 
-// WriteFloat64 appends a float by its IEEE-754 bit image.
-func (h *Hasher) WriteFloat64(v float64) { h.WriteUint64(math.Float64bits(v)) }
-
-// WriteString appends a length-prefixed string.
-func (h *Hasher) WriteString(s string) {
-	h.WriteUint64(uint64(len(s)))
-	io.WriteString(h.h, s)
-}
-
-// WriteBytes appends a length-prefixed byte slice.
-func (h *Hasher) WriteBytes(b []byte) {
-	h.WriteUint64(uint64(len(b)))
-	h.h.Write(b)
-}
-
-// Sum returns the digest of everything written so far.
-func (h *Hasher) Sum() Digest {
-	var d Digest
-	h.h.Sum(d[:0])
-	return d
+func (e *encoder) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		e.bool(v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.uint64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		e.uint64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		e.uint64(math.Float64bits(v.Float()))
+	case reflect.String:
+		e.uint64(uint64(v.Len()))
+		e.buf = append(e.buf, v.String()...)
+	case reflect.Pointer:
+		e.bool(!v.IsNil())
+		if !v.IsNil() {
+			e.value(v.Elem())
+		}
+	case reflect.Slice:
+		e.bool(!v.IsNil())
+		e.uint64(uint64(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i := range v.Len() {
+			e.value(v.Index(i))
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := range v.NumField() {
+			if t.Field(i).Tag.Get("hash") != "-" {
+				e.value(v.Field(i))
+			}
+		}
+	default:
+		panic("resultcache: DigestOf has no canonical encoding for kind " + v.Kind().String())
+	}
 }

@@ -1,12 +1,14 @@
 package resultcache
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 )
 
@@ -38,27 +40,43 @@ type Stats struct {
 	InFlight  int    // entries held now that are neither settled nor abandoned: builds running, claims unreleased
 }
 
-// Store is a two-tier content-addressed result store: an in-memory Cache
-// plus an optional directory of persisted results. Values are opaque to
-// the store; the encode/decode pair supplied at construction converts
-// them to bytes for the persistent tier.
-type Store struct {
-	mem    *Cache[Digest, any]
-	encode func(any) ([]byte, error)
-	decode func([]byte) (any, error)
+// Store is a two-tier content-addressed store of V values: an in-memory
+// Cache plus an optional directory of persisted results. A persisted
+// value is V's gob encoding, so V must be gob-encodable for a store given
+// a directory. Gob matches struct fields by name and skips the ones the
+// receiver lacks, so a file an earlier V wrote still decodes as long as
+// the fields it shares with today's V keep their names.
+type Store[V any] struct {
+	mem *Cache[Digest, V]
 
 	loads, saves atomic.Uint64
 }
 
 // New returns an empty store bounded to max settled in-memory entries.
-// encode/decode serve the persistent tier and may be nil when no caller
-// passes a directory to Acquire.
-func New(max int, encode func(any) ([]byte, error), decode func([]byte) (any, error)) *Store {
-	return &Store{mem: NewCache[Digest, any](int64(max), nil), encode: encode, decode: decode}
+func New[V any](max int) *Store[V] {
+	return &Store[V]{mem: NewCache[Digest, V](int64(max), nil)}
+}
+
+// CheckDir rejects a persist directory that could only fail at the first
+// save: a blank name, a path that exists as something other than a
+// directory, or a path under such a file. A directory not yet created is
+// fine; the first save creates it.
+func CheckDir(dir string) error {
+	if strings.TrimSpace(dir) == "" {
+		return errors.New("must not be blank")
+	}
+	st, err := os.Stat(dir)
+	switch {
+	case err == nil && !st.IsDir():
+		return fmt.Errorf("%q is not a directory", dir)
+	case err != nil && !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
+	return nil
 }
 
 // Stats snapshots store activity counters.
-func (s *Store) Stats() Stats {
+func (s *Store[V]) Stats() Stats {
 	st := s.mem.Stats()
 	st.Loads, st.Saves = s.loads.Load(), s.saves.Load()
 	return st
@@ -67,7 +85,7 @@ func (s *Store) Stats() Stats {
 // Reset drops every settled entry and zeroes the counters. In-flight
 // claims keep their entries and settle normally. For benchmarks and
 // tests that need a cold in-process tier.
-func (s *Store) Reset() {
+func (s *Store[V]) Reset() {
 	s.mem.Reset()
 	s.loads.Store(0)
 	s.saves.Store(0)
@@ -78,18 +96,18 @@ func (s *Store) Reset() {
 // the simulated value before releasing. Release without Complete abandons
 // the claim, waking followers to elect a new leader. A leader claim stays
 // in Stats().InFlight until it is completed or released.
-type Claim struct {
-	s        *Store
+type Claim[V any] struct {
+	s        *Store[V]
 	dir      string
-	e        *slot[Digest, any] // nil for a cache-hit claim
-	val      any
+	e        *slot[Digest, V] // nil for a cache-hit claim
+	val      V
 	hit      bool
 	finished bool
 }
 
 // Cached returns the cached value when the claim was served from either
 // tier. ok false means this claim is the leader and must simulate.
-func (c *Claim) Cached() (any, bool) { return c.val, c.hit }
+func (c *Claim[V]) Cached() (V, bool) { return c.val, c.hit }
 
 // Acquire resolves one digest: a settled value (in memory, or loaded from
 // dir when set) yields a hit claim; an in-flight identical request blocks
@@ -106,10 +124,10 @@ func (c *Claim) Cached() (any, bool) { return c.val, c.hit }
 //	if v, ok := claim.Cached(); ok { return use(v) }
 //	v := simulate()
 //	claim.Complete(v)
-func (s *Store) Acquire(d Digest, dir string) (*Claim, error) {
+func (s *Store[V]) Acquire(d Digest, dir string) (*Claim[V], error) {
 	e, lead := s.mem.claim(d)
 	if !lead {
-		return &Claim{s: s, val: e.val, hit: true, finished: true}, nil
+		return &Claim[V]{s: s, val: e.val, hit: true, finished: true}, nil
 	}
 	// The leader's fresh entry may still be satisfied from the directory.
 	if dir != "" {
@@ -118,7 +136,7 @@ func (s *Store) Acquire(d Digest, dir string) (*Claim, error) {
 			s.mem.settle(e, val)
 			s.loads.Add(1)
 			s.mem.hits.Add(1)
-			return &Claim{s: s, val: val, hit: true, finished: true}, nil
+			return &Claim[V]{s: s, val: val, hit: true, finished: true}, nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.mem.abandon(e)
@@ -126,17 +144,18 @@ func (s *Store) Acquire(d Digest, dir string) (*Claim, error) {
 		}
 	}
 	s.mem.misses.Add(1)
-	return &Claim{s: s, dir: dir, e: e}, nil
+	return &Claim[V]{s: s, dir: dir, e: e}, nil
 }
 
 // Get is Acquire, build on a miss, Complete and Release in one call: it
 // returns the cached value, or build's after publishing it. A persist
 // failure is returned with the value, which is already published in
 // memory.
-func (s *Store) Get(d Digest, dir string, build func() (any, error)) (any, error) {
+func (s *Store[V]) Get(d Digest, dir string, build func() (V, error)) (V, error) {
 	claim, err := s.Acquire(d, dir)
 	if err != nil {
-		return nil, err
+		var zero V
+		return zero, err
 	}
 	defer claim.Release()
 	if v, ok := claim.Cached(); ok {
@@ -144,7 +163,7 @@ func (s *Store) Get(d Digest, dir string, build func() (any, error)) (any, error
 	}
 	v, err := build()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	return v, claim.Complete(v)
 }
@@ -153,7 +172,7 @@ func (s *Store) Get(d Digest, dir string, build func() (any, error)) (any, error
 // in-memory tier (waking followers) and, when the claim carries a
 // directory, persists the value. A persist failure is returned after the
 // in-memory publish — followers are never blocked on the disk.
-func (c *Claim) Complete(val any) error {
+func (c *Claim[V]) Complete(val V) error {
 	if c.finished {
 		return fmt.Errorf("resultcache: Complete on a finished claim")
 	}
@@ -172,7 +191,7 @@ func (c *Claim) Complete(val any) error {
 // Release finishes the claim. For a leader that never Completed (an error
 // path), the digest is abandoned so a follower can take over; for a hit
 // or completed claim it is a no-op. Idempotent.
-func (c *Claim) Release() {
+func (c *Claim[V]) Release() {
 	if c.finished {
 		return
 	}
@@ -194,34 +213,34 @@ func Path(dir string, d Digest) string {
 }
 
 // load reads and validates one persisted result.
-func (s *Store) load(d Digest, dir string) (any, error) {
+func (s *Store[V]) load(d Digest, dir string) (V, error) {
+	var val V
 	f, err := os.Open(Path(dir, d))
 	if err != nil {
-		return nil, err
+		return val, err
 	}
 	defer f.Close()
 	var w fileWire
 	if err := gob.NewDecoder(f).Decode(&w); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, Path(dir, d), err)
+		return val, fmt.Errorf("%w: %s: %v", ErrCorrupt, Path(dir, d), err)
 	}
 	if w.Version != wireVersion {
-		return nil, fmt.Errorf("%w: %s: wire version %d, want %d", ErrMismatch, Path(dir, d), w.Version, wireVersion)
+		return val, fmt.Errorf("%w: %s: wire version %d, want %d", ErrMismatch, Path(dir, d), w.Version, wireVersion)
 	}
 	if len(w.Digest) != len(d) || Digest(w.Digest) != d {
-		return nil, fmt.Errorf("%w: %s: recorded digest %x", ErrMismatch, Path(dir, d), w.Digest)
+		return val, fmt.Errorf("%w: %s: recorded digest %x", ErrMismatch, Path(dir, d), w.Digest)
 	}
-	val, err := s.decode(w.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, Path(dir, d), err)
+	if err := gob.NewDecoder(bytes.NewReader(w.Payload)).Decode(&val); err != nil {
+		return val, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, Path(dir, d), err)
 	}
 	return val, nil
 }
 
 // save writes one result atomically (temp file + rename): concurrent
 // processes sharing a cache directory never observe a torn file.
-func (s *Store) save(d Digest, dir string, val any) error {
-	payload, err := s.encode(val)
-	if err != nil {
+func (s *Store[V]) save(d Digest, dir string, val V) error {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(val); err != nil {
 		return fmt.Errorf("resultcache: encode: %w", err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -232,7 +251,7 @@ func (s *Store) save(d Digest, dir string, val any) error {
 	if err != nil {
 		return fmt.Errorf("resultcache: temp file: %w", err)
 	}
-	w := fileWire{Version: wireVersion, Digest: d[:], Payload: payload}
+	w := fileWire{Version: wireVersion, Digest: d[:], Payload: payload.Bytes()}
 	if err := gob.NewEncoder(tmp).Encode(w); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())

@@ -11,50 +11,9 @@ import (
 	"testing"
 )
 
-// stringStore builds a store over string payloads.
-func stringStore(max int) *Store {
-	return New(max,
-		func(v any) ([]byte, error) { return []byte(v.(string)), nil },
-		func(b []byte) (any, error) { return string(b), nil })
-}
-
-func digestOf(parts ...string) Digest {
-	h := NewHasher()
-	for _, p := range parts {
-		h.WriteString(p)
-	}
-	return h.Sum()
-}
-
-func TestHasherCanonical(t *testing.T) {
-	// Distinct value sequences must never collide through encoding
-	// ambiguity: "ab"+"c" vs "a"+"bc" and friends.
-	if digestOf("ab", "c") == digestOf("a", "bc") {
-		t.Fatal("length prefixing failed: shifted strings collide")
-	}
-	if digestOf("ab") == digestOf("ab", "") {
-		t.Fatal("empty trailing string should change the digest")
-	}
-	h1 := NewHasher()
-	h1.WriteUint64(1)
-	h1.WriteBool(true)
-	h2 := NewHasher()
-	h2.WriteUint64(1)
-	h2.WriteBool(true)
-	if h1.Sum() != h2.Sum() {
-		t.Fatal("identical writes produced different digests")
-	}
-	h3 := NewHasher()
-	h3.WriteBool(true)
-	h3.WriteUint64(1)
-	if h1.Sum() == h3.Sum() {
-		t.Fatal("write order should matter")
-	}
-}
-
 func TestMissCompleteHit(t *testing.T) {
-	s := stringStore(8)
-	d := digestOf("a")
+	s := New[string](8)
+	d := DigestOf("a")
 
 	claim, err := s.Acquire(d, "")
 	if err != nil {
@@ -74,7 +33,7 @@ func TestMissCompleteHit(t *testing.T) {
 	}
 	defer claim2.Release()
 	v, ok := claim2.Cached()
-	if !ok || v.(string) != "value-a" {
+	if !ok || v != "value-a" {
 		t.Fatalf("second acquire = (%v, %v), want cached value-a", v, ok)
 	}
 	st := s.Stats()
@@ -84,8 +43,8 @@ func TestMissCompleteHit(t *testing.T) {
 }
 
 func TestReleaseWithoutCompleteAbandons(t *testing.T) {
-	s := stringStore(8)
-	d := digestOf("a")
+	s := New[string](8)
+	d := DigestOf("a")
 	claim, err := s.Acquire(d, "")
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +67,14 @@ func TestReleaseWithoutCompleteAbandons(t *testing.T) {
 // completed or released, hit claims never count, and a Get counts while
 // its build runs, whether the build succeeds or fails.
 func TestInFlightGauge(t *testing.T) {
-	s := stringStore(8)
+	s := New[string](8)
 	inFlight := func(want int, when string) {
 		t.Helper()
 		if got := s.Stats().InFlight; got != want {
 			t.Fatalf("%s: InFlight = %d, want %d", when, got, want)
 		}
 	}
-	leader, err := s.Acquire(digestOf("a"), "")
+	leader, err := s.Acquire(DigestOf("a"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +84,14 @@ func TestInFlightGauge(t *testing.T) {
 	}
 	inFlight(0, "after Complete")
 	leader.Release()
-	hit, err := s.Acquire(digestOf("a"), "")
+	hit, err := s.Acquire(DigestOf("a"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inFlight(0, "hit claim held")
 	hit.Release()
 
-	abandoned, err := s.Acquire(digestOf("b"), "")
+	abandoned, err := s.Acquire(DigestOf("b"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +100,10 @@ func TestInFlightGauge(t *testing.T) {
 	inFlight(0, "after Release without Complete")
 
 	for _, fail := range []bool{false, true} {
-		_, err := s.Get(digestOf("c"), "", func() (any, error) {
+		_, err := s.Get(DigestOf("c"), "", func() (string, error) {
 			inFlight(1, "inside Get's build")
 			if fail {
-				return nil, errors.New("boom")
+				return "", errors.New("boom")
 			}
 			return "value-c", nil
 		})
@@ -157,8 +116,8 @@ func TestInFlightGauge(t *testing.T) {
 }
 
 func TestSingleFlightDedup(t *testing.T) {
-	s := stringStore(8)
-	d := digestOf("shared")
+	s := New[string](8)
+	d := DigestOf("shared")
 	const workers = 8
 	var simulations atomic.Uint64
 	var wg sync.WaitGroup
@@ -175,7 +134,7 @@ func TestSingleFlightDedup(t *testing.T) {
 			}
 			defer claim.Release()
 			if v, ok := claim.Cached(); ok {
-				vals[i] = v.(string)
+				vals[i] = v
 				return
 			}
 			simulations.Add(1)
@@ -210,8 +169,8 @@ func TestSingleFlightDedup(t *testing.T) {
 }
 
 func TestAbandonElectsNewLeader(t *testing.T) {
-	s := stringStore(8)
-	d := digestOf("flaky")
+	s := New[string](8)
+	d := DigestOf("flaky")
 	claim, err := s.Acquire(d, "")
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +185,7 @@ func TestAbandonElectsNewLeader(t *testing.T) {
 		}
 		defer c2.Release()
 		if v, ok := c2.Cached(); ok {
-			got <- "cached: " + v.(string)
+			got <- "cached: " + v
 			return
 		}
 		c2.Complete("second-try")
@@ -240,9 +199,9 @@ func TestAbandonElectsNewLeader(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	s := stringStore(2)
+	s := New[string](2)
 	for i := 0; i < 3; i++ {
-		d := digestOf(fmt.Sprint("key", i))
+		d := DigestOf(fmt.Sprint("key", i))
 		claim, err := s.Acquire(d, "")
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +212,7 @@ func TestLRUEviction(t *testing.T) {
 		claim.Release()
 	}
 	// key0 is the LRU victim; key2 must still be present.
-	c, err := s.Acquire(digestOf("key2"), "")
+	c, err := s.Acquire(DigestOf("key2"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +220,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("most recent entry evicted")
 	}
 	c.Release()
-	c0, err := s.Acquire(digestOf("key0"), "")
+	c0, err := s.Acquire(DigestOf("key0"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +232,9 @@ func TestLRUEviction(t *testing.T) {
 
 func TestPersistReload(t *testing.T) {
 	dir := t.TempDir()
-	d := digestOf("persisted")
+	d := DigestOf("persisted")
 
-	s1 := stringStore(8)
+	s1 := New[string](8)
 	claim, err := s1.Acquire(d, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -289,14 +248,14 @@ func TestPersistReload(t *testing.T) {
 	}
 
 	// A fresh store (a new process) loads it from disk.
-	s2 := stringStore(8)
+	s2 := New[string](8)
 	claim2, err := s2.Acquire(d, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer claim2.Release()
 	v, ok := claim2.Cached()
-	if !ok || v.(string) != "disk-value" {
+	if !ok || v != "disk-value" {
 		t.Fatalf("reload = (%v, %v), want disk-value", v, ok)
 	}
 	if st := s2.Stats(); st.Loads != 1 || st.Hits != 1 {
@@ -308,8 +267,8 @@ func TestPersistReload(t *testing.T) {
 // file renamed to the wrong identity must all surface typed errors, never
 // a panic or a silent fallback.
 func TestPersistCorruption(t *testing.T) {
-	d := digestOf("target")
-	other := digestOf("other")
+	d := DigestOf("target")
+	other := DigestOf("other")
 
 	t.Run("truncated", func(t *testing.T) {
 		dir := t.TempDir()
@@ -357,7 +316,7 @@ func TestPersistCorruption(t *testing.T) {
 
 func writeValid(t *testing.T, dir string, d Digest, val string) {
 	t.Helper()
-	s := stringStore(8)
+	s := New[string](8)
 	claim, err := s.Acquire(d, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +329,7 @@ func writeValid(t *testing.T, dir string, d Digest, val string) {
 
 func expectAcquireError(t *testing.T, dir string, d Digest, want error) {
 	t.Helper()
-	s := stringStore(8)
+	s := New[string](8)
 	claim, err := s.Acquire(d, dir)
 	if err == nil {
 		claim.Release()
@@ -394,8 +353,8 @@ func expectAcquireError(t *testing.T, dir string, d Digest, want error) {
 }
 
 func TestResetDropsSettled(t *testing.T) {
-	s := stringStore(8)
-	d := digestOf("a")
+	s := New[string](8)
+	d := DigestOf("a")
 	c, err := s.Acquire(d, "")
 	if err != nil {
 		t.Fatal(err)

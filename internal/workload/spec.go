@@ -117,9 +117,6 @@ func (s Spec) UserInstructions() uint64 {
 	return uint64(float64(s.TotalInstructions()) * s.FracUser)
 }
 
-// UsesX reports whether the workload sends requests to the X server.
-func (s Spec) UsesX() bool { return s.FracX > 0 }
-
 // fixedKernelInstr estimates the kernel instructions a run spends on task
 // management rather than syscall service: forks, exits, and VM page
 // faults. These costs are per-event, so at reduced workload scales they
