@@ -30,6 +30,7 @@ import (
 
 	"tapeworm/internal/experiment"
 	"tapeworm/internal/telemetry"
+	"tapeworm/internal/workload"
 )
 
 func main() {
@@ -126,13 +127,11 @@ func main() {
 		}
 		coll.SetScope(id)
 		start := time.Now()
-		_, groups0 := experiment.IntervalStats()
 		table, err := fn(opts)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", id, err))
 		}
-		_, groups1 := experiment.IntervalStats()
-		if note := experiment.PhaseNote(opts, groups1-groups0); note != "" {
+		if note := experiment.PhaseNote(opts, workload.Specs(opts.Scale)); note != "" {
 			table.Notes = append(table.Notes, note)
 		}
 		fmt.Fprintln(out, table.Render())

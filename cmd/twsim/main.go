@@ -210,10 +210,8 @@ func main() {
 			*wl, *scale, *seed, *pageSeed, *frames, *resultCacheDir,
 			*simServers, *simKernel))
 	}
-	_, groups0 := experiment.IntervalStats()
 	outs, err := sched.Run(*parallel, jobs, nil)
 	check(err)
-	_, groups1 := experiment.IntervalStats()
 	// Commit in submission order so the metrics report and trace stream
 	// are deterministic at any -parallel value.
 	for _, tel := range tels {
@@ -244,7 +242,7 @@ func main() {
 		fmt.Printf("slowdown:   %.2fx over uninstrumented run\n",
 			tapeworm.Slowdown(snap, normal))
 	}
-	if note := experiment.PhaseNote(phaseOpts, groups1-groups0); note != "" {
+	if note := experiment.PhaseNote(phaseOpts, []workload.Spec{spec}); note != "" {
 		fmt.Printf("note:       %s\n", note)
 	}
 

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"tapeworm/internal/experiment"
+	"tapeworm/internal/workload"
 )
 
 func main() {
@@ -75,11 +76,11 @@ func main() {
 	check(sc.Validate())
 
 	start := time.Now()
-	_, groups0 := experiment.IntervalStats()
 	table, err := experiment.Sweep(opts, sc)
 	check(err)
-	_, groups1 := experiment.IntervalStats()
-	if note := experiment.PhaseNote(opts, groups1-groups0); note != "" {
+	spec, err := workload.ByName(sc.Workload, opts.Scale)
+	check(err)
+	if note := experiment.PhaseNote(opts, []workload.Spec{spec}); note != "" {
 		table.Notes = append(table.Notes, note)
 	}
 

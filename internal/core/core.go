@@ -198,7 +198,7 @@ type Tapeworm struct {
 	pages map[uint32]*pageState // frame -> state
 	mapVP map[vkey]mem.PAddr    // (task, vpn) -> physical page
 
-	missesByTask map[mem.TaskID]uint64
+	missesByTask []uint64 // by TaskID: the kernel numbers tasks densely from 0
 	st           Stats
 
 	// tel mirrors the kernel's telemetry run; consulted only on miss
@@ -282,14 +282,13 @@ func build(k *kernel.Kernel, cfg Config) (*Tapeworm, error) {
 	pageSize := m.Config().PageSize
 
 	tw := &Tapeworm{
-		cfg:          cfg,
-		k:            k,
-		m:            m,
-		pageSize:     uint32(pageSize),
-		pages:        make(map[uint32]*pageState),
-		mapVP:        make(map[vkey]mem.PAddr),
-		missesByTask: make(map[mem.TaskID]uint64),
-		tel:          k.Telemetry(),
+		cfg:      cfg,
+		k:        k,
+		m:        m,
+		pageSize: uint32(pageSize),
+		pages:    make(map[uint32]*pageState),
+		mapVP:    make(map[vkey]mem.PAddr),
+		tel:      k.Telemetry(),
 	}
 	for s := pageSize; s > 1; s >>= 1 {
 		tw.pageBits++
@@ -748,7 +747,7 @@ func (tw *Tapeworm) miss(t mem.TaskID, vaLine mem.VAddr, paLine mem.PAddr) {
 	if tw.counting() {
 		tw.st.Misses++
 		tw.st.MissesByComp[tw.k.ComponentOf(t)]++
-		tw.missesByTask[t]++
+		tw.countTaskMiss(t)
 		if tw.tel != nil {
 			tw.tel.Event(telemetry.EvTwMiss, int32(t), uint32(vaLine), uint32(paLine), tw.m.Cycles())
 		}
@@ -821,7 +820,7 @@ func (tw *Tapeworm) InvalidPageTrap(t mem.TaskID, va mem.VAddr, pa mem.PAddr, ki
 	if tw.counting() {
 		tw.st.Misses++
 		tw.st.MissesByComp[tw.k.ComponentOf(t)]++
-		tw.missesByTask[t]++
+		tw.countTaskMiss(t)
 		if tw.tel != nil {
 			tw.tel.Event(telemetry.EvTLBMiss, int32(t), uint32(va), uint32(pa), tw.m.Cycles())
 		}
@@ -887,12 +886,21 @@ func (tw *Tapeworm) MissesByComponent() [kernel.NumComponents]uint64 {
 	return tw.st.MissesByComp
 }
 
-// MissesByTask returns the per-task miss counts.
+// countTaskMiss counts one miss against task t.
+func (tw *Tapeworm) countTaskMiss(t mem.TaskID) {
+	if int(t) >= len(tw.missesByTask) {
+		tw.missesByTask = append(tw.missesByTask, make([]uint64, int(t)+1-len(tw.missesByTask))...)
+	}
+	tw.missesByTask[t]++
+}
+
+// MissesByTask returns the per-task miss counts of the tasks that missed.
 func (tw *Tapeworm) MissesByTask() map[mem.TaskID]uint64 {
-	out := make(map[mem.TaskID]uint64, len(tw.missesByTask))
-	//twvet:allow maporder — copying into a fresh map is order-insensitive
-	for k, v := range tw.missesByTask {
-		out[k] = v
+	out := make(map[mem.TaskID]uint64)
+	for t, n := range tw.missesByTask {
+		if n > 0 {
+			out[mem.TaskID(t)] = n
+		}
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"tapeworm/internal/workload"
 )
 
 // TableError measures how far a representative-interval table strays from
@@ -99,25 +101,35 @@ func parseCell(s string) (float64, bool) {
 	return v, true
 }
 
-// PhaseNote describes how the option set's gang-eligible entries were
-// produced, for table footers: a reminder that interval-sampled numbers
-// carry an error bound instead of byte-exactness. replayed is the
-// IntervalStats groups delta over the run the footer describes; when it
-// is zero, no group was extrapolated — every one fell back to exhaustive
-// replay or came from the result cache — and the note says so instead.
-// A group falls back when its stream is beyond the compile budget, which
-// the spec alone decides: such a stream has no image to checkpoint. Empty
-// when interval replay is off.
+// PhaseNote describes, for table footers, how the gang-eligible entries
+// over specs were produced when interval replay is on: a reminder that
+// interval-sampled numbers carry an error bound instead of byte-exactness.
+// The options and the specs alone decide it, never what a run happened to
+// execute. Telemetry turns interval replay off, and a stream beyond the
+// compile budget has no image to checkpoint, so its groups fall back to
+// exhaustive replay and are exact. A result served from the result cache
+// is the one its group produced when simulated, so a warm run gets the
+// cold run's note. Empty when interval replay is off.
 //
 //twvet:allow gate — pure formatter over already-validated options; no error channel and nothing here can panic on bad values
-func PhaseNote(o Options, replayed uint64) string {
+func PhaseNote(o Options, specs []workload.Spec) string {
 	if o.PhaseIntervals <= 0 {
 		return ""
 	}
 	geom := fmt.Sprintf("%d intervals, %d phases, %d-instruction warm-up",
 		o.PhaseIntervals, o.PhaseK, o.PhaseWarmup)
-	if replayed == 0 {
-		return fmt.Sprintf("representative-interval sampling requested (%s) but no group was extrapolated: simulated entries fell back to exhaustive replay and are exact", geom)
+	var exact []string
+	for _, spec := range specs {
+		if !workload.Compiles(spec) {
+			exact = append(exact, spec.Name)
+		}
+	}
+	switch {
+	case o.Telemetry != nil || o.reference || len(exact) == len(specs):
+		return fmt.Sprintf("representative-interval sampling requested (%s) but no group is extrapolated: simulated entries fall back to exhaustive replay and are exact", geom)
+	case len(exact) > 0:
+		return fmt.Sprintf("representative-interval sampling: %s; gang-eligible entries are extrapolated (error-bound-gated, not exact) except those of %s, beyond the compile budget, which are exact",
+			geom, strings.Join(exact, ", "))
 	}
 	return fmt.Sprintf("representative-interval sampling: %s; gang-eligible entries are extrapolated (error-bound-gated, not exact)", geom)
 }

@@ -11,6 +11,7 @@ import (
 	"tapeworm/internal/core"
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mach"
+	"tapeworm/internal/telemetry"
 	"tapeworm/internal/workload"
 )
 
@@ -354,16 +355,75 @@ func TestTableError(t *testing.T) {
 }
 
 func TestPhaseNote(t *testing.T) {
-	if n := PhaseNote(QuickOptions(), 1); n != "" {
+	specs := func(scale float64, names ...string) []workload.Spec {
+		var out []workload.Spec
+		for _, name := range names {
+			spec, err := workload.ByName(name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, spec)
+		}
+		return out
+	}
+	compiled := specs(4000, "espresso", "mpeg_play")
+	if n := PhaseNote(QuickOptions(), compiled); n != "" {
 		t.Fatalf("phase-off note = %q", n)
 	}
 	o := phaseOptions(1, 1)
-	if n := PhaseNote(o, 1); !strings.Contains(n, "8 intervals") || !strings.Contains(n, "2 phases") ||
-		!strings.Contains(n, "extrapolated (error-bound-gated") {
+	if n := PhaseNote(o, compiled); !strings.Contains(n, "8 intervals") || !strings.Contains(n, "2 phases") ||
+		!strings.HasSuffix(n, "extrapolated (error-bound-gated, not exact)") {
 		t.Fatalf("phase note = %q", n)
 	}
-	if n := PhaseNote(o, 0); !strings.Contains(n, "8 intervals") || !strings.Contains(n, "fell back to exhaustive replay") {
+	// At scale 100, xlisp is beyond the compile budget and espresso is not.
+	if n := PhaseNote(o, specs(100, "espresso", "xlisp")); !strings.Contains(n, "extrapolated (error-bound-gated") ||
+		!strings.Contains(n, "except those of xlisp, beyond the compile budget") {
+		t.Fatalf("partly exact phase note = %q", n)
+	}
+	if n := PhaseNote(o, specs(100, "xlisp", "eqntott")); !strings.Contains(n, "8 intervals") ||
+		!strings.Contains(n, "fall back to exhaustive replay") {
 		t.Fatalf("fallback phase note = %q", n)
+	}
+	o.Telemetry = telemetry.New(telemetry.Config{})
+	if n := PhaseNote(o, compiled); !strings.Contains(n, "fall back to exhaustive replay") {
+		t.Fatalf("telemetry phase note = %q", n)
+	}
+}
+
+// TestPhaseNoteColdAndWarm runs a sampled sweep cold and then again from
+// the result cache, as twsweep does, and requires both to get the same
+// note: the warm run extrapolates no group itself, but every entry it
+// serves is the cold run's extrapolated result.
+func TestPhaseNoteColdAndWarm(t *testing.T) {
+	o := Options{Scale: 2000, Seed: 3043, Trials: 1, Frames: 4096, Parallelism: 1,
+		ResultCache: true, PhaseIntervals: 16, PhaseK: 2, PhaseWarmup: 500}
+	sc := SweepConfig{Workload: "mpeg_play", Sizes: []int{1 << 10, 4 << 10}, Assocs: []int{1}, Lines: []int{16}}
+	spec, err := mustSpec(o, sc.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetResultCache()
+	var notes, renders [2]string
+	var groups [2]uint64
+	for i := range notes {
+		_, groups0 := IntervalStats()
+		tab, err := Sweep(o, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, groups1 := IntervalStats()
+		groups[i] = groups1 - groups0
+		notes[i], renders[i] = PhaseNote(o, []workload.Spec{spec}), tab.Render()
+	}
+	requireNoClaimsInFlight(t)
+	if groups[0] == 0 || groups[1] != 0 {
+		t.Fatalf("cold run replayed %d groups from a profile, warm run %d; want some, then none", groups[0], groups[1])
+	}
+	if renders[1] != renders[0] {
+		t.Fatalf("warm render differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", renders[0], renders[1])
+	}
+	if notes[1] != notes[0] || !strings.Contains(notes[0], "are extrapolated") {
+		t.Fatalf("cold note %q, warm note %q; want the same extrapolated note", notes[0], notes[1])
 	}
 }
 
@@ -385,8 +445,7 @@ func TestIntervalStreamTooLargeFallback(t *testing.T) {
 	if !errors.Is(err, errIntervalFallback) {
 		t.Fatalf("oversized stream err = %v, want errIntervalFallback", err)
 	}
-	// A group that falls back is not counted as replayed, which is what
-	// PhaseNote's fallback footer keys on.
+	// A group that falls back is not counted as replayed.
 	profiles0, groups0 := IntervalStats()
 	if _, err := cachedIntervalProfile(o, rc, kcfg); !errors.Is(err, errIntervalFallback) {
 		t.Fatalf("cached oversized stream err = %v, want errIntervalFallback", err)

@@ -493,17 +493,19 @@ func (k *Kernel) UserInstructions() uint64 { return k.compInstr[CompUser] }
 // queue unchanged (forks, exits and syscalls are all event ops, which
 // break the loop), pick() would return the same task untouched. The
 // reschedule check sits after every op, exactly where the interpreter
-// loop's per-batch pick() call observes it.
+// loop's per-batch pick() call observes it. It replays one window of ops
+// at most; the pick() between two windows is a no-op for the same reason.
 func (k *Kernel) runCompiled(cp CompiledProgram, t *Task) bool {
 	pos, aligned := cp.OpPos()
 	if !aligned {
 		return false
 	}
-	ops := cp.Ops()
-	start := pos
+	ops, base := cp.Window()
+	i := pos - base
+	start := i
 	checkStop := k.stopUser|k.stopMach != 0
-	for pos < len(ops) {
-		op := &ops[pos]
+	for i < len(ops) {
+		op := &ops[i]
 		if op.Kind == OpRun {
 			t.Instructions += uint64(op.N)
 			k.compInstr[CompUser] += uint64(op.N)
@@ -513,7 +515,7 @@ func (k *Kernel) runCompiled(cp CompiledProgram, t *Task) bool {
 		} else {
 			break
 		}
-		pos++
+		i++
 		if k.resched {
 			break
 		}
@@ -521,10 +523,10 @@ func (k *Kernel) runCompiled(cp CompiledProgram, t *Task) bool {
 			break
 		}
 	}
-	if pos == start {
+	if i == start {
 		return false
 	}
-	cp.SeekOp(pos)
+	cp.SeekOp(base + i)
 	return true
 }
 

@@ -34,7 +34,8 @@ import (
 
 // ProgramCursor names a resumable position inside a compiled program's
 // fork tree: the chain of fork-op args leading from the root image to
-// this task's stream, plus the op index within it. It is meaningful only
+// this task's stream, plus the op index within it, counted from the
+// stream's first op whatever chunks hold the ops. It is meaningful only
 // together with the (spec, seed) identity that compiled the stream —
 // the kernel records cursors opaquely and hands them back to a
 // ProgramResume callback at fork time.

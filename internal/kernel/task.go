@@ -85,15 +85,25 @@ const (
 
 // CompiledOp is one pre-planned step of a compiled program: a fused walker
 // run, a pre-resolved data reference, or an event with its randomness
-// (service choice, fork target) already drawn. 12 bytes, so a multi-million
-// instruction workload compiles to a few tens of megabytes.
+// (service choice, fork target) already drawn. 8 bytes: a run or data
+// op's address and a syscall or fork op's argument share one 32-bit
+// payload, so a multi-million instruction workload compiles to a few tens
+// of megabytes.
 type CompiledOp struct {
-	VA   mem.VAddr      // OpRun: first fetch; OpData: address
+	VA   mem.VAddr      // OpRun: first fetch; OpData: address; else Arg's bits
 	N    uint16         // OpRun: run length; OpFork: ShareText flag
 	Kind CompiledOpKind // discriminator
 	Ref  mem.RefKind    // OpData: Load or Store
-	Arg  int32          // OpSyscall: ServiceID; OpFork: child image index
 }
+
+// ArgOp returns an OpSyscall or OpFork op whose payload carries arg.
+func ArgOp(kind CompiledOpKind, arg int32) CompiledOp {
+	return CompiledOp{Kind: kind, VA: mem.VAddr(arg)}
+}
+
+// Arg returns the payload of an OpSyscall (its ServiceID) or an OpFork
+// (its child image index).
+func (op CompiledOp) Arg() int32 { return int32(op.VA) }
 
 // CompiledRunCap is the run length compiled streams are segmented at. It
 // equals the Run loop's per-scheduling-decision batch bound, so a compiled
@@ -102,26 +112,29 @@ type CompiledOp struct {
 const CompiledRunCap = userRunCap
 
 // CompiledProgram is an optional extension of BatchProgram for programs
-// whose stream is lowered into CompiledOp arrays: a whole compiled image,
-// or a decode-ahead stream's chunks, one window at a time. The Run loop
-// replays the ops directly — no per-instruction dispatch, no draws —
-// while Next/NextRun remain available (and must stay byte-identical to the
-// ops) for traced and instruction-limited execution.
+// whose stream is lowered into CompiledOp arrays and read one window at a
+// time: a compiled image's chunks, or a decode-ahead stream's. Positions
+// are stream op indices, counted from the stream's first op whichever
+// window holds them. The Run loop replays the ops directly — no
+// per-instruction dispatch, no draws — while Next/NextRun remain
+// available (and must stay byte-identical to the ops) for traced and
+// instruction-limited execution.
 type CompiledProgram interface {
 	BatchProgram
-	// Ops returns the immutable op window that holds the replay cursor:
-	// the whole stream for a compiled image, the current chunk for a
-	// decode-ahead stream. Call it after OpPos.
-	Ops() []CompiledOp
-	// OpPos returns the replay cursor as an op index into Ops. ok is
-	// false while the cursor sits inside a partially consumed run op
-	// (possible only when the program was also driven through Next), in
-	// which case the caller must fall back to Next/NextRun until
-	// realigned. When the cursor has reached the end of its window, OpPos
-	// first moves it to the start of the next window.
+	// Window returns the immutable op window that holds the replay
+	// cursor and the stream index of its first op, so the cursor's op is
+	// ops[pos-base]. Call it after OpPos.
+	Window() (ops []CompiledOp, base int)
+	// OpPos returns the replay cursor as a stream op index. ok is false
+	// while the cursor sits inside a partially consumed run op (possible
+	// only when the program was also driven through Next), in which case
+	// the caller must fall back to Next/NextRun until realigned. When the
+	// cursor has reached the end of its window, OpPos first moves it to
+	// the start of the next window.
 	OpPos() (pos int, ok bool)
-	// SeekOp moves the replay cursor to op index pos of the window Ops
-	// returned (run-aligned). A decode-ahead stream only moves forward.
+	// SeekOp moves the replay cursor to stream op index pos
+	// (run-aligned). A compiled image seeks anywhere in its stream; a
+	// decode-ahead stream only moves forward within its window.
 	SeekOp(pos int)
 }
 

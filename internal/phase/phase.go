@@ -6,8 +6,9 @@
 // grafted onto the paper's trap-driven simulator).
 //
 // Everything here is offline: the analysis walks the pre-compiled op tree
-// (workload.PlannedOps) without booting a kernel, approximating the
-// kernel's round-robin interleave with a fixed 64-instruction quantum.
+// (workload.PlannedOps), chunk by chunk, without booting a kernel,
+// approximating the kernel's round-robin interleave with a fixed
+// 64-instruction quantum.
 // Interval *boundaries* need no approximation — they are positions on the
 // retired-user-instruction axis, which the replayer locates exactly with
 // kernel.RunUntilUser. Only the per-interval feature vectors are
@@ -182,10 +183,27 @@ func (f *features) vector(w stackdist.WindowStats) []float64 {
 // task advances before the interleaver rotates to the next.
 const quantum = 64
 
-// walker is one live task's position in the op tree.
+// walker is one live task's position in the op tree: the chunk it is
+// walking, the index of the next chunk, and the op index in the chunk.
 type walker struct {
-	node workload.OpTree
-	pos  int
+	node  workload.OpTree
+	ops   []kernel.CompiledOp
+	chunk int
+	pos   int
+}
+
+// op returns the walker's next op, moving on to the next chunk at the end
+// of one, or nil past the end of the stream.
+func (w *walker) op() *kernel.CompiledOp {
+	for w.pos == len(w.ops) {
+		chunks := w.node.Chunks()
+		if w.chunk == len(chunks) {
+			return nil
+		}
+		w.ops, w.pos = chunks[w.chunk], 0
+		w.chunk++
+	}
+	return &w.ops[w.pos]
 }
 
 // interleave streams the merged user-instruction stream through per-
@@ -234,11 +252,10 @@ func interleave(root workload.OpTree, intervalLen uint64) (total uint64, vecs []
 		var ran uint64
 	turn:
 		for ran < quantum {
-			ops := w.node.Ops()
-			if w.pos >= len(ops) {
+			op := w.op()
+			if op == nil {
 				break // sticky exit
 			}
-			op := ops[w.pos]
 			switch op.Kind {
 			case kernel.OpRun:
 				n := uint64(op.N)
@@ -278,14 +295,13 @@ func interleave(root workload.OpTree, intervalLen uint64) (total uint64, vecs []
 				break turn // the kernel reschedules around service time
 			case kernel.OpFork:
 				f.forks++
-				tasks = append(tasks, &walker{node: w.node.Child(int(op.Arg))})
+				tasks = append(tasks, &walker{node: w.node.Child(int(op.Arg()))})
 				w.pos++
 			default: // OpExit
 				break turn
 			}
 		}
-		ops := w.node.Ops()
-		if w.pos >= len(ops) || ops[w.pos].Kind == kernel.OpExit {
+		if op := w.op(); op == nil || op.Kind == kernel.OpExit {
 			tasks = append(tasks[:cur], tasks[cur+1:]...)
 			continue // next task now sits at cur
 		}
@@ -305,9 +321,11 @@ func interleave(root workload.OpTree, intervalLen uint64) (total uint64, vecs []
 // fork tree without streaming it.
 func totalUser(t workload.OpTree) uint64 {
 	var sum uint64
-	for _, op := range t.Ops() {
-		if op.Kind == kernel.OpRun {
-			sum += uint64(op.N)
+	for _, ops := range t.Chunks() {
+		for _, op := range ops {
+			if op.Kind == kernel.OpRun {
+				sum += uint64(op.N)
+			}
 		}
 	}
 	for i := 0; i < t.NumChildren(); i++ {

@@ -3,23 +3,24 @@ package workload
 // Program compilation. A workload's reference stream is a deterministic
 // pure function of (spec, seed, task label) — it never consults machine or
 // kernel state (see program.go) — so the whole stream can be lowered once
-// into a flat array of pre-planned ops (fused walker runs, pre-resolved
-// service points, batched data references) and replayed any number of
-// times. Replay eliminates the per-instruction probability draws, Zipf
-// lookups and walker stepping that dominate the generator's cost, and a
-// process-wide resultcache.Cache, bounded by image bytes, amortizes the
-// one-time compile across gang members, fast/baseline comparison runs,
-// and bench iterations — all of which execute the same (spec, seed)
-// stream by construction.
+// into pre-planned ops (fused walker runs, pre-resolved service points,
+// batched data references) and replayed any number of times. Replay
+// eliminates the per-instruction probability draws, Zipf lookups and
+// walker stepping that dominate the generator's cost, and a process-wide
+// resultcache.Cache, bounded by image bytes, amortizes the one-time
+// compile across gang members, fast/baseline comparison runs, and bench
+// iterations — all of which execute the same (spec, seed) stream by
+// construction.
 //
 // Compile records through the same recorder as a decode-ahead stream
-// (stream.go): into chunks that start at firstChunkOps and double up to
-// maxCompileChunkOps, copied once into the image's flat op array, so no
-// garbage generations of a growing slice are left behind. Whether a
-// stream compiles is decided from its spec alone, before anything is
-// generated: a stream beyond the compile budget is refused at once, and
-// NewPlanned runs it decode-ahead instead, through the same kernel replay
-// loop.
+// (stream.go), into chunks that start at firstChunkOps and double up to
+// maxCompileChunkOps, and the image keeps those chunks as they are: no
+// flat copy, and no garbage generations of a growing slice. A replay
+// reads them through the windowed cursor decode-ahead streams use, at
+// stream op positions, so it can seek anywhere. Whether a stream compiles
+// is decided from its spec alone, before anything is generated: a stream
+// beyond the compile budget is refused at once, and NewPlanned runs it
+// decode-ahead instead, through the same kernel replay loop.
 //
 // The compiler is seed-pure: it consumes randomness only through the
 // generator it records, so a compiled replay is bit-identical to the
@@ -39,7 +40,7 @@ import (
 // maxCompiledInstr bounds the user instructions (Spec.UserInstructions,
 // the whole fork tree's) of a stream that compiles. Images measure 0.74
 // (kenbus) to 0.92 (eqntott) ops per user instruction, so the largest
-// admissible image is about 4.84M ops, 58 MB. At the standard scale 100,
+// admissible image is about 4.84M ops, 39 MB. At the standard scale 100,
 // xlisp, eqntott, mpeg_play and jpeg_play exceed it and run decode-ahead;
 // from scale 400 up, all eight paper streams compile. mpeg_play must
 // compile at scale 125 (5,077,264 user instructions): interval sampling
@@ -63,32 +64,68 @@ func compilable(spec Spec) error {
 	return nil
 }
 
-// image is the compiled form of one task's program: its op stream plus the
-// images of the children it forks, in fork order. Images are immutable
-// after compilation and shared by any number of concurrent replays.
+// Compiles reports whether spec's stream fits the compile budget, decided
+// from the spec alone. A stream that does not runs decode-ahead, and has
+// no image for interval replay to checkpoint.
+func Compiles(spec Spec) bool { return compilable(spec) == nil }
+
+// image is the compiled form of one task's program: its op stream, kept
+// in the chunks the recorder filled, plus the images of the children it
+// forks, in fork order. Images are immutable after compilation and shared
+// by any number of concurrent replays.
 type image struct {
-	ops      []kernel.CompiledOp
+	chunks   [][]kernel.CompiledOp // in stream order; the last holds OpExit
+	starts   []int                 // stream index of each chunk's first op
 	children []*image
+}
+
+// len returns the number of ops in the image's own stream.
+func (img *image) len() int {
+	last := len(img.chunks) - 1
+	return img.starts[last] + len(img.chunks[last])
 }
 
 // Compiled replays an image as a kernel.Program. The zero cursor starts at
 // the beginning of the stream; each task (including every forked child)
 // gets its own Compiled over the shared immutable image.
 type Compiled struct {
-	cursor // over img.ops
+	cursor // over one of img's chunks
 	img    *image
 	path   []int32 // fork-op args from the root image to img (never mutated)
 }
 
 func newCompiled(img *image, path []int32, pos int) *Compiled {
-	return &Compiled{cursor: cursor{ops: img.ops, pos: pos}, img: img, path: path}
+	return &Compiled{cursor: cursor{pos: pos}, img: img, path: path}
+}
+
+// locate moves the window to the chunk that holds the cursor, or to the
+// last chunk when the cursor is past the stream's end.
+func (c *Compiled) locate() {
+	if uint(c.pos-c.base) >= uint(len(c.ops)) {
+		c.seekWindow()
+	}
+}
+
+// seekWindow is locate's search over the image's chunks.
+func (c *Compiled) seekWindow() {
+	i, found := slices.BinarySearch(c.img.starts, c.pos)
+	if !found {
+		i--
+	}
+	c.ops, c.base = c.img.chunks[i], c.img.starts[i]
+}
+
+// OpPos implements kernel.CompiledProgram.
+func (c *Compiled) OpPos() (int, bool) {
+	c.locate()
+	return c.pos, c.runOff == 0
 }
 
 // Cursor implements kernel.CursorProgram: it names this replay's position
 // in the fork tree (the chain of fork-op args that produced its image,
-// plus the op index) so an identical replay can be rebuilt later from the
-// same (spec, seed) with NewPlannedAt. Mid-run-op positions are not
-// resumable and report ok == false; the kernel only captures at op
+// plus the stream op index) so an identical replay can be rebuilt later
+// from the same (spec, seed) with NewPlannedAt. Mid-run-op positions are
+// not resumable and report ok == false; the kernel only captures at op
 // boundaries, where OpPos's aligned flag is true.
 func (c *Compiled) Cursor() (kernel.ProgramCursor, bool) {
 	if c.runOff != 0 {
@@ -113,10 +150,11 @@ func (c *Compiled) Next() kernel.Event {
 // run ops split but never merge, so boundaries the interpreter would emit
 // are preserved.
 func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
-	if c.pos >= len(c.ops) {
+	c.locate()
+	if c.pos-c.base >= len(c.ops) {
 		return 0, 0, kernel.Event{Kind: kernel.EvExit}
 	}
-	op := &c.ops[c.pos]
+	op := c.op()
 	switch op.Kind {
 	case kernel.OpRun:
 		base, n := c.run(op, max)
@@ -126,15 +164,15 @@ func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 		return 0, 0, kernel.Event{Kind: kernel.EvRef, Ref: mem.Ref{VA: op.VA, Kind: op.Ref}}
 	case kernel.OpSyscall:
 		c.pos++
-		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: kernel.ServiceID(op.Arg)}
+		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: kernel.ServiceID(op.Arg())}
 	case kernel.OpFork:
 		c.pos++
 		childPath := make([]int32, len(c.path)+1)
 		copy(childPath, c.path)
-		childPath[len(c.path)] = op.Arg
+		childPath[len(c.path)] = op.Arg()
 		return 0, 0, kernel.Event{
 			Kind:      kernel.EvFork,
-			Child:     newCompiled(c.img.children[op.Arg], childPath, 0),
+			Child:     newCompiled(c.img.children[op.Arg()], childPath, 0),
 			ShareText: op.N != 0,
 		}
 	default: // OpExit is sticky, like the interpreter's exit.
@@ -142,21 +180,27 @@ func (c *Compiled) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 	}
 }
 
-// compileImage records gen's full stream into an image, compiling the
-// children it forks, in fork order, as each chunk hands them over.
-func compileImage(gen *program) *image {
+// compileImage records gen's full stream into an image of chunks that
+// start at first ops and double up to max, compiling the children it
+// forks, in fork order, as each chunk hands them over. The last chunk is
+// cloned down to the ops it holds: doubling leaves it up to half empty,
+// which in a fork tree of short children is most of the image.
+func compileImage(gen *program, first, max int) *image {
 	r := recorder{gen: gen}
 	img := &image{}
-	var chunks [][]kernel.CompiledOp
-	for size := firstChunkOps; !r.exited; size = min(2*size, maxCompileChunkOps) {
+	for size, n := first, 0; !r.exited; size = min(2*size, max) {
 		c := &chunk{ops: make([]kernel.CompiledOp, 0, size)}
 		r.fill(c)
-		chunks = append(chunks, c.ops)
+		if r.exited && len(c.ops) < cap(c.ops) {
+			c.ops = slices.Clone(c.ops)
+		}
+		img.chunks = append(img.chunks, c.ops)
+		img.starts = append(img.starts, n)
+		n += len(c.ops)
 		for _, g := range c.children {
-			img.children = append(img.children, compileImage(g))
+			img.children = append(img.children, compileImage(g, first, max))
 		}
 	}
-	img.ops = slices.Concat(chunks...)
 	return img
 }
 
@@ -167,7 +211,7 @@ func Compile(spec Spec, seed uint64) (*Compiled, error) {
 	if err := compilable(spec); err != nil {
 		return nil, err
 	}
-	return newCompiled(compileImage(newGenerator(spec, seed)), nil, 0), nil
+	return newCompiled(compileImage(newGenerator(spec, seed), firstChunkOps, maxCompileChunkOps), nil, 0), nil
 }
 
 // --- Process-wide image cache ---
@@ -176,7 +220,7 @@ func Compile(spec Spec, seed uint64) (*Compiled, error) {
 const opBytes = int64(unsafe.Sizeof(kernel.CompiledOp{}))
 
 // maxCachedImageBytes bounds the compile cache by image bytes: 16M ops,
-// about 201 MB, room for three images at the compile budget and for the
+// about 134 MB, room for three images at the compile budget and for the
 // whole paper workload set at bench scales (Table 6 alone revisits all
 // eight streams). Sweeps revisit the same few (spec, seed) pairs
 // thousands of times.
@@ -207,14 +251,17 @@ func ImageCacheStats() (hits, compiles uint64) {
 func cachedImage(spec Spec, seed uint64) *image {
 	// The build cannot fail: compilable has already accepted spec.
 	img, _ := images.Get(cacheKey{spec: spec, seed: seed}, func() (*image, error) {
-		return compileImage(newGenerator(spec, seed)), nil
+		return compileImage(newGenerator(spec, seed), firstChunkOps, maxCompileChunkOps), nil
 	})
 	return img
 }
 
-// bytes is the in-memory size of the image's ops, children included.
+// bytes is the in-memory size of the image's chunks, children included.
 func (img *image) bytes() int64 {
-	n := int64(len(img.ops)) * opBytes
+	var n int64
+	for _, ops := range img.chunks {
+		n += int64(cap(ops)) * opBytes
+	}
 	for _, c := range img.children {
 		n += c.bytes()
 	}
@@ -253,9 +300,9 @@ func NewPlannedAt(spec Spec, seed uint64, cur kernel.ProgramCursor) (kernel.Prog
 		}
 		node = node.children[arg]
 	}
-	if cur.Pos < 0 || cur.Pos > len(node.ops) {
+	if cur.Pos < 0 || cur.Pos > node.len() {
 		return nil, fmt.Errorf("workload: cursor op %d out of range [0,%d] for %s/seed %#x",
-			cur.Pos, len(node.ops), spec.Name, seed)
+			cur.Pos, node.len(), spec.Name, seed)
 	}
 	path := make([]int32, len(cur.Path))
 	copy(path, cur.Path)
@@ -269,8 +316,9 @@ type OpTree struct {
 	img *image
 }
 
-// Ops returns the node's op stream. The slice is shared and immutable.
-func (t OpTree) Ops() []kernel.CompiledOp { return t.img.ops }
+// Chunks returns the node's op stream as the chunks it was recorded in,
+// in stream order. The slices are shared and immutable.
+func (t OpTree) Chunks() [][]kernel.CompiledOp { return t.img.chunks }
 
 // NumChildren returns how many child streams this node forks.
 func (t OpTree) NumChildren() int { return len(t.img.children) }

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mem"
@@ -336,7 +338,8 @@ func TestOpPosAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := c.Ops()
+	c.OpPos()
+	ops, _ := c.Window()
 	if len(ops) == 0 || ops[0].Kind != kernel.OpRun {
 		t.Skipf("stream does not start with a run op")
 	}
@@ -352,4 +355,168 @@ func TestOpPosAlignment(t *testing.T) {
 			t.Fatalf("OpPos = %d,%v after consuming the first run, want 1,true", pos, ok)
 		}
 	}
+}
+
+// tinyCompiled compiles (spec, seed) into an image whose chunks start at
+// first ops and double up to max, so chunk boundaries fall every few ops.
+func tinyCompiled(t *testing.T, spec Spec, seed uint64, first, max int) *Compiled {
+	t.Helper()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return newCompiled(compileImage(newGenerator(spec, seed), first, max), nil, 0)
+}
+
+// TestCompiledChunkBoundaries checks compiled replay against the reference
+// interpreter when an image's chunks hold one or two ops, so nearly every
+// op sits next to a chunk boundary: driven by NextRun at several widths,
+// by Next, by both, and by the kernel's compiled loop. A replay rewound by
+// SeekOp(0) after reaching its exit must replay the same stream again.
+func TestCompiledChunkBoundaries(t *testing.T) {
+	const seed = 1994
+	const capEvents = 1 << 20
+	for _, name := range []string{"eqntott", "ousterhout", "sdet"} {
+		spec, err := ByName(name, 40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := flatten(t, ref(t, spec, seed), kernel.CompiledRunCap, capEvents)
+		wantRun := runSolo(t, spec, ref(t, spec, seed))
+		for _, sz := range [][2]int{{1, 1}, {2, 2}, {1, 2}} {
+			label := fmt.Sprintf("%s/chunks%d-%d", name, sz[0], sz[1])
+			for _, width := range []int{1, 7, 64} {
+				c := tinyCompiled(t, spec, seed, sz[0], sz[1])
+				compareStreams(t, fmt.Sprintf("%s/run%d", label, width), want, flatten(t, c, width, capEvents))
+				c.SeekOp(0)
+				compareStreams(t, fmt.Sprintf("%s/run%d/rewound", label, width), want, flatten(t, c, width, capEvents))
+			}
+			compareStreams(t, label+"/next", want, flattenNext(t, tinyCompiled(t, spec, seed, sz[0], sz[1]), capEvents))
+			compareStreams(t, label+"/mixed", want, flattenMixed(t, tinyCompiled(t, spec, seed, sz[0], sz[1]), capEvents))
+			c := tinyCompiled(t, spec, seed, sz[0], sz[1])
+			if got := runSolo(t, spec, c); got != wantRun {
+				t.Errorf("%s/kernel: %+v\nreference: %+v", label, got, wantRun)
+			}
+			c.SeekOp(0)
+			if got := runSolo(t, spec, c); got != wantRun {
+				t.Errorf("%s/kernel/rewound: %+v\nreference: %+v", label, got, wantRun)
+			}
+		}
+	}
+}
+
+// TestCursorResumesAcrossChunkSizes drives replays of images with 1- and
+// 2-op chunks op by op and, at op indices on and inside the chunk
+// boundaries of both those images and the cached image NewPlannedAt
+// resumes from, requires the resumed replay to match the rest of the
+// original: a cursor's position means the same op at any chunk size.
+// eqntott's stream passes the cached image's first boundaries; sdet's
+// root is shorter, and its fork children are checked the same way at the
+// start of their streams.
+func TestCursorResumesAcrossChunkSizes(t *testing.T) {
+	const seed = 1994
+	const capEvents = 1 << 20
+	for _, name := range []string{"eqntott", "sdet"} {
+		spec, err := ByName(name, 40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sz := range [][2]int{{1, 1}, {2, 2}} {
+			label := fmt.Sprintf("%s/chunks%d-%d", name, sz[0], sz[1])
+			// Default images break at 256, 768 and 1792 ops.
+			at := map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true}
+			for _, b := range []int{256, 768, 1792} {
+				at[b-1], at[b], at[b+1] = true, true, true
+			}
+			c := tinyCompiled(t, spec, seed, sz[0], sz[1])
+			n := c.img.len()
+			at[n/2], at[n-1], at[n] = true, true, true
+			var children []*Compiled
+			for pos := 0; pos <= n; pos++ {
+				if pos == n {
+					c.SeekOp(n) // past the sticky OpExit at n-1
+				}
+				if c.pos != pos {
+					t.Fatalf("%s: cursor at op %d, want %d", label, c.pos, pos)
+				}
+				if at[pos] {
+					checkResume(t, spec, seed, c, fmt.Sprintf("%s/op%d", label, pos), capEvents)
+				}
+				if pos >= n-1 {
+					continue
+				}
+				// Consume one whole op; a run op is split once on the way,
+				// where no cursor may be taken.
+				c.OpPos()
+				if ops, base := c.Window(); ops[pos-base].Kind == kernel.OpRun && ops[pos-base].N > 1 {
+					c.NextRun(1)
+					if _, ok := c.Cursor(); ok {
+						t.Fatalf("%s/op%d: cursor reported inside a run op", label, pos)
+					}
+				}
+				if _, _, ev := c.NextRun(kernel.CompiledRunCap); ev.Kind == kernel.EvFork {
+					children = append(children, ev.Child.(*Compiled))
+				}
+			}
+			if spec.Tasks > 1 && len(children) == 0 {
+				t.Fatalf("%s: no fork children replayed", label)
+			}
+			for i, child := range children {
+				if i%8 == 0 {
+					checkResume(t, spec, seed, child, fmt.Sprintf("%s/child%d", label, i), capEvents)
+				}
+			}
+		}
+	}
+}
+
+// checkResume requires NewPlannedAt at c's cursor to replay the rest of
+// c's stream, fork children included, as a copy of c from there does.
+func checkResume(t *testing.T, spec Spec, seed uint64, c *Compiled, label string, capEvents int) {
+	t.Helper()
+	cur, ok := c.Cursor()
+	if !ok {
+		t.Fatalf("%s: no cursor at an op boundary", label)
+	}
+	resumed, err := NewPlannedAt(spec, seed, cur)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	rest := newCompiled(c.img, c.path, c.pos)
+	compareStreams(t, label, flatten(t, rest, kernel.CompiledRunCap, capEvents),
+		flatten(t, resumed, kernel.CompiledRunCap, capEvents))
+}
+
+// TestCompiledOpSize pins the op at 8 bytes: the payload shared by a run
+// or data op's address and a syscall or fork op's argument is what keeps
+// it there.
+func TestCompiledOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(kernel.CompiledOp{}); n != 8 {
+		t.Fatalf("kernel.CompiledOp is %d bytes, want 8", n)
+	}
+}
+
+// TestCompileAllocatesImageOnce compiles a single-task stream and bounds
+// everything it allocated by 1.25 times the image's bytes: the chunks the
+// recorder fills are the image, and nothing copies them.
+func TestCompileAllocatesImageOnce(t *testing.T) {
+	spec, err := ByName("espresso", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Tasks != 1 {
+		t.Fatalf("espresso has %d tasks, want 1", spec.Tasks)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Compile(spec, 1994)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, img := after.TotalAlloc-before.TotalAlloc, c.img.bytes()
+	if float64(alloc) > 1.25*float64(img) {
+		t.Fatalf("compiling espresso@400 allocated %d bytes, %.2f× its %d-byte image; want at most 1.25×",
+			alloc, float64(alloc)/float64(img), img)
+	}
+	t.Logf("allocated %d bytes for a %d-byte image (%.3f×)", alloc, img, float64(alloc)/float64(img))
 }

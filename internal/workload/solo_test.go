@@ -1,4 +1,4 @@
-package workload_test
+package workload
 
 import (
 	"testing"
@@ -7,7 +7,6 @@ import (
 	"tapeworm/internal/core"
 	"tapeworm/internal/kernel"
 	"tapeworm/internal/mach"
-	"tapeworm/internal/workload"
 )
 
 // soloOutcome is everything a solo simulation determines that the
@@ -20,7 +19,7 @@ type soloOutcome struct {
 }
 
 // runSolo simulates prog alone in a 64 KB direct-mapped I-cache.
-func runSolo(t *testing.T, spec workload.Spec, prog kernel.Program) soloOutcome {
+func runSolo(t *testing.T, spec Spec, prog kernel.Program) soloOutcome {
 	t.Helper()
 	k, err := kernel.Boot(kernel.DefaultConfig(mach.DECstation5000_200(4096), 1994))
 	if err != nil {
@@ -45,21 +44,21 @@ func runSolo(t *testing.T, spec workload.Spec, prog kernel.Program) soloOutcome 
 // reference interpreter, a decode-ahead stream and a compiled image, and
 // requires identical simulator, machine and kernel statistics.
 func TestSoloRunsMatchReference(t *testing.T) {
-	for _, name := range workload.Names() {
-		spec, err := workload.ByName(name, 2000)
+	for _, name := range Names() {
+		spec, err := ByName(name, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := workload.NewReference(spec, 1994)
+		ref, err := NewReference(spec, 1994)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := runSolo(t, spec, ref)
-		da, err := workload.New(spec, 1994)
+		da, err := New(spec, 1994)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := workload.Compile(spec, 1994)
+		c, err := Compile(spec, 1994)
 		if err != nil {
 			t.Fatal(err)
 		}

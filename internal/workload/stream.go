@@ -1,7 +1,13 @@
 package workload
 
 // Op streams: the one lowering of a generator's events into CompiledOps,
-// the cursor that replays ops, and decode-ahead streams.
+// the windowed cursor that replays ops, and decode-ahead streams.
+//
+// Every op stream is read one window at a time, each window one chunk the
+// recorder filled: a compiled image keeps all of its chunks (compile.go),
+// and a decode-ahead stream holds a few at once. The cursor they share
+// counts positions in stream ops from the stream's first op, whichever
+// chunk holds them, so a position means the same op at any chunk size.
 //
 // A decode-ahead stream is what New returns. Past its first chunk, its
 // generator runs on a producer goroutine of its own, lowering the stream
@@ -32,8 +38,7 @@ const (
 	firstChunkOps = 256
 	// maxRingChunkOps caps the chunks of a decode-ahead ring.
 	maxRingChunkOps = 8 << 10
-	// maxCompileChunkOps caps the chunks Compile records into before it
-	// copies them into an image.
+	// maxCompileChunkOps caps the chunks of a compiled image.
 	maxCompileChunkOps = 16 << 10
 	// ringChunks is the number of chunks a decode-ahead stream cycles
 	// between its producer and its consumer: while the consumer reads
@@ -77,9 +82,9 @@ func (r *recorder) fill(c *chunk) {
 		case kind == kernel.EvRef:
 			*op = kernel.CompiledOp{Kind: kernel.OpData, VA: g.evRef.VA, Ref: g.evRef.Kind}
 		case kind == kernel.EvSyscall:
-			*op = kernel.CompiledOp{Kind: kernel.OpSyscall, Arg: int32(g.evSvc)}
+			*op = kernel.ArgOp(kernel.OpSyscall, int32(g.evSvc))
 		case kind == kernel.EvFork:
-			*op = kernel.CompiledOp{Kind: kernel.OpFork, Arg: r.forks}
+			*op = kernel.ArgOp(kernel.OpFork, r.forks)
 			if g.spec.ChildShareText {
 				op.N = 1
 			}
@@ -93,23 +98,27 @@ func (r *recorder) fill(c *chunk) {
 	}
 }
 
-// cursor is a replay position in a window of ops: the op index, and the
-// instructions already consumed of the run op there (nonzero only while
-// a Next-driven stint sits inside a run op).
+// cursor is a replay position in an op stream read one window at a time:
+// the window that holds it, the stream index of the window's first op,
+// the stream op index, and the instructions already consumed of the run
+// op there (nonzero only while a Next-driven stint sits inside a run op).
+// Compiled images and decode-ahead streams share it; each moves the
+// window its own way.
 type cursor struct {
 	ops    []kernel.CompiledOp
+	base   int
 	pos    int
 	runOff int
 }
 
-// Ops implements kernel.CompiledProgram.
-func (c *cursor) Ops() []kernel.CompiledOp { return c.ops }
-
-// OpPos implements kernel.CompiledProgram.
-func (c *cursor) OpPos() (int, bool) { return c.pos, c.runOff == 0 }
+// Window implements kernel.CompiledProgram.
+func (c *cursor) Window() ([]kernel.CompiledOp, int) { return c.ops, c.base }
 
 // SeekOp implements kernel.CompiledProgram.
 func (c *cursor) SeekOp(pos int) { c.pos, c.runOff = pos, 0 }
+
+// op returns the op at the cursor, which must lie in the window.
+func (c *cursor) op() *kernel.CompiledOp { return &c.ops[c.pos-c.base] }
 
 // run consumes up to max fetches of op, the run op at pos: run ops split
 // but never merge, so every event boundary of the recorded stream
@@ -151,10 +160,10 @@ func newStream(gen *program, first, max int) *stream {
 }
 
 // OpPos implements kernel.CompiledProgram. A cursor at the end of its
-// window moves to the start of the next chunk first, so Ops, called
+// window moves to the start of the next chunk first, so Window, called
 // after it, is the window that holds the cursor.
 func (s *stream) OpPos() (int, bool) {
-	if s.pos == len(s.ops) {
+	if s.pos-s.base == len(s.ops) {
 		s.advance()
 	}
 	return s.pos, s.runOff == 0
@@ -171,10 +180,10 @@ func (s *stream) Next() kernel.Event {
 
 // NextRun implements kernel.BatchProgram by replaying the lowered ops.
 func (s *stream) NextRun(max int) (mem.VAddr, int, kernel.Event) {
-	if s.pos == len(s.ops) {
+	if s.pos-s.base == len(s.ops) {
 		s.advance()
 	}
-	op := &s.ops[s.pos]
+	op := s.op()
 	switch op.Kind {
 	case kernel.OpRun:
 		base, n := s.run(op, max)
@@ -184,19 +193,19 @@ func (s *stream) NextRun(max int) (mem.VAddr, int, kernel.Event) {
 		return 0, 0, kernel.Event{Kind: kernel.EvRef, Ref: mem.Ref{VA: op.VA, Kind: op.Ref}}
 	case kernel.OpSyscall:
 		s.pos++
-		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: kernel.ServiceID(op.Arg)}
+		return 0, 0, kernel.Event{Kind: kernel.EvSyscall, Service: kernel.ServiceID(op.Arg())}
 	case kernel.OpFork:
 		s.pos++
 		return 0, 0, kernel.Event{
 			Kind:      kernel.EvFork,
-			Child:     newStream(s.cur.children[op.Arg-s.cur.firstChild], s.first, s.max),
+			Child:     newStream(s.cur.children[op.Arg()-s.cur.firstChild], s.first, s.max),
 			ShareText: op.N != 0,
 		}
 	}
 	// OpExit is sticky. The producer has returned; let the ring go.
 	if s.free != nil {
 		s.cur, s.full, s.free = nil, nil, nil
-		s.ops, s.pos = exitOps, 0
+		s.ops, s.base = exitOps, s.pos
 	}
 	return 0, 0, kernel.Event{Kind: kernel.EvExit}
 }
@@ -229,7 +238,7 @@ func (s *stream) advance() {
 		s.free <- s.cur
 		s.cur = <-s.full
 	}
-	s.ops, s.pos = s.cur.ops, 0
+	s.ops, s.base = s.cur.ops, s.pos
 }
 
 // produce is a stream's producer goroutine. It lowers the rest of r's

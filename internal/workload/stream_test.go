@@ -59,16 +59,17 @@ func TestDecodeAheadBoundaryCasesOccur(t *testing.T) {
 	}
 	for _, first := range []int{1, 2} {
 		s := tinyStream(t, spec, 5, first, 2)
-		if pos, ok := s.OpPos(); pos != 0 || !ok || len(s.Ops()) != first {
-			t.Fatalf("first window: pos %d ok %v, %d ops; want 0 true %d", pos, ok, len(s.Ops()), first)
+		pos, ok := s.OpPos()
+		if ops, base := s.Window(); pos != 0 || !ok || base != 0 || len(ops) != first {
+			t.Fatalf("first window: pos %d ok %v, base %d, %d ops; want 0 true 0 %d", pos, ok, base, len(ops), first)
 		}
 		var splitAtEnd, forkAtEnd int
 		for i := 0; i < 1<<20; i++ {
 			ev := s.Next()
-			if s.runOff > 0 && s.pos == len(s.ops)-1 {
+			if s.runOff > 0 && s.pos-s.base == len(s.ops)-1 {
 				splitAtEnd++
 			}
-			if ev.Kind == kernel.EvFork && s.pos == len(s.ops) {
+			if ev.Kind == kernel.EvFork && s.pos-s.base == len(s.ops) {
 				forkAtEnd++
 			}
 			if ev.Kind == kernel.EvExit {
